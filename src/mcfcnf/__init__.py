@@ -8,10 +8,10 @@ from .evaluate import (FLOW_TOL, VERIFY_TOL, ScoredSolution, score, verify_flow,
                        write_solution_csv)
 from .exact import (GAP_DEFAULT, BnBNode, ExactResult, brute_force, polish,
                     solve_exact)
-from .flowcore import (D_MIN, UNBOUNDED, Arc, ArcNetwork, FlowIterationError,
+from .flowcore import (D_MIN, UNBOUNDED, ExpandedNetwork, FlowIterationError,
                        FlowSolution, Infeasible, Organism,
-                       build_expanded_network, lp_relaxation_bound,
-                       max_throughput, solve_min_cost_flow)
+                       build_expanded_network, compile_topology,
+                       lp_relaxation_bound, max_throughput, solve_min_cost_flow)
 from .ga import (GAConfig, IterationRecord, RunResult, crossover, evolve,
                  fitness, init_population, mutate, theorem_d,
                  tournament_select, write_convergence_csv)
@@ -22,13 +22,13 @@ from .instance import (CostParams, FacilityInstance, Instance, ParseError,
                        save_facility_instance, save_instance, validate)
 
 __all__ = [
-    "Arc", "ArcNetwork", "BnBNode", "CostParams", "D_MIN", "ExactResult",
+    "BnBNode", "CostParams", "D_MIN", "ExactResult", "ExpandedNetwork",
     "FLOW_TOL", "FacilityInstance", "FlowIterationError", "FlowSolution",
     "GAConfig", "GAP_DEFAULT", "Infeasible", "Instance", "IterationRecord",
     "Organism", "ParseError", "RunResult", "ScoredSolution", "Terminal",
     "UNBOUNDED", "VERIFY_TOL", "ValidationError", "brute_force",
-    "build_expanded_network", "crossover", "evolve", "fitness",
-    "format_instance", "from_facility_form", "generate_random",
+    "build_expanded_network", "compile_topology", "crossover", "evolve",
+    "fitness", "format_instance", "from_facility_form", "generate_random",
     "init_population", "invariant_violations", "load_facility_instance",
     "load_instance", "lp_relaxation_bound", "max_throughput", "mutate",
     "parse_instance", "polish", "save_facility_instance", "save_instance",

@@ -45,20 +45,12 @@ def _load_checked(path: str):
         raise _UsageError(f"{path}: {err}") from None
 
 
-def _feasible_or_exit(instance) -> list[str]:
-    return validate(instance)
-
-
 def _default_artifact(instance_path: str, suffix: str) -> str:
     return str(Path(instance_path).with_suffix(Path(instance_path).suffix + suffix))
 
 
 def cmd_solve(args) -> int:
     instance = _load_checked(args.instance)
-    problems = _feasible_or_exit(instance)
-    if problems:
-        print("; ".join(problems), file=sys.stderr)
-        return EXIT_INFEASIBLE
     config = ga.GAConfig(
         population_size=args.population, crossover_probability=args.crossover,
         mutation_probability=args.mutation, time_limit=args.time_limit,
@@ -83,7 +75,7 @@ def cmd_solve(args) -> int:
 
 def cmd_exact(args) -> int:
     instance = _load_checked(args.instance)
-    problems = _feasible_or_exit(instance)
+    problems = validate(instance)
     if problems:
         print("; ".join(problems), file=sys.stderr)
         return EXIT_INFEASIBLE
@@ -126,7 +118,7 @@ def cmd_compare(args) -> int:
     consistency_failures = []
     for path in paths:
         instance = _load_checked(path)
-        problems = _feasible_or_exit(instance)
+        problems = validate(instance)
         if problems:
             print(f"{path}: " + "; ".join(problems), file=sys.stderr)
             return EXIT_INFEASIBLE

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .evaluate import FLOW_TOL, ScoredSolution, score, verify_flow
-from .flowcore import (Arc, ArcNetwork, Infeasible, max_throughput,
-                       slope_scaled_costs, solve_min_cost_flow)
+from .flowcore import (ExpandedNetwork, Infeasible, compile_topology,
+                       max_throughput, slope_scaled_costs, solve_min_cost_flow)
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -58,39 +58,6 @@ def _gap_abs(gap: float, incumbent: float) -> float:
     return gap * max(1.0, abs(incumbent))
 
 
-def _node_network(instance: Instance, free_cost: np.ndarray,
-                  fixed_open: frozenset[int], fixed_closed: frozenset[int]) -> tuple[ArcNetwork, float]:
-    """Arc network for one node plus the fixed-cost constant of open pairs."""
-    n_caps = instance.n_capacities
-    avail = instance.available.tolist()
-    caps = instance.capacities.tolist()
-    free_rows = free_cost.tolist()
-    var_rows = instance.variable_cost.tolist()
-    fixed_rows = instance.fixed_cost.tolist()
-    arcs = []
-    constant = 0.0
-    for e, (u, w) in enumerate(instance.edges):
-        base = e * n_caps
-        for k in range(n_caps):
-            if not avail[e][k]:
-                continue
-            p = base + k
-            if p in fixed_closed:
-                continue
-            if p in fixed_open:
-                constant += fixed_rows[e][k]
-                unit = var_rows[e][k]
-            else:
-                unit = free_rows[e][k]
-            arcs.append(Arc(u, w, caps[k], unit, (e, k)))
-    net = ArcNetwork(
-        n_vertices=instance.n_vertices, source=instance.source, sink=instance.sink,
-        target=instance.target, arcs=tuple(arcs),
-        pair_shape=(instance.n_edges, n_caps),
-    )
-    return net, constant
-
-
 def _pick_branch_pair(instance: Instance, flow: np.ndarray,
                       fixed_open: frozenset[int], fixed_closed: frozenset[int]) -> int | None:
     """Free pair with the most relaxation flow, fractional fixed charge only
@@ -114,12 +81,29 @@ def _branch_and_bound(instance: Instance, budget: float, gap: float,
                       warm: ScoredSolution | None,
                       node_log: list | None = None) -> ExactResult:
     start = time.perf_counter()
-    free_cost = slope_scaled_costs(instance)
+    topology = compile_topology(instance)
+    free_cost = topology.arc_costs(slope_scaled_costs(instance))
+    var_cost = topology.arc_costs(instance.variable_cost)
+    fixed = instance.fixed_cost.reshape(-1).tolist()
+    arc_of = topology.arc_of
+    extra_arcs = topology.arcs_of(extra_closed)
+
+    def node_network(fixed_open: frozenset[int],
+                     fixed_closed: frozenset[int]) -> tuple[ExpandedNetwork, float]:
+        """Network of one node (open pairs at their variable cost, closed
+        pairs shut) plus the fixed-cost constant of its open pairs."""
+        cost = list(free_cost)
+        constant = 0.0
+        for p in sorted(fixed_open):
+            constant += fixed[p]
+            cost[arc_of[p]] = var_cost[arc_of[p]]
+        closed = extra_arcs | topology.arcs_of(fixed_closed)
+        return ExpandedNetwork(topology, cost, closed), constant
 
     incumbent = warm
     best_cost = warm.true_cost if warm is not None else math.inf
 
-    root_net, root_const = _node_network(instance, free_cost, frozenset(), extra_closed)
+    root_net, root_const = node_network(frozenset(), frozenset())
     root_sol = solve_min_cost_flow(root_net)  # Infeasible propagates
     nodes = 1
     root_bound = root_const + root_sol.lp_cost
@@ -169,8 +153,7 @@ def _branch_and_bound(instance: Instance, budget: float, gap: float,
             else:
                 child_open = node.fixed_open
                 child_closed = node.fixed_closed | {pair}
-            net, const = _node_network(instance, free_cost, child_open,
-                                       child_closed | extra_closed)
+            net, const = node_network(child_open, child_closed)
             try:
                 sol = solve_min_cost_flow(net)
             except Infeasible:
@@ -251,26 +234,16 @@ def brute_force(instance: Instance) -> ExactResult:
     best_cost = math.inf
     best_flow = None
     solves = 0
-    caps_list = caps.tolist()
-    var_rows = instance.variable_cost.tolist()
+    topology = compile_topology(instance)  # arc i is pairs[i]
+    var_cost = topology.arc_costs(instance.variable_cost)
     for mask in masks.tolist():
         fixed = fixed_sums[mask]
         if fixed >= best_cost - 1e-12:
             break
-        arcs = []
-        for i in range(n_p):
-            if mask >> i & 1:
-                e, k = pairs[i]
-                u, w = instance.edges[e]
-                arcs.append(Arc(u, w, caps_list[k], var_rows[e][k], (e, k)))
-        net = ArcNetwork(
-            n_vertices=instance.n_vertices, source=instance.source,
-            sink=instance.sink, target=instance.target, arcs=tuple(arcs),
-            pair_shape=(instance.n_edges, n_caps),
-        )
+        closed = frozenset(i for i in range(n_p) if not mask >> i & 1)
         solves += 1
         try:
-            sol = solve_min_cost_flow(net)
+            sol = solve_min_cost_flow(ExpandedNetwork(topology, var_cost, closed))
         except Infeasible:
             continue
         total = fixed + sol.lp_cost

@@ -5,6 +5,15 @@ and unit cost fixed/scale + variable, so the relaxation reduces to a plain
 min-cost flow of the target amount from source to sink. The solver is
 successive shortest augmenting paths with vertex potentials: exact,
 dependency-free, and deterministic (ties resolved by lowest arc index).
+
+The network is compiled once per instance and solved many times. The arcs,
+their residual heads and capacities and the per-vertex residual adjacency
+depend only on the instance, so compile_topology builds them on the first
+solve and keeps them on the instance. What one solve adds is a per-arc cost
+vector and a set of closed arcs: a GA decode changes the costs, a
+branch-and-bound node also closes arcs, and the brute force opens a subset.
+A closed arc keeps its place in the arc order with no capacity, so every
+tie-break, and so the solution, is the one of the instance without its pair.
 """
 from __future__ import annotations
 
@@ -24,6 +33,10 @@ UNBOUNDED = math.inf
 
 #: Global floor for finite scale entries.
 D_MIN = 1e-6
+
+#: Feasibility rule shared by the solver and validation: a target is met
+#: when the flow falls short of it by at most SHORTFALL_TOL * max(1, target).
+SHORTFALL_TOL = 1e-12
 
 
 class Infeasible(Exception):
@@ -59,24 +72,41 @@ class Organism:
         object.__setattr__(self, "scale", scale)
 
 
-class Arc(NamedTuple):
-    src: int
-    dst: int
-    capacity: float
-    unit_cost: float
-    origin: tuple[int, int]  # (edge index, capacity class index)
-
-
-@dataclass(frozen=True)
-class ArcNetwork:
-    """Capacity-expanded network: one arc per offered (edge, class) pair."""
+@dataclass(frozen=True, eq=False)
+class Topology:
+    """Cost-free capacity-expanded network of one instance: one arc per
+    offered (edge, class) pair, in (edge, class) order. Residual id 2i is
+    arc i forward, 2i+1 its reversal."""
 
     n_vertices: int
     source: int
     sink: int
     target: float
-    arcs: tuple[Arc, ...]
     pair_shape: tuple[int, int]
+    pairs: np.ndarray               # flat (edge, class) index of each arc
+    head: list[int]                 # head vertex of each residual id
+    capacity: list[float]           # initial residual capacity of each residual id
+    adjacency: list[list[int]]      # residual ids leaving each vertex
+    arc_of: dict[int, int]          # flat pair index -> arc, offered pairs only
+
+    def arc_costs(self, cost: np.ndarray) -> list[float]:
+        """Per-arc unit costs taken from an (edge, class) cost matrix."""
+        return cost.reshape(-1)[self.pairs].tolist()
+
+    def arcs_of(self, pairs) -> frozenset[int]:
+        """Arcs of the offered pairs among flat pair indices."""
+        arc_of = self.arc_of
+        return frozenset(arc_of[p] for p in pairs if p in arc_of)
+
+
+class ExpandedNetwork(NamedTuple):
+    """A compiled topology under one per-arc cost vector. Closed arcs carry
+    no flow; they keep their place in the arc order, so the solve equals
+    the one on the instance without their pairs."""
+
+    topology: Topology
+    cost: list[float]
+    closed: frozenset[int] = frozenset()
 
 
 @dataclass(frozen=True, eq=False)
@@ -92,14 +122,42 @@ class FlowSolution:
         object.__setattr__(self, "flow", flow)
 
 
-def build_expanded_network(instance: Instance, organism: Organism) -> ArcNetwork:
+def compile_topology(instance: Instance) -> Topology:
+    """The instance's topology, compiled on first use and kept on the
+    (immutable) instance for every later solve."""
+    topology = getattr(instance, "_topology", None)
+    if topology is None:
+        n_caps = instance.n_capacities
+        pairs = np.flatnonzero(instance.available.reshape(-1))
+        caps = instance.capacities.tolist()
+        head: list[int] = []
+        capacity: list[float] = []
+        adjacency: list[list[int]] = [[] for _ in range(instance.n_vertices)]
+        for i, p in enumerate(pairs.tolist()):
+            u, w = instance.edges[p // n_caps]
+            adjacency[u].append(2 * i)
+            adjacency[w].append(2 * i + 1)
+            head += (w, u)
+            capacity += (caps[p % n_caps], 0.0)
+        topology = Topology(
+            n_vertices=instance.n_vertices, source=instance.source, sink=instance.sink,
+            target=instance.target, pair_shape=(instance.n_edges, n_caps), pairs=pairs,
+            head=head, capacity=capacity, adjacency=adjacency,
+            arc_of=dict(zip(pairs.tolist(), range(len(pairs)))),
+        )
+        object.__setattr__(instance, "_topology", topology)
+    return topology
+
+
+def build_expanded_network(instance: Instance, organism: Organism) -> ExpandedNetwork:
     """Expand an instance under an organism's fixed-cost divisors."""
     shape = (instance.n_edges, instance.n_capacities)
     if organism.scale.shape != shape:
         raise ValueError(f"organism shape {organism.scale.shape} does not match "
                          f"instance (edges, capacities) {shape}")
+    topology = compile_topology(instance)
     cost = instance.fixed_cost / organism.scale + instance.variable_cost
-    return _assemble_network(instance, cost)
+    return ExpandedNetwork(topology, topology.arc_costs(cost))
 
 
 def slope_scaled_costs(instance: Instance) -> np.ndarray:
@@ -110,69 +168,44 @@ def slope_scaled_costs(instance: Instance) -> np.ndarray:
     return instance.fixed_cost / scale + instance.variable_cost
 
 
-def _assemble_network(instance: Instance, cost: np.ndarray,
-                      skip_pairs: frozenset[int] | None = None) -> ArcNetwork:
-    avail = instance.available
-    caps = instance.capacities.tolist()
-    cost_rows = cost.tolist()
-    n_caps = instance.n_capacities
-    arcs = []
-    for e, (u, w) in enumerate(instance.edges):
-        row_avail = avail[e]
-        row_cost = cost_rows[e]
-        for k in range(n_caps):
-            if not row_avail[k]:
-                continue
-            if skip_pairs is not None and e * n_caps + k in skip_pairs:
-                continue
-            arcs.append(Arc(u, w, caps[k], row_cost[k], (e, k)))
-    return ArcNetwork(
-        n_vertices=instance.n_vertices, source=instance.source, sink=instance.sink,
-        target=instance.target, arcs=tuple(arcs),
-        pair_shape=(instance.n_edges, n_caps),
-    )
-
-
-def solve_min_cost_flow(net: ArcNetwork) -> FlowSolution:
+def solve_min_cost_flow(net: ExpandedNetwork) -> FlowSolution:
     """Route the target amount from source to sink at minimum cost.
 
     Requires nonnegative unit costs. Raises Infeasible (carrying the achieved
     max flow) when the network cannot deliver the target.
     """
-    n = net.n_vertices
-    s, t = net.source, net.sink
-    m = len(net.arcs)
-    target = net.target
+    topology, arc_cost, closed = net
+    n = topology.n_vertices
+    s, t = topology.source, topology.sink
+    target = topology.target
+    head = topology.head
+    adj = topology.adjacency
+    m = len(arc_cost)
+    if m != len(topology.pairs):
+        raise ValueError(f"{m} arc costs for {len(topology.pairs)} arcs")
+    if m and min(arc_cost) < 0:
+        i = arc_cost.index(min(arc_cost))
+        raise ValueError(f"arc {i} has negative unit cost {arc_cost[i]}")
 
-    # residual ids: 2i forward for arc i, 2i+1 its reversal
-    head = [0] * (2 * m)
     rcost = [0.0] * (2 * m)
-    res = [0.0] * (2 * m)
-    adj: list[list[int]] = [[] for _ in range(n)]
-    arc_cost = [0.0] * m
-    for i, arc in enumerate(net.arcs):
-        if arc.unit_cost < 0:
-            raise ValueError(f"arc {i} has negative unit cost {arc.unit_cost}")
-        head[2 * i] = arc.dst
-        head[2 * i + 1] = arc.src
-        rcost[2 * i] = arc.unit_cost
-        rcost[2 * i + 1] = -arc.unit_cost
-        res[2 * i] = arc.capacity
-        arc_cost[i] = arc.unit_cost
-        adj[arc.src].append(2 * i)
-        adj[arc.dst].append(2 * i + 1)
+    rcost[0::2] = arc_cost
+    rcost[1::2] = [-c for c in arc_cost]
+    res = topology.capacity.copy()
+    for i in closed:
+        res[2 * i] = 0.0
 
     pot = [0.0] * n
     inf = math.inf
     remaining = target
-    push_cap = 4 * m + 16
+    open_arcs = m - len(closed)
+    push_cap = 4 * open_arcs + 16
     pushes = 0
 
-    while remaining > 1e-12 * max(1.0, target):
+    while remaining > SHORTFALL_TOL * max(1.0, target):
         pushes += 1
         if pushes > push_cap:
             raise FlowIterationError(
-                f"augmentation count exceeded {push_cap} on {m} arcs")
+                f"augmentation count exceeded {push_cap} on {open_arcs} arcs")
 
         dist = [inf] * n
         done = [False] * n
@@ -228,13 +261,13 @@ def solve_min_cost_flow(net: ArcNetwork) -> FlowSolution:
             v = head[rid ^ 1]
         remaining -= bottleneck
 
-    flow = np.zeros(net.pair_shape)
+    amounts = res[1::2]
+    flow = np.zeros(topology.pair_shape)
+    flow.reshape(-1)[topology.pairs] = amounts
     lp_cost = 0.0
-    for i, arc in enumerate(net.arcs):
-        amount = res[2 * i + 1]
+    for amount, cost in zip(amounts, arc_cost):
         if amount != 0.0:
-            flow[arc.origin] = amount
-            lp_cost += amount * arc_cost[i]
+            lp_cost += amount * cost
     return FlowSolution(flow=flow, lp_cost=lp_cost)
 
 
@@ -244,7 +277,8 @@ def lp_relaxation_bound(instance: Instance) -> float:
     Relaxing each use indicator to flow/capacity linearizes the fixed charge,
     so this value is a lower bound on the true optimum.
     """
-    net = _assemble_network(instance, slope_scaled_costs(instance))
+    topology = compile_topology(instance)
+    net = ExpandedNetwork(topology, topology.arc_costs(slope_scaled_costs(instance)))
     return solve_min_cost_flow(net).lp_cost
 
 

@@ -10,10 +10,8 @@ entries by at most one, clamped to the configured floor.
 from __future__ import annotations
 
 import math
-import os
 import random
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable
@@ -177,24 +175,18 @@ def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
     return Organism(scale=scale)
 
 
-def _worker_count() -> int:
-    raw = os.environ.get("MCFCNF_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"MCFCNF_THREADS must be an integer, got {raw!r}") from None
-    # decoding is pure CPU-bound Python, so auto means single-threaded
-    return n if n > 0 else 1
-
-
-def _evaluate_all(instance: Instance, organisms: list[Organism],
+def _evaluate_all(instance: Instance, organisms: list[Organism], population: list[_Member],
                   listener: Callable[[ScoredSolution], None] | None) -> list[ScoredSolution]:
-    workers = _worker_count()
-    if workers > 1 and len(organisms) > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            scored = list(pool.map(lambda o: fitness(instance, o), organisms))
-    else:
-        scored = [fitness(instance, o) for o in organisms]
+    """Fitness of each organism. An organism whose divisors equal those of a
+    population member or an earlier organism reuses that decode, which is
+    the same by purity of fitness."""
+    known = {member.scale.tobytes(): scored for member, scored in population}
+    scored = []
+    for organism in organisms:
+        key = organism.scale.tobytes()
+        if key not in known:
+            known[key] = fitness(instance, organism)
+        scored.append(known[key])
     if listener is not None:
         for s in scored:
             listener(s)
@@ -222,7 +214,7 @@ def evolve(instance: Instance, config: GAConfig,
     iteration_limit = config.iteration_limit if config.iteration_limit is not None else math.inf
 
     organisms = init_population(instance, config, rng)
-    scored = _evaluate_all(instance, organisms, fitness_listener)
+    scored = _evaluate_all(instance, organisms, [], fitness_listener)
     population: list[_Member] = list(zip(organisms, scored))
     lp_solves = len(population)
 
@@ -254,7 +246,7 @@ def evolve(instance: Instance, config: GAConfig,
             if rng.random() < config.mutation_probability:
                 child = mutate(instance, child, rng, config)
             children.append(child)
-        child_scores = _evaluate_all(instance, children, fitness_listener)
+        child_scores = _evaluate_all(instance, children, population, fitness_listener)
         lp_solves += len(children)
         population = population + list(zip(children, child_scores))
         population = tournament_select(population, config.population_size, rng)

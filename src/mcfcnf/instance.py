@@ -131,15 +131,16 @@ def validate(instance: Instance) -> list[str]:
     """Full validation: structural invariants plus routability of the target.
 
     The routability check runs a max-flow with every edge at its largest
-    offered capacity; it is skipped when structural violations exist.
+    offered capacity and allows the solvers' shortfall (SHORTFALL_TOL); it
+    is skipped when structural violations exist.
     """
     v = invariant_violations(instance)
     if v:
         return v
-    from .flowcore import max_throughput
+    from .flowcore import SHORTFALL_TOL, max_throughput
 
     mf = max_throughput(instance)
-    if mf + 1e-9 < instance.target:
+    if instance.target - mf > SHORTFALL_TOL * max(1.0, instance.target):
         v.append(f"target exceeds max flow (target={_fmt(instance.target)}, max flow={_fmt(mf)})")
     return v
 

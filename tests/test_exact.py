@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from mcfcnf import (GAP_DEFAULT, Infeasible, Instance, Organism, brute_force,
-                    build_expanded_network, lp_relaxation_bound, polish, score,
-                    solve_exact, solve_min_cost_flow, verify_flow)
+                    build_expanded_network, generate_random, lp_relaxation_bound,
+                    polish, score, solve_exact, solve_min_cost_flow, verify_flow)
 from conftest import integral_score_optimum, make_small_instance
 
 
@@ -113,6 +113,15 @@ class TestSolveExact:
             solve_exact(inst, budget=30, node_log=log)
             for parent_bound, child_bound in log:
                 assert child_bound >= parent_bound - 1e-9
+
+    def test_search_path_pinned_on_small_grid(self):
+        # pinned values: any change to node bounds, branching or the
+        # solver's tie-breaks moves the node count
+        inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+        result = solve_exact(inst, budget=60)
+        assert result.proven_optimal
+        assert result.nodes_explored == 891
+        assert result.best.true_cost == 573.4276663730062
 
     def test_proven_flag_matches_gap(self):
         rng = random.Random(333)

@@ -8,8 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfcnf import (D_MIN, UNBOUNDED, Infeasible, Instance, Organism,
-                    build_expanded_network, lp_relaxation_bound,
-                    max_throughput, solve_min_cost_flow)
+                    build_expanded_network, compile_topology,
+                    lp_relaxation_bound, max_throughput, solve_min_cost_flow)
 from conftest import integral_flow_min_cost, make_small_instance
 
 
@@ -29,18 +29,18 @@ def _random_organism(instance, rng):
 class TestBuildNetwork:
     def test_single_arc_unit_cost(self, minimal):
         net = build_expanded_network(minimal, _ones_organism(minimal))
-        assert len(net.arcs) == 1
-        assert net.arcs[0].unit_cost == 2.0  # 1/1 + 1
-        assert net.arcs[0].capacity == 5.0
+        assert len(net.cost) == 1
+        assert net.cost[0] == 2.0  # 1/1 + 1
+        assert net.topology.capacity[0] == 5.0
 
     def test_unbounded_scale_zeroes_fixed_cost(self, minimal):
         net = build_expanded_network(minimal, _ones_organism(minimal, UNBOUNDED))
-        assert net.arcs[0].unit_cost == 1.0  # exactly the variable cost
+        assert net.cost[0] == 1.0  # exactly the variable cost
 
     def test_diamond_scaled_costs(self, fig1):
         org = Organism(scale=np.array([[2.0], [1.0], [2.0], [1.0]]))
         net = build_expanded_network(fig1, org)
-        assert [a.unit_cost for a in net.arcs] == [3.5, 3.0, 3.5, 3.0]
+        assert net.cost == [3.5, 3.0, 3.5, 3.0]
 
     def test_unavailable_pairs_excluded(self):
         inst = Instance(
@@ -51,12 +51,18 @@ class TestBuildNetwork:
             target=4.0,
         )
         net = build_expanded_network(inst, _ones_organism(inst))
-        assert len(net.arcs) == 1
-        assert net.arcs[0].origin == (0, 1)
+        assert len(net.cost) == 1
+        assert divmod(int(net.topology.pairs[0]), inst.n_capacities) == (0, 1)
 
     def test_shape_mismatch(self, fig1):
         with pytest.raises(ValueError, match="shape"):
             build_expanded_network(fig1, Organism(scale=np.ones((2, 1))))
+
+    def test_topology_compiled_once_per_instance(self, fig1):
+        topo = compile_topology(fig1)
+        assert build_expanded_network(fig1, _ones_organism(fig1)).topology is topo
+        assert compile_topology(fig1) is topo
+        assert compile_topology(dataclasses.replace(fig1)) is not topo
 
     def test_scale_floor_enforced(self):
         with pytest.raises(ValueError, match=">="):
@@ -107,6 +113,28 @@ class TestSolve:
             solve_min_cost_flow(build_expanded_network(bad, _ones_organism(bad)))
         assert err.value.max_flow == pytest.approx(5.0)
 
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_closed_arc_equals_unavailable_pair(self, seed):
+        rng = random.Random(seed)
+        inst = make_small_instance(rng, n_capacities=rng.choice((1, 2)))
+        org = _random_organism(inst, rng)
+        net = build_expanded_network(inst, org)
+        arc = rng.randrange(len(net.cost))
+        e, k = divmod(int(net.topology.pairs[arc]), inst.n_capacities)
+        fixed = inst.fixed_cost.copy()
+        fixed[e, k] = math.nan
+        without = dataclasses.replace(inst, fixed_cost=fixed)
+        try:
+            expected = solve_min_cost_flow(build_expanded_network(without, org))
+        except Infeasible:
+            with pytest.raises(Infeasible):
+                solve_min_cost_flow(net._replace(closed=frozenset({arc})))
+            return
+        closed = solve_min_cost_flow(net._replace(closed=frozenset({arc})))
+        assert closed.flow.tobytes() == expected.flow.tobytes()
+        assert closed.lp_cost == expected.lp_cost
+
     def test_deterministic(self):
         rng = random.Random(42)
         inst = make_small_instance(rng, n_capacities=2, cap_choices=(1, 2, 3))
@@ -138,15 +166,17 @@ class TestOptimalityCertificate:
     def _assert_no_negative_cycle(self, net, sol):
         # residual arcs: forward with slack, backward with flow; a negative
         # cycle would contradict optimality
+        topo = net.topology
         arcs = []
-        for i, arc in enumerate(net.arcs):
-            amount = sol.flow[arc.origin]
-            if arc.capacity - amount > 1e-9:
-                arcs.append((arc.src, arc.dst, arc.unit_cost))
+        for i, p in enumerate(topo.pairs.tolist()):
+            amount = sol.flow.reshape(-1)[p]
+            src, dst, cost = topo.head[2 * i + 1], topo.head[2 * i], net.cost[i]
+            if topo.capacity[2 * i] - amount > 1e-9:
+                arcs.append((src, dst, cost))
             if amount > 1e-9:
-                arcs.append((arc.dst, arc.src, -arc.unit_cost))
-        dist = [0.0] * net.n_vertices
-        for _ in range(net.n_vertices):
+                arcs.append((dst, src, -cost))
+        dist = [0.0] * topo.n_vertices
+        for _ in range(topo.n_vertices):
             changed = False
             for u, v, c in arcs:
                 if dist[u] + c < dist[v] - 1e-9:

@@ -293,17 +293,16 @@ class TestEvolve:
         with pytest.raises(Infeasible):
             evolve(bad, GAConfig(iteration_limit=1))
 
-    def test_thread_env_does_not_change_results(self, fig1, monkeypatch):
-        base = evolve(fig1, GAConfig(iteration_limit=4, seed=6))
-        monkeypatch.setenv("MCFCNF_THREADS", "3")
-        threaded = evolve(fig1, GAConfig(iteration_limit=4, seed=6))
-        assert [(r.iteration, r.best_cost, r.mean_cost) for r in base.history] \
-            == [(r.iteration, r.best_cost, r.mean_cost) for r in threaded.history]
-
-    def test_bad_thread_env_rejected(self, fig1, monkeypatch):
-        monkeypatch.setenv("MCFCNF_THREADS", "many")
-        with pytest.raises(ValueError, match="MCFCNF_THREADS"):
-            evolve(fig1, GAConfig(iteration_limit=1, seed=0))
+    def test_duplicate_children_decoded_once(self, fig1, monkeypatch):
+        import mcfcnf.ga
+        decodes, seen = [], []
+        real = mcfcnf.ga.fitness
+        monkeypatch.setattr(mcfcnf.ga, "fitness",
+                            lambda inst, org: decodes.append(org) or real(inst, org))
+        result = evolve(fig1, GAConfig(iteration_limit=8, seed=6, mutation_probability=0.1),
+                        fitness_listener=seen.append)
+        assert len(seen) == result.history[-1].lp_solves == 10 + 8 * 5
+        assert len(decodes) < len(seen)
 
 
 def test_convergence_csv(tmp_path, fig1):

@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from mcfcnf import (FacilityInstance, Instance, ParseError,
-                    Terminal, ValidationError, brute_force, format_instance,
+from mcfcnf import (FacilityInstance, GAConfig, Infeasible, Instance, ParseError,
+                    Terminal, ValidationError, brute_force, evolve, format_instance,
                     from_facility_form, generate_random, load_instance,
-                    max_throughput, parse_instance, save_instance, validate)
+                    max_throughput, parse_instance, save_instance, solve_exact,
+                    validate)
 from conftest import fig1_instance
 
 MINIMAL_TEXT = """\
@@ -127,6 +128,20 @@ class TestValidate:
         problems = validate(bad)
         assert len(problems) == 1
         assert problems[0].startswith("target exceeds max flow")
+
+    @pytest.mark.parametrize("excess, feasible", [(5e-10, False), (1e-13, True)])
+    def test_agrees_with_solvers_near_max_flow(self, fig1, excess, feasible):
+        import dataclasses
+        inst = dataclasses.replace(fig1, target=4.0 + excess)  # max flow is 4
+        assert (validate(inst) == []) == feasible
+        if feasible:
+            assert solve_exact(inst, budget=10).proven_optimal
+            evolve(inst, GAConfig(iteration_limit=1))
+        else:
+            with pytest.raises(Infeasible):
+                solve_exact(inst, budget=10)
+            with pytest.raises(Infeasible):
+                evolve(inst, GAConfig(iteration_limit=1))
 
     def test_negative_cost_names_pair(self, fig1):
         import dataclasses
