@@ -45,17 +45,29 @@ def _load_checked(path: str):
         raise _UsageError(f"{path}: {err}") from None
 
 
+def _ga_config(**fields) -> ga.GAConfig:
+    try:
+        return ga.GAConfig(**fields)
+    except ValueError as err:
+        raise _UsageError(str(err)) from None
+
+
+def _check_budget(args) -> None:
+    if not args.budget > 0:
+        raise _UsageError(f"--budget must be positive (got {args.budget!r})")
+
+
 def _default_artifact(instance_path: str, suffix: str) -> str:
     return str(Path(instance_path).with_suffix(Path(instance_path).suffix + suffix))
 
 
 def cmd_solve(args) -> int:
-    instance = _load_checked(args.instance)
-    config = ga.GAConfig(
+    config = _ga_config(
         population_size=args.population, crossover_probability=args.crossover,
         mutation_probability=args.mutation, time_limit=args.time_limit,
         iteration_limit=args.iterations, seed=args.seed,
     )
+    instance = _load_checked(args.instance)
     started = time.perf_counter()
     result = ga.evolve(instance, config)
     elapsed = time.perf_counter() - started
@@ -74,6 +86,7 @@ def cmd_solve(args) -> int:
 
 
 def cmd_exact(args) -> int:
+    _check_budget(args)
     instance = _load_checked(args.instance)
     problems = validate(instance)
     if problems:
@@ -109,6 +122,9 @@ def cmd_gen(args) -> int:
 
 
 def cmd_compare(args) -> int:
+    _check_budget(args)
+    if args.repeats < 1:
+        raise _UsageError(f"--repeats must be at least 1 (got {args.repeats})")
     paths = sorted(glob.glob(args.instances))
     if not paths:
         print(f"no instances matched {args.instances!r}", file=sys.stderr)
@@ -127,9 +143,8 @@ def cmd_compare(args) -> int:
         ga_costs = []
         ga_started = time.perf_counter()
         for repeat in range(args.repeats):
-            config = ga.GAConfig(time_limit=args.budget,
-                                 iteration_limit=args.iterations,
-                                 seed=args.seed + repeat)
+            config = _ga_config(time_limit=args.budget, iteration_limit=args.iterations,
+                                seed=args.seed + repeat)
             result = ga.evolve(instance, config)
             ga_costs.append(result.polished.true_cost)
         ga_time = time.perf_counter() - ga_started

@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .evaluate import FLOW_TOL, ScoredSolution, score, verify_flow
-from .flowcore import (ExpandedNetwork, Infeasible, compile_topology,
-                       max_throughput, slope_scaled_costs, solve_min_cost_flow)
+from .flowcore import (SHORTFALL_TOL, ExpandedNetwork, Infeasible, compile_topology,
+                       max_flow, slope_scaled_costs, solve_min_cost_flow)
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -227,7 +227,8 @@ def brute_force(instance: Instance) -> ExactResult:
         s_out = np.concatenate([s_out, s_out + c_out])
         t_in = np.concatenate([t_in, t_in + c_in])
 
-    feasible = (s_out >= instance.target - 1e-9) & (t_in >= instance.target - 1e-9)
+    least = instance.target - SHORTFALL_TOL * max(1.0, instance.target)
+    feasible = (s_out >= least) & (t_in >= least)
     masks = np.flatnonzero(feasible)
     masks = masks[np.argsort(fixed_sums[masks], kind="stable")]
 
@@ -251,9 +252,8 @@ def brute_force(instance: Instance) -> ExactResult:
             best_cost = total
             best_flow = sol
     if best_flow is None:
-        raise Infeasible(
-            f"target {instance.target} exceeds max flow {max_throughput(instance)}",
-            max_flow=max_throughput(instance))
+        mf = max_flow(topology)
+        raise Infeasible(f"target {instance.target} exceeds max flow {mf}", max_flow=mf)
     best = score(instance, best_flow)
     return ExactResult(best=best, proven_optimal=True,
                        bound=best.true_cost, nodes_explored=solves)

@@ -14,6 +14,7 @@ vector and a set of closed arcs: a GA decode changes the costs, a
 branch-and-bound node also closes arcs, and the brute force opens a subset.
 A closed arc keeps its place in the arc order with no capacity, so every
 tie-break, and so the solution, is the one of the instance without its pair.
+Max flow (Dinic) runs on the same topology and closed-arc idiom.
 """
 from __future__ import annotations
 
@@ -282,26 +283,16 @@ def lp_relaxation_bound(instance: Instance) -> float:
     return solve_min_cost_flow(net).lp_cost
 
 
-def max_throughput(instance: Instance) -> float:
-    """Max flow from source to sink with every edge at its largest offered
-    capacity. Dinic's algorithm; deterministic."""
-    n = instance.n_vertices
-    s, t = instance.source, instance.sink
-    caps = instance.edge_throughput()
-
-    head: list[int] = []
-    res: list[float] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for e, (u, w) in enumerate(instance.edges):
-        c = float(caps[e])
-        if c <= 0.0:
-            continue
-        adj[u].append(len(head))
-        head.append(w)
-        res.append(c)
-        adj[w].append(len(head))
-        head.append(u)
-        res.append(0.0)
+def max_flow(topology: Topology, closed: frozenset[int] = frozenset()) -> float:
+    """Max flow from source to sink over the open arcs of a compiled
+    topology. Dinic's algorithm; deterministic."""
+    n = topology.n_vertices
+    s, t = topology.source, topology.sink
+    head = topology.head
+    adj = topology.adjacency
+    res = topology.capacity.copy()
+    for i in closed:
+        res[2 * i] = 0.0
 
     total = 0.0
     while True:
@@ -354,3 +345,18 @@ def max_throughput(instance: Instance) -> float:
             if pushed <= 0.0:
                 break
             total += pushed
+
+
+def max_throughput(instance: Instance) -> float:
+    """Max flow with each edge at its widest offered class only (the last,
+    capacities being increasing).
+
+    This is the target-sizing rule of generate_random and of the tests'
+    instance sampler, not the feasibility test: one edge may carry flow in
+    several classes at once, so validate() uses max_flow with every offered
+    pair open, which can exceed this value.
+    """
+    topology = compile_topology(instance)
+    edge = topology.pairs // instance.n_capacities
+    narrower = np.flatnonzero(edge[:-1] == edge[1:])  # an arc of the same edge follows
+    return max_flow(topology, frozenset(narrower.tolist()))

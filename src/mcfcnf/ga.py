@@ -32,11 +32,10 @@ _Member = tuple[Organism, ScoredSolution]
 
 @dataclass(frozen=True)
 class GAConfig:
-    """Run parameters. Exactly one stop rule is required: a wall-clock
-    time_limit (evolution gets 4/5, polishing 1/5) and/or an iteration_limit
-    for bit-reproducible runs. polish_budget overrides the polish stage's
-    share when only an iteration_limit is set (default: a quarter of the
-    evolution wall time, i.e. one fifth of the whole run)."""
+    """Run parameters. A stop rule is required: a wall-clock time_limit
+    (evolution gets 4/5, polishing 1/5) and/or an iteration_limit for
+    bit-reproducible runs. With only an iteration_limit, polishing gets a
+    quarter of the evolution wall time, i.e. one fifth of the whole run."""
 
     population_size: int = 10
     crossover_probability: float = 0.5
@@ -45,7 +44,6 @@ class GAConfig:
     iteration_limit: int | None = None
     seed: int = 0
     d_min: float = D_MIN
-    polish_budget: float | None = None
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -253,13 +251,10 @@ def evolve(instance: Instance, config: GAConfig,
         history.append(record(iteration))
 
     best_organism, best_scored = best_member()
-    elapsed = time.perf_counter() - start
     if config.time_limit is not None:
         polish_budget = 0.2 * config.time_limit
-    elif config.polish_budget is not None:
-        polish_budget = config.polish_budget
     else:
-        polish_budget = elapsed / 4.0
+        polish_budget = (time.perf_counter() - start) / 4.0
     polished = exact.polish(instance, best_scored, polish_budget)
     return RunResult(best=best_scored, best_organism=best_organism,
                      history=tuple(history), polished=polished)

@@ -88,11 +88,6 @@ class Instance:
         """Boolean (edge, class) mask of offered capacity classes."""
         return self._available
 
-    def edge_throughput(self) -> np.ndarray:
-        """Largest offered capacity per edge (0 where no class is offered)."""
-        caps = np.where(self.available, self.capacities[None, :], 0.0)
-        return caps.max(axis=1) if self.n_capacities else np.zeros(self.n_edges)
-
 
 def invariant_violations(instance: Instance) -> list[str]:
     """Structural invariant check; returns one message per violation."""
@@ -130,16 +125,17 @@ def invariant_violations(instance: Instance) -> list[str]:
 def validate(instance: Instance) -> list[str]:
     """Full validation: structural invariants plus routability of the target.
 
-    The routability check runs a max-flow with every edge at its largest
-    offered capacity and allows the solvers' shortfall (SHORTFALL_TOL); it
-    is skipped when structural violations exist.
+    The routability check runs a max flow on the capacity-expanded network
+    with every offered (edge, class) pair open, so one edge may use several
+    classes, and allows the solvers' shortfall (SHORTFALL_TOL); it is
+    skipped when structural violations exist.
     """
     v = invariant_violations(instance)
     if v:
         return v
-    from .flowcore import SHORTFALL_TOL, max_throughput
+    from .flowcore import SHORTFALL_TOL, compile_topology, max_flow
 
-    mf = max_throughput(instance)
+    mf = max_flow(compile_topology(instance))
     if instance.target - mf > SHORTFALL_TOL * max(1.0, instance.target):
         v.append(f"target exceeds max flow (target={_fmt(instance.target)}, max flow={_fmt(mf)})")
     return v
@@ -187,85 +183,105 @@ def _parse_cost_pairs(tokens: list[str], n_caps: int, ln: int) -> tuple[list[flo
     return a_row, b_row
 
 
+class _Reader:
+    """Section reader shared by both text formats: a header line, then
+    keyword sections in a fixed order, the EDGES section last."""
+
+    def __init__(self, text: str, header: str):
+        self.lines = _significant_lines(text)
+        if not self.lines or " ".join(self.lines[0][1]) != header:
+            raise ParseError(f"missing header line {header!r}")
+        self.i = 1
+
+    def section(self, keyword: str, n_fields: int) -> tuple[int, list[str]]:
+        """The next line, which must be keyword with n_fields - 1 fields or more."""
+        if self.i >= len(self.lines):
+            raise ParseError(f"unexpected end of file, expected {keyword} section")
+        ln, toks = self.lines[self.i]
+        if toks[0] != keyword or len(toks) < n_fields:
+            raise ParseError(f"line {ln}: expected '{keyword}' with {n_fields - 1} fields")
+        self.i += 1
+        return ln, toks
+
+    def rows(self, keyword: str, what: str):
+        """The lines of a 'keyword <count>' section, one at a time."""
+        ln, toks = self.section(keyword, 2)
+        count = _parse_int(toks[1], ln, f"{what} count")
+        if count < 0:
+            raise ParseError(f"line {ln}: {what} count must be nonnegative")
+        for _ in range(count):
+            if self.i >= len(self.lines):
+                raise ParseError(f"unexpected end of file, expected {count} {what} lines")
+            self.i += 1
+            yield self.lines[self.i - 1]
+
+    def target_and_capacities(self) -> tuple[float, list[float]]:
+        ln, toks = self.section("TARGET", 2)
+        target = _parse_float(toks[1], ln, "target")
+        ln, toks = self.section("CAPACITIES", 2)
+        n_caps = _parse_int(toks[1], ln, "capacity count")
+        if len(toks) != 2 + n_caps:
+            raise ParseError(f"line {ln}: expected {n_caps} capacity values")
+        return target, [_parse_float(t, ln, "capacity") for t in toks[2:]]
+
+    def edges(self, n_caps: int) -> tuple[tuple[tuple[int, int], ...], np.ndarray, np.ndarray]:
+        """The EDGES section, which must end the file: edges and their
+        (edge, class) fixed and variable cost matrices."""
+        edges, a_rows, b_rows = [], [], []
+        for ln, toks in self.rows("EDGES", "edge"):
+            if len(toks) != 2 + 2 * n_caps:
+                raise ParseError(f"line {ln}: edge line needs 2 endpoints and {n_caps} cost pairs")
+            edges.append((_parse_int(toks[0], ln, "edge src"), _parse_int(toks[1], ln, "edge dest")))
+            a_row, b_row = _parse_cost_pairs(toks[2:], n_caps, ln)
+            a_rows.append(a_row)
+            b_rows.append(b_row)
+        m = len(edges)
+        if self.i < len(self.lines):
+            raise ParseError(f"line {self.lines[self.i][0]}: trailing content after {m} edges")
+        return (tuple(edges), np.array(a_rows).reshape(m, n_caps),
+                np.array(b_rows).reshape(m, n_caps))
+
+
+def _format_text(header: str, vertices: str, data, sections: list[str]) -> str:
+    """Text of either format (Instance and FacilityInstance share the field
+    names read here): header, VERTICES, TARGET, CAPACITIES, the format's own
+    sections, then EDGES, with NA NA for a class an edge does not offer."""
+    caps = data.capacities.tolist()
+    out = [header, vertices, f"TARGET {_fmt(data.target)}",
+           "CAPACITIES " + " ".join([str(len(caps))] + [_fmt(c) for c in caps]),
+           *sections, f"EDGES {len(data.edges)}"]
+    for (u, w), a_row, b_row in zip(data.edges, data.fixed_cost.tolist(),
+                                    data.variable_cost.tolist()):
+        fields = [str(u), str(w)]
+        for a, b in zip(a_row, b_row):
+            fields += ("NA", "NA") if math.isnan(a) else (_fmt(a), _fmt(b))
+        out.append(" ".join(fields))
+    return "\n".join(out) + "\n"
+
+
 def parse_instance(text: str) -> Instance:
     """Parse the canonical instance text format. Raises ParseError on
     malformed input; the result is not invariant-checked (see load_instance).
     """
-    lines = _significant_lines(text)
-    if not lines or " ".join(lines[0][1]) != _HEADER:
-        raise ParseError(f"missing header line {_HEADER!r}")
-    i = 1
-
-    def expect(keyword: str, n_fields: int) -> tuple[int, list[str]]:
-        nonlocal i
-        if i >= len(lines):
-            raise ParseError(f"unexpected end of file, expected {keyword} section")
-        ln, toks = lines[i]
-        if toks[0] != keyword or len(toks) < n_fields:
-            raise ParseError(f"line {ln}: expected '{keyword}' with {n_fields - 1} fields")
-        i += 1
-        return ln, toks
-
-    ln, toks = expect("VERTICES", 6)
+    reader = _Reader(text, _HEADER)
+    ln, toks = reader.section("VERTICES", 6)
     if toks[2] != "SOURCE" or toks[4] != "SINK":
         raise ParseError(f"line {ln}: expected 'VERTICES <n> SOURCE <s> SINK <t>'")
     n = _parse_int(toks[1], ln, "vertex count")
     source = _parse_int(toks[3], ln, "source id")
     sink = _parse_int(toks[5], ln, "sink id")
-
-    ln, toks = expect("TARGET", 2)
-    target = _parse_float(toks[1], ln, "target")
-
-    ln, toks = expect("CAPACITIES", 2)
-    n_caps = _parse_int(toks[1], ln, "capacity count")
-    if len(toks) != 2 + n_caps:
-        raise ParseError(f"line {ln}: expected {n_caps} capacity values")
-    caps = [_parse_float(t, ln, "capacity") for t in toks[2:]]
-
-    ln, toks = expect("EDGES", 2)
-    m = _parse_int(toks[1], ln, "edge count")
-
-    edges, a_rows, b_rows = [], [], []
-    for _ in range(m):
-        if i >= len(lines):
-            raise ParseError(f"unexpected end of file, expected {m} edge lines")
-        ln, toks = lines[i]
-        i += 1
-        if len(toks) != 2 + 2 * n_caps:
-            raise ParseError(f"line {ln}: edge line needs 2 endpoints and {n_caps} cost pairs")
-        edges.append((_parse_int(toks[0], ln, "edge src"), _parse_int(toks[1], ln, "edge dest")))
-        a_row, b_row = _parse_cost_pairs(toks[2:], n_caps, ln)
-        a_rows.append(a_row)
-        b_rows.append(b_row)
-    if i < len(lines):
-        raise ParseError(f"line {lines[i][0]}: trailing content after {m} edges")
-
+    target, caps = reader.target_and_capacities()
+    edges, fixed, var = reader.edges(len(caps))
     return Instance(
-        n_vertices=n, source=source, sink=sink, edges=tuple(edges),
-        capacities=np.array(caps), fixed_cost=np.array(a_rows).reshape(m, n_caps),
-        variable_cost=np.array(b_rows).reshape(m, n_caps), target=target,
+        n_vertices=n, source=source, sink=sink, edges=edges, capacities=np.array(caps),
+        fixed_cost=fixed, variable_cost=var, target=target,
     )
 
 
 def format_instance(instance: Instance) -> str:
     """Render the canonical text form (stable byte-for-byte)."""
-    out = [
-        _HEADER,
-        f"VERTICES {instance.n_vertices} SOURCE {instance.source} SINK {instance.sink}",
-        f"TARGET {_fmt(instance.target)}",
-        "CAPACITIES " + " ".join([str(instance.n_capacities)] + [_fmt(c) for c in instance.capacities]),
-        f"EDGES {instance.n_edges}",
-    ]
-    for e, (u, w) in enumerate(instance.edges):
-        fields = [str(u), str(w)]
-        for k in range(instance.n_capacities):
-            if instance.available[e, k]:
-                fields.append(_fmt(instance.fixed_cost[e, k]))
-                fields.append(_fmt(instance.variable_cost[e, k]))
-            else:
-                fields.extend(["NA", "NA"])
-        out.append(" ".join(fields))
-    return "\n".join(out) + "\n"
+    vertices = f"VERTICES {instance.n_vertices} SOURCE {instance.source} SINK {instance.sink}"
+    return _format_text(_HEADER, vertices, instance, [])
 
 
 def load_instance(path) -> Instance:
@@ -375,38 +391,17 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
 
 
 def parse_facility_instance(text: str) -> FacilityInstance:
-    lines = _significant_lines(text)
-    if not lines or " ".join(lines[0][1]) != _FACILITY_HEADER:
-        raise ParseError(f"missing header line {_FACILITY_HEADER!r}")
-    i = 1
-
-    def next_line(keyword: str) -> tuple[int, list[str]]:
-        nonlocal i
-        if i >= len(lines):
-            raise ParseError(f"unexpected end of file, expected {keyword}")
-        ln, toks = lines[i]
-        i += 1
-        if keyword and toks[0] != keyword:
-            raise ParseError(f"line {ln}: expected '{keyword}' section")
-        return ln, toks
-
-    ln, toks = next_line("VERTICES")
+    """Parse the facility text format: the canonical sections with a bare
+    vertex count, plus SOURCES and SINKS sections of terminal lines
+    (vertex, open cost, unit cost, limit) before EDGES."""
+    reader = _Reader(text, _FACILITY_HEADER)
+    ln, toks = reader.section("VERTICES", 2)
     n = _parse_int(toks[1], ln, "vertex count")
-    ln, toks = next_line("TARGET")
-    target = _parse_float(toks[1], ln, "target")
-    ln, toks = next_line("CAPACITIES")
-    n_caps = _parse_int(toks[1], ln, "capacity count")
-    if len(toks) != 2 + n_caps:
-        raise ParseError(f"line {ln}: expected {n_caps} capacity values")
-    caps = [_parse_float(t, ln, "capacity") for t in toks[2:]]
-
-    def read_terminals(keyword: str) -> list[Terminal]:
-        nonlocal i
-        ln, toks = next_line(keyword)
-        count = _parse_int(toks[1], ln, f"{keyword.lower()} count")
+    target, caps = reader.target_and_capacities()
+    terminals = []
+    for keyword, what in (("SOURCES", "source"), ("SINKS", "sink")):
         terms = []
-        for _ in range(count):
-            ln, toks = next_line("")
+        for ln, toks in reader.rows(keyword, what):
             if len(toks) != 4:
                 raise ParseError(f"line {ln}: terminal line needs 4 fields")
             terms.append(Terminal(
@@ -415,28 +410,11 @@ def parse_facility_instance(text: str) -> FacilityInstance:
                 unit_cost=_parse_float(toks[2], ln, "unit cost"),
                 limit=_parse_float(toks[3], ln, "limit"),
             ))
-        return terms
-
-    sources = read_terminals("SOURCES")
-    sinks = read_terminals("SINKS")
-
-    ln, toks = next_line("EDGES")
-    m = _parse_int(toks[1], ln, "edge count")
-    edges, a_rows, b_rows = [], [], []
-    for _ in range(m):
-        ln, toks = next_line("")
-        if len(toks) != 2 + 2 * n_caps:
-            raise ParseError(f"line {ln}: edge line needs 2 endpoints and {n_caps} cost pairs")
-        edges.append((_parse_int(toks[0], ln, "edge src"), _parse_int(toks[1], ln, "edge dest")))
-        a_row, b_row = _parse_cost_pairs(toks[2:], n_caps, ln)
-        a_rows.append(a_row)
-        b_rows.append(b_row)
-
+        terminals.append(tuple(terms))
+    edges, fixed, var = reader.edges(len(caps))
     return FacilityInstance(
-        n_vertices=n, edges=tuple(edges), capacities=np.array(caps),
-        fixed_cost=np.array(a_rows).reshape(m, n_caps),
-        variable_cost=np.array(b_rows).reshape(m, n_caps),
-        sources=tuple(sources), sinks=tuple(sinks), target=target,
+        n_vertices=n, edges=edges, capacities=np.array(caps), fixed_cost=fixed,
+        variable_cost=var, sources=terminals[0], sinks=terminals[1], target=target,
     )
 
 
@@ -445,30 +423,12 @@ def load_facility_instance(path) -> FacilityInstance:
 
 
 def format_facility_instance(facility: FacilityInstance) -> str:
-    out = [
-        _FACILITY_HEADER,
-        f"VERTICES {facility.n_vertices}",
-        f"TARGET {_fmt(facility.target)}",
-        "CAPACITIES " + " ".join([str(len(facility.capacities))] + [_fmt(c) for c in facility.capacities]),
-        f"SOURCES {len(facility.sources)}",
-    ]
-    for t in facility.sources:
-        out.append(f"{t.vertex} {_fmt(t.open_cost)} {_fmt(t.unit_cost)} {_fmt(t.limit)}")
-    out.append(f"SINKS {len(facility.sinks)}")
-    for t in facility.sinks:
-        out.append(f"{t.vertex} {_fmt(t.open_cost)} {_fmt(t.unit_cost)} {_fmt(t.limit)}")
-    out.append(f"EDGES {len(facility.edges)}")
-    n_caps = len(facility.capacities)
-    for e, (u, w) in enumerate(facility.edges):
-        fields = [str(u), str(w)]
-        for k in range(n_caps):
-            a = facility.fixed_cost[e, k]
-            if math.isnan(a):
-                fields.extend(["NA", "NA"])
-            else:
-                fields.extend([_fmt(a), _fmt(facility.variable_cost[e, k])])
-        out.append(" ".join(fields))
-    return "\n".join(out) + "\n"
+    sections = []
+    for keyword, terms in (("SOURCES", facility.sources), ("SINKS", facility.sinks)):
+        sections.append(f"{keyword} {len(terms)}")
+        sections += [f"{t.vertex} {_fmt(t.open_cost)} {_fmt(t.unit_cost)} {_fmt(t.limit)}"
+                     for t in terms]
+    return _format_text(_FACILITY_HEADER, f"VERTICES {facility.n_vertices}", facility, sections)
 
 
 def save_facility_instance(facility: FacilityInstance, path) -> None:

@@ -38,6 +38,19 @@ def minimal_instance() -> Instance:
     )
 
 
+def two_class_edge_instance() -> Instance:
+    """One edge offering classes 2 and 3 under target 4: no class alone
+    carries the target, both together do. Optimum 6.5 with flow [2, 2]."""
+    return Instance(
+        n_vertices=2, source=0, sink=1,
+        edges=((0, 1),),
+        capacities=np.array([2.0, 3.0]),
+        fixed_cost=np.array([[1.0, 1.5]]),
+        variable_cost=np.array([[0.5, 1.5]]),
+        target=4.0,
+    )
+
+
 @pytest.fixture
 def fig1() -> Instance:
     return fig1_instance()

@@ -2,7 +2,7 @@ import pytest
 
 from mcfcnf import save_instance
 from mcfcnf.cli import main
-from conftest import fig1_instance, minimal_instance
+from conftest import fig1_instance, minimal_instance, two_class_edge_instance
 
 
 @pytest.fixture
@@ -146,3 +146,31 @@ class TestUsage:
 
     def test_missing_required_flag_exits_one(self, capsys):
         assert main(["solve"]) == 1
+
+    @pytest.mark.parametrize("command", [
+        "solve --instance {f}",
+        "solve --instance {f} --iterations 3 --population 1",
+        "solve --instance {f} --iterations -1",
+        "exact --instance {f} --budget 0",
+        "compare --instances {f} --budget 0 -o {out}",
+        "compare --instances {f} --budget 1 --repeats 0 -o {out}",
+    ])
+    def test_bad_numbers_exit_one(self, fig1_file, tmp_path, capsys, command):
+        argv = command.format(f=fig1_file, out=tmp_path / "report.csv").split()
+        assert main(argv) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_two_class_edge_solves(tmp_path, capsys):
+    """The target routes only with both classes of the edge open; solve and
+    exact both reach the optimum 6.5."""
+    path = tmp_path / "two.mcfcnf"
+    save_instance(two_class_edge_instance(), path)
+    solution = str(tmp_path / "two.sol.csv")
+    assert main(["exact", "--instance", str(path), "--budget", "10",
+                 "--solution", solution]) == 0
+    assert _summary_fields(capsys.readouterr().out.strip())["cost"] == "6.5"
+    assert main(["solve", "--instance", str(path), "--iterations", "3",
+                 "--solution", solution]) == 0
+    assert _summary_fields(capsys.readouterr().out.strip())["polished_cost"] == "6.5"

@@ -7,9 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfcnf import (D_MIN, UNBOUNDED, Infeasible, Instance, Organism,
-                    build_expanded_network, compile_topology,
+from mcfcnf import (D_MIN, UNBOUNDED, ExpandedNetwork, Infeasible, Instance,
+                    Organism, build_expanded_network, compile_topology,
                     lp_relaxation_bound, max_throughput, solve_min_cost_flow)
+from mcfcnf.flowcore import max_flow
 from conftest import integral_flow_min_cost, make_small_instance
 
 
@@ -278,3 +279,30 @@ class TestMaxThroughput:
             target=1.0,
         )
         assert max_throughput(inst) == pytest.approx(3.0)
+
+
+class TestMaxFlow:
+    def test_every_offered_class_open(self):
+        # classes 2 and 5 together carry 7; the widest class alone carries 5
+        inst = Instance(
+            n_vertices=2, source=0, sink=1, edges=((0, 1),),
+            capacities=np.array([2.0, 5.0]),
+            fixed_cost=np.ones((1, 2)), variable_cost=np.ones((1, 2)), target=1.0,
+        )
+        topology = compile_topology(inst)
+        assert max_flow(topology) == 7.0
+        assert max_flow(topology, frozenset({1})) == 2.0
+        assert max_throughput(inst) == 5.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_equals_ssp_max_flow(self, seed):
+        # an unreachable target makes the SSP report the max flow it routed
+        rng = random.Random(seed)
+        inst = make_small_instance(rng, n_capacities=rng.randint(1, 3))
+        inst = dataclasses.replace(inst, target=inst.capacities.sum() * inst.n_edges + 1)
+        topology = compile_topology(inst)
+        closed = frozenset(i for i in range(len(topology.pairs)) if rng.random() < 0.3)
+        with pytest.raises(Infeasible) as err:
+            solve_min_cost_flow(ExpandedNetwork(topology, [1.0] * len(topology.pairs), closed))
+        assert max_flow(topology, closed) == err.value.max_flow

@@ -1,14 +1,21 @@
+import dataclasses
+import hashlib
 import math
+import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mcfcnf import (FacilityInstance, GAConfig, Infeasible, Instance, ParseError,
                     Terminal, ValidationError, brute_force, evolve, format_instance,
                     from_facility_form, generate_random, load_instance,
                     max_throughput, parse_instance, save_instance, solve_exact,
                     validate)
-from conftest import fig1_instance
+from mcfcnf.instance import (format_facility_instance, load_facility_instance,
+                             parse_facility_instance, save_facility_instance)
+from conftest import fig1_instance, make_small_instance, two_class_edge_instance
 
 MINIMAL_TEXT = """\
 MCFCNF 1
@@ -311,3 +318,79 @@ def test_fig1_reconstruction_matches_fixture(tmp_path):
     path = tmp_path / "fig1.mcfcnf"
     save_instance(fig1_instance(), path)
     assert format_instance(load_instance(path)) == format_instance(fig1_instance())
+
+
+class TestFeasibilityAgreement:
+    def test_two_class_edge(self):
+        inst = two_class_edge_instance()
+        assert validate(inst) == []
+        exact = solve_exact(inst, budget=10)
+        assert exact.proven_optimal and exact.best.true_cost == 6.5
+        assert exact.best.flow.flow.tolist() == [[2.0, 2.0]]
+        assert brute_force(inst).best.true_cost == 6.5
+        assert evolve(inst, GAConfig(iteration_limit=3)).polished.true_cost == 6.5
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_validate_iff_solvable(self, seed):
+        rng = random.Random(seed)
+        inst = make_small_instance(rng, max_vertices=5, max_edges=6,
+                                   n_capacities=rng.randint(2, 3))
+        out_of_source = sum(inst.capacities[k] for e, (u, _) in enumerate(inst.edges)
+                            for k in range(inst.n_capacities)
+                            if u == inst.source and inst.available[e, k])
+        inst = dataclasses.replace(inst, target=float(rng.randint(1, int(out_of_source) + 1)))
+        try:
+            solve_exact(inst, budget=10)
+            solvable = True
+        except Infeasible:
+            solvable = False
+        assert (validate(inst) == []) == solvable
+
+
+FACILITY_TEXT = """\
+MCFCNF-FACILITY 1
+VERTICES 3
+TARGET 4.0
+CAPACITIES 2 2.0 5.0
+SOURCES 2
+0 10.0 1.0 5.0
+2 1.0 0.1 9.0
+SINKS 1
+1 20.0 2.0 5.0
+EDGES 2
+0 1 3.0 0.5 NA NA
+2 1 NA NA 4.0 0.25
+"""
+
+
+class TestFacilityFile:
+    def test_round_trip(self, tmp_path):
+        fac = parse_facility_instance(FACILITY_TEXT)
+        assert [t.vertex for t in fac.sources] == [0, 2]
+        assert fac.sinks[0].limit == 5.0
+        assert np.isnan(fac.fixed_cost[0, 1]) and fac.variable_cost[1, 1] == 0.25
+        assert format_facility_instance(fac) == FACILITY_TEXT
+        path = tmp_path / "x.facility"
+        save_facility_instance(fac, path)
+        again = load_facility_instance(path)
+        assert format_instance(from_facility_form(again)) == format_instance(from_facility_form(fac))
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("VERTICES 3", "VERTICES", "VERTICES"),
+        ("SOURCES 2", "SOURCES", "SOURCES"),
+        ("2 1 NA NA 4.0 0.25\n", "2 1 NA NA 4.0 0.25\n0 2 1.0 1.0 NA NA\n", "trailing content"),
+    ])
+    def test_malformed_raises_parse_error(self, old, new, match):
+        with pytest.raises(ParseError, match=match):
+            parse_facility_instance(FACILITY_TEXT.replace(old, new))
+
+
+@pytest.mark.parametrize("kind, n, k, seed, fraction, digest", [
+    ("geometric", 130, 3, 7, 0.6, "cf19ea6b76dd6b07"),   # bench desk
+    ("geometric", 150, 3, 81, 0.5, "7ef6b958a1d60fa2"),  # bench large_a
+    ("grid", 81, 2, 6, 0.6, "ce3f36a6180bae54"),         # bench grid81
+])
+def test_bench_instances_byte_identical(kind, n, k, seed, fraction, digest):
+    text = format_instance(generate_random(kind, n, k, seed=seed, target_fraction=fraction))
+    assert hashlib.sha256(text.encode()).hexdigest()[:16] == digest
