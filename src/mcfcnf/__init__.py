@@ -4,13 +4,13 @@ A matheuristic genetic algorithm whose organisms are fixed-cost divisor
 arrays decoded by an exact min-cost-flow solve, plus an internal
 branch-and-bound for proven optima and solution polishing.
 """
-from .evaluate import (FLOW_TOL, VERIFY_TOL, ScoredSolution, score, verify_flow,
+from .evaluate import (VERIFY_TOL, ScoredSolution, score, verify_flow,
                        write_solution_csv)
 from .exact import (GAP_DEFAULT, BnBNode, ExactResult, brute_force, polish,
                     solve_exact)
-from .flowcore import (D_MIN, UNBOUNDED, ExpandedNetwork, FlowIterationError,
-                       FlowSolution, Infeasible, Organism,
-                       build_expanded_network, compile_topology,
+from .flowcore import (D_MIN, FLOW_TOL, UNBOUNDED, ExpandedNetwork,
+                       FlowIterationError, FlowSolution, Infeasible, Organism,
+                       build_expanded_network, compile_topology, flow_tol,
                        lp_relaxation_bound, max_throughput, solve_min_cost_flow)
 from .ga import (GAConfig, IterationRecord, RunResult, crossover, evolve,
                  fitness, init_population, mutate, theorem_d,
@@ -28,11 +28,11 @@ __all__ = [
     "Organism", "ParseError", "RunResult", "ScoredSolution", "Terminal",
     "UNBOUNDED", "VERIFY_TOL", "ValidationError", "brute_force",
     "build_expanded_network", "compile_topology", "crossover", "evolve",
-    "fitness", "format_instance", "from_facility_form", "generate_random",
-    "init_population", "invariant_violations", "load_facility_instance",
-    "load_instance", "lp_relaxation_bound", "max_throughput", "mutate",
-    "parse_instance", "polish", "save_facility_instance", "save_instance",
-    "score", "solve_exact", "solve_min_cost_flow", "theorem_d",
-    "tournament_select", "validate", "verify_flow", "write_convergence_csv",
-    "write_solution_csv",
+    "fitness", "flow_tol", "format_instance", "from_facility_form",
+    "generate_random", "init_population", "invariant_violations",
+    "load_facility_instance", "load_instance", "lp_relaxation_bound",
+    "max_throughput", "mutate", "parse_instance", "polish",
+    "save_facility_instance", "save_instance", "score", "solve_exact",
+    "solve_min_cost_flow", "theorem_d", "tournament_select", "validate",
+    "verify_flow", "write_convergence_csv", "write_solution_csv",
 ]

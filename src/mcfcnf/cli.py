@@ -154,7 +154,7 @@ def cmd_compare(args) -> int:
         exact_time = time.perf_counter() - exact_started
 
         ga_mean = statistics.fmean(ga_costs)
-        if ga_mean < bound - 1e-6:
+        if ga_mean < bound - exact_mod.GAP_DEFAULT * max(1.0, abs(bound)):
             consistency_failures.append(
                 f"{path}: GA cost {ga_mean!r} below lower bound {bound!r}")
         rows.append({

@@ -2,6 +2,8 @@
 
 A flow's true cost charges each (edge, class) pair its full fixed cost
 whenever the pair carries any flow, plus the variable cost per unit carried.
+"Any" means more than flowcore.flow_tol(target), which verify_flow allows on
+every constraint, so it accepts every shortfall a solver may leave.
 """
 from __future__ import annotations
 
@@ -11,15 +13,12 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flowcore import FlowSolution
+from .flowcore import FlowSolution, flow_tol
 
 if TYPE_CHECKING:
     from .instance import Instance
 
-#: Flow above this absolute amount counts as "using" a pair.
-FLOW_TOL = 1e-9
-
-#: Default per-constraint absolute tolerance for verify_flow.
+#: Floating-point allowance of verify_flow on each constraint, absolute.
 VERIFY_TOL = 1e-7
 
 
@@ -52,18 +51,19 @@ def score(instance: Instance, flow: FlowSolution) -> ScoredSolution:
     _check_shape(instance, flow)
     avail = instance.available
     g = flow.flow
-    used = (g > FLOW_TOL) & avail
+    used = (g > flow_tol(instance.target)) & avail
     fixed_part = float(instance.fixed_cost[used].sum())
     variable_part = float((instance.variable_cost[avail] * g[avail]).sum())
     return ScoredSolution(flow=flow, used=used.astype(np.int8),
                           true_cost=fixed_part + variable_part)
 
 
-def verify_flow(instance: Instance, flow: FlowSolution, tol: float = VERIFY_TOL) -> list[str]:
-    """Check capacity bounds, conservation at internal vertices, and the
-    target amount, each within an absolute tolerance. Returns one message
-    per violation, naming the offending edge/vertex and the residual."""
+def verify_flow(instance: Instance, flow: FlowSolution) -> list[str]:
+    """Check capacities, conservation at internal vertices and the target,
+    each within max(VERIFY_TOL, flow_tol(target)). Returns one message per
+    violation, naming the offending edge/vertex and the residual."""
     _check_shape(instance, flow)
+    tol = max(VERIFY_TOL, flow_tol(instance.target))
     g = flow.flow
     avail = instance.available
     violations: list[str] = []

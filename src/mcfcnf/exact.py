@@ -16,14 +16,14 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evaluate import FLOW_TOL, ScoredSolution, score, verify_flow
-from .flowcore import (SHORTFALL_TOL, ExpandedNetwork, Infeasible, compile_topology,
+from .evaluate import ScoredSolution, score, verify_flow
+from .flowcore import (ExpandedNetwork, Infeasible, compile_topology, flow_tol,
                        max_flow, slope_scaled_costs, solve_min_cost_flow)
 
 if TYPE_CHECKING:
     from .instance import Instance
 
-#: Default relative optimality gap.
+#: Relative optimality gap: the one cost tolerance.
 GAP_DEFAULT = 1e-6
 
 #: Hard ceiling on (edges x classes) for the enumeration brute force.
@@ -54,8 +54,8 @@ class ExactResult:
     nodes_explored: int
 
 
-def _gap_abs(gap: float, incumbent: float) -> float:
-    return gap * max(1.0, abs(incumbent))
+def _gap_abs(incumbent: float) -> float:
+    return GAP_DEFAULT * max(1.0, abs(incumbent))
 
 
 def _pick_branch_pair(instance: Instance, flow: np.ndarray,
@@ -64,7 +64,8 @@ def _pick_branch_pair(instance: Instance, flow: np.ndarray,
     (0 < flow < capacity; saturated pairs already pay their full fixed charge
     in the relaxation). None means the relaxation is integral in the use
     indicators and the node needs no branching."""
-    fractional = (flow > FLOW_TOL) & (flow < instance.capacities[None, :] - FLOW_TOL)
+    tol = flow_tol(instance.target)
+    fractional = (flow > tol) & (flow < instance.capacities[None, :] - tol)
     flat = fractional.reshape(-1).copy()
     decided = list(fixed_open) + list(fixed_closed)
     if decided:
@@ -76,8 +77,7 @@ def _pick_branch_pair(instance: Instance, flow: np.ndarray,
     return int(candidates[np.argmax(amounts)])  # argmax keeps the lowest index on ties
 
 
-def _branch_and_bound(instance: Instance, budget: float, gap: float,
-                      extra_closed: frozenset[int],
+def _branch_and_bound(instance: Instance, budget: float, extra_closed: frozenset[int],
                       warm: ScoredSolution | None,
                       node_log: list | None = None) -> ExactResult:
     start = time.perf_counter()
@@ -122,7 +122,7 @@ def _branch_and_bound(instance: Instance, budget: float, gap: float,
         nonlocal pruned_floor, counter
         if node.lower_bound >= best_cost:
             return
-        if node.lower_bound >= best_cost - _gap_abs(gap, best_cost):
+        if node.lower_bound >= best_cost - _gap_abs(best_cost):
             pruned_floor = min(pruned_floor, node.lower_bound)
             return
         if node.branch_pair is None:
@@ -135,31 +135,23 @@ def _branch_and_bound(instance: Instance, budget: float, gap: float,
     root_pair = _pick_branch_pair(instance, root_sol.flow, frozenset(), extra_closed)
     consider(BnBNode(frozenset(), frozenset(), root_bound, 0, root_pair))
 
-    timed_out = False
     while heap:
         if time.perf_counter() - start > budget:
-            timed_out = True
-            break
+            break  # the nodes left on the heap bound the rest
         bound, _, _, node = heappop(heap)
-        if bound >= best_cost - _gap_abs(gap, best_cost):
+        if bound >= best_cost - _gap_abs(best_cost):
             if bound < best_cost:
                 pruned_floor = min(pruned_floor, bound)
             continue
         pair = node.branch_pair
-        for open_it in (False, True):
-            if open_it:
-                child_open = node.fixed_open | {pair}
-                child_closed = node.fixed_closed
-            else:
-                child_open = node.fixed_open
-                child_closed = node.fixed_closed | {pair}
+        for child_open, child_closed in ((node.fixed_open, node.fixed_closed | {pair}),
+                                         (node.fixed_open | {pair}, node.fixed_closed)):
             net, const = node_network(child_open, child_closed)
+            nodes += 1
             try:
                 sol = solve_min_cost_flow(net)
             except Infeasible:
-                nodes += 1
                 continue
-            nodes += 1
             child_bound = const + sol.lp_cost
             if node_log is not None:
                 node_log.append((node.lower_bound, child_bound))
@@ -172,18 +164,15 @@ def _branch_and_bound(instance: Instance, budget: float, gap: float,
             consider(BnBNode(child_open, child_closed, child_bound,
                              node.depth + 1, child_pair))
 
-    if timed_out:
-        floor = min((entry[0] for entry in heap), default=math.inf)
-        final_bound = min(best_cost, pruned_floor, floor)
-    else:
-        final_bound = min(best_cost, pruned_floor)
-    proven = (best_cost - final_bound) <= _gap_abs(gap, best_cost)
+    floor = min((entry[0] for entry in heap), default=math.inf)
+    final_bound = min(best_cost, pruned_floor, floor)
+    proven = (best_cost - final_bound) <= _gap_abs(best_cost)
     assert incumbent is not None
     return ExactResult(best=incumbent, proven_optimal=proven,
                        bound=final_bound, nodes_explored=nodes)
 
 
-def solve_exact(instance: Instance, budget: float, gap: float = GAP_DEFAULT,
+def solve_exact(instance: Instance, budget: float,
                 node_log: list | None = None) -> ExactResult:
     """Best-first branch-and-bound for the true fixed-charge optimum.
 
@@ -193,7 +182,7 @@ def solve_exact(instance: Instance, budget: float, gap: float = GAP_DEFAULT,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return _branch_and_bound(instance, budget, gap, frozenset(), None, node_log)
+    return _branch_and_bound(instance, budget, frozenset(), None, node_log)
 
 
 def brute_force(instance: Instance) -> ExactResult:
@@ -227,7 +216,7 @@ def brute_force(instance: Instance) -> ExactResult:
         s_out = np.concatenate([s_out, s_out + c_out])
         t_in = np.concatenate([t_in, t_in + c_in])
 
-    least = instance.target - SHORTFALL_TOL * max(1.0, instance.target)
+    least = instance.target - flow_tol(instance.target)
     feasible = (s_out >= least) & (t_in >= least)
     masks = np.flatnonzero(feasible)
     masks = masks[np.argsort(fixed_sums[masks], kind="stable")]
@@ -239,7 +228,7 @@ def brute_force(instance: Instance) -> ExactResult:
     var_cost = topology.arc_costs(instance.variable_cost)
     for mask in masks.tolist():
         fixed = fixed_sums[mask]
-        if fixed >= best_cost - 1e-12:
+        if fixed >= best_cost:  # lp_cost >= 0, so no better total follows
             break
         closed = frozenset(i for i in range(n_p) if not mask >> i & 1)
         solves += 1
@@ -287,7 +276,7 @@ def polish(instance: Instance, warm: ScoredSolution, budget: float) -> ScoredSol
         for k in range(n_caps)
     )
     try:
-        result = _branch_and_bound(instance, budget, GAP_DEFAULT, closed, warm)
+        result = _branch_and_bound(instance, budget, closed, warm)
     except Infeasible:  # cannot happen: warm itself routes the target
         return warm
     if result.best.true_cost < warm.true_cost:

@@ -5,7 +5,7 @@ every candidate is a valid flow by construction and no repair step exists.
 Fitness is the decoded flow's true cost (lower is fitter). Selection is
 binary tournament with the incumbent best always retained; crossover splices
 a random interval from one parent into the other; mutation nudges a few
-entries by at most one, clamped to the configured floor.
+entries by at most one, clamped to the D_MIN floor.
 """
 from __future__ import annotations
 
@@ -19,9 +19,9 @@ from typing import TYPE_CHECKING, Callable
 import numpy as np
 
 from . import exact
-from .evaluate import FLOW_TOL, ScoredSolution, score
+from .evaluate import ScoredSolution, score
 from .flowcore import (D_MIN, UNBOUNDED, FlowSolution, Infeasible, Organism,
-                       build_expanded_network, solve_min_cost_flow)
+                       build_expanded_network, flow_tol, solve_min_cost_flow)
 from .instance import validate
 
 if TYPE_CHECKING:
@@ -43,7 +43,6 @@ class GAConfig:
     time_limit: float | None = None
     iteration_limit: int | None = None
     seed: int = 0
-    d_min: float = D_MIN
 
     def __post_init__(self):
         if self.population_size < 2:
@@ -58,8 +57,6 @@ class GAConfig:
             raise ValueError("time_limit must be positive")
         if self.iteration_limit is not None and self.iteration_limit < 0:
             raise ValueError("iteration_limit must be nonnegative")
-        if self.d_min < D_MIN:
-            raise ValueError(f"d_min must be at least the global floor {D_MIN}")
 
 
 @dataclass(frozen=True)
@@ -94,13 +91,13 @@ def fitness(instance: Instance, organism: Organism) -> ScoredSolution:
 
 def init_population(instance: Instance, config: GAConfig, rng: random.Random) -> list[Organism]:
     """Seed organism (divisors equal to the class capacities) plus uniformly
-    random organisms with entries in [d_min, mean fixed cost]."""
+    random organisms with entries in [D_MIN, mean fixed cost]."""
     shape = (instance.n_edges, instance.n_capacities)
-    seed_scale = np.broadcast_to(np.maximum(instance.capacities, config.d_min), shape)
+    seed_scale = np.broadcast_to(np.maximum(instance.capacities, D_MIN), shape)
     population = [Organism(scale=seed_scale.copy())]
-    upper = max(_mean_fixed_cost(instance), config.d_min)
+    upper = max(_mean_fixed_cost(instance), D_MIN)
     for _ in range(config.population_size - 1):
-        entries = [rng.uniform(config.d_min, upper) for _ in range(shape[0] * shape[1])]
+        entries = [rng.uniform(D_MIN, upper) for _ in range(shape[0] * shape[1])]
         population.append(Organism(scale=np.array(entries).reshape(shape)))
     return population
 
@@ -140,16 +137,15 @@ def crossover(parent_a: Organism, parent_b: Organism, rng: random.Random) -> Org
     return Organism(scale=child.reshape(parent_a.scale.shape))
 
 
-def mutate(instance: Instance, organism: Organism, rng: random.Random,
-           config: GAConfig) -> Organism:
+def mutate(instance: Instance, organism: Organism, rng: random.Random) -> Organism:
     """Nudge a few entries (between 1 and a tenth of the array) up or down
-    by a uniform amount below one, clamped to the d_min floor. Unbounded
+    by a uniform amount below one, clamped to the D_MIN floor. Unbounded
     entries are reset to the mean fixed cost before the nudge."""
     scale = organism.scale.reshape(-1).copy()
     length = scale.size
     count = rng.randint(1, max(1, length // 10))
     positions = rng.sample(range(length), count)
-    reset = max(_mean_fixed_cost(instance), config.d_min)
+    reset = max(_mean_fixed_cost(instance), D_MIN)
     for pos in positions:
         value = scale[pos]
         if math.isinf(value):
@@ -157,7 +153,7 @@ def mutate(instance: Instance, organism: Organism, rng: random.Random,
         step = rng.uniform(0.0, 1.0)
         if rng.random() < 0.5:
             step = -step
-        scale[pos] = max(config.d_min, value + step)
+        scale[pos] = max(D_MIN, value + step)
     return Organism(scale=scale.reshape(organism.scale.shape))
 
 
@@ -169,7 +165,7 @@ def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
     if optimal_flow.flow.shape != shape:
         raise ValueError(f"flow shape {optimal_flow.flow.shape} does not match "
                          f"instance (edges, capacities) {shape}")
-    scale = np.where(optimal_flow.flow > FLOW_TOL, UNBOUNDED, D_MIN)
+    scale = np.where(optimal_flow.flow > flow_tol(instance.target), UNBOUNDED, D_MIN)
     return Organism(scale=scale)
 
 
@@ -242,7 +238,7 @@ def evolve(instance: Instance, config: GAConfig,
             parent_b = _tournament_pick(population, rng)
             child = crossover(parent_a, parent_b, rng)
             if rng.random() < config.mutation_probability:
-                child = mutate(instance, child, rng, config)
+                child = mutate(instance, child, rng)
             children.append(child)
         child_scores = _evaluate_all(instance, children, population, fitness_listener)
         lp_solves += len(children)

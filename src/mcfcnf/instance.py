@@ -127,16 +127,16 @@ def validate(instance: Instance) -> list[str]:
 
     The routability check runs a max flow on the capacity-expanded network
     with every offered (edge, class) pair open, so one edge may use several
-    classes, and allows the solvers' shortfall (SHORTFALL_TOL); it is
+    classes, and allows the solvers' shortfall (flowcore.flow_tol); it is
     skipped when structural violations exist.
     """
     v = invariant_violations(instance)
     if v:
         return v
-    from .flowcore import SHORTFALL_TOL, compile_topology, max_flow
+    from .flowcore import compile_topology, flow_tol, max_flow
 
     mf = max_flow(compile_topology(instance))
-    if instance.target - mf > SHORTFALL_TOL * max(1.0, instance.target):
+    if instance.target - mf > flow_tol(instance.target):
         v.append(f"target exceeds max flow (target={_fmt(instance.target)}, max flow={_fmt(mf)})")
     return v
 
@@ -441,28 +441,26 @@ def save_facility_instance(facility: FacilityInstance, path) -> None:
 
 @dataclass(frozen=True)
 class CostParams:
-    """Ranges driving random cost generation.
-
-    Fixed costs grow sublinearly with capacity (exponent < 1), so the
-    fixed-cost-per-capacity-unit ratio strictly decreases across classes:
-    bigger pipes are cheaper per unit, mirroring bulk discounts.
-    """
+    """Ranges from which the random generators draw each edge's fixed and
+    variable cost of the first capacity class."""
 
     fixed_range: tuple[float, float] = (4.0, 40.0)
     variable_range: tuple[float, float] = (0.5, 4.0)
-    first_capacity: tuple[int, int] = (2, 6)
-    capacity_growth: tuple[float, float] = (1.6, 2.4)
-    economy_exponent: tuple[float, float] = (0.55, 0.85)
 
 
+# Fixed costs grow sublinearly with capacity (exponent < 1): bigger pipes are
+# cheaper per capacity unit in every class step, mirroring bulk discounts.
+_FIRST_CAPACITY = (2, 6)
+_CAPACITY_GROWTH = (1.6, 2.4)
+_ECONOMY_EXPONENT = (0.55, 0.85)
 _GEOMETRIC_RADIUS_FACTOR = 1.25
 _MAX_GENERATOR_ATTEMPTS = 64
 
 
-def _draw_capacities(rng: random.Random, n_capacities: int, params: CostParams) -> list[float]:
-    caps = [float(rng.randint(*params.first_capacity))]
+def _draw_capacities(rng: random.Random, n_capacities: int) -> list[float]:
+    caps = [float(rng.randint(*_FIRST_CAPACITY))]
     for _ in range(n_capacities - 1):
-        grown = math.ceil(caps[-1] * rng.uniform(*params.capacity_growth))
+        grown = math.ceil(caps[-1] * rng.uniform(*_CAPACITY_GROWTH))
         caps.append(float(max(grown, caps[-1] + 1)))
     return caps
 
@@ -474,7 +472,7 @@ def _draw_costs(rng: random.Random, n_edges: int, caps: list[float],
     var = np.empty((n_edges, n_caps))
     for e in range(n_edges):
         a1 = rng.uniform(*params.fixed_range)
-        gamma = rng.uniform(*params.economy_exponent)
+        gamma = rng.uniform(*_ECONOMY_EXPONENT)
         b = rng.uniform(*params.variable_range)
         for k in range(n_caps):
             fixed[e, k] = a1 * (caps[k] / caps[0]) ** gamma
@@ -562,7 +560,7 @@ def generate_random(kind: str, n_vertices: int, n_capacities: int,
             n, source, sink, edges = _geometric_topology(rng, n_vertices)
         if source == sink or not edges:
             continue
-        caps = _draw_capacities(rng, n_capacities, params)
+        caps = _draw_capacities(rng, n_capacities)
         fixed, var = _draw_costs(rng, len(edges), caps, params)
         instance = Instance(
             n_vertices=n, source=source, sink=sink, edges=tuple(edges),

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from mcfcnf import (D_MIN, UNBOUNDED, ExpandedNetwork, Infeasible, Instance,
                     Organism, build_expanded_network, compile_topology,
-                    lp_relaxation_bound, max_throughput, solve_min_cost_flow)
+                    lp_relaxation_bound, max_throughput, solve_min_cost_flow,
+                    verify_flow)
 from mcfcnf.flowcore import max_flow
 from conftest import integral_flow_min_cost, make_small_instance
 
@@ -306,3 +307,22 @@ class TestMaxFlow:
         with pytest.raises(Infeasible) as err:
             solve_min_cost_flow(ExpandedNetwork(topology, [1.0] * len(topology.pairs), closed))
         assert max_flow(topology, closed) == err.value.max_flow
+
+
+class TestPushCap:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000),
+           caps=st.lists(st.floats(0.01, 1000.0), min_size=1, max_size=3, unique=True),
+           costs=st.lists(st.one_of(st.sampled_from([0.0, 1e9]), st.floats(0.0, 1e9)),
+                          min_size=36, max_size=36),
+           half=st.booleans())
+    def test_push_cap_never_reached(self, seed, caps, costs, half):
+        # fractional capacities, per-arc costs from 0 to 1e9, the target at
+        # the max flow or half of it: the augmentation cap is never reached
+        base = make_small_instance(random.Random(seed), n_capacities=len(caps))
+        base = dataclasses.replace(base, capacities=np.array(sorted(caps)))
+        mf = max_flow(compile_topology(base))
+        inst = dataclasses.replace(base, target=mf / 2 if half else mf)
+        topology = compile_topology(inst)
+        sol = solve_min_cost_flow(ExpandedNetwork(topology, costs[:len(topology.pairs)]))
+        assert verify_flow(inst, sol) == []

@@ -53,10 +53,9 @@ class TestInitPopulation:
 
     def test_entries_within_mean_fixed_cost(self, fig1):
         # mean fixed cost of the diamond is (6+2+6+2)/4 = 4
-        config = GAConfig(iteration_limit=1)
-        pop = init_population(fig1, config, random.Random(1))
+        pop = init_population(fig1, GAConfig(iteration_limit=1), random.Random(1))
         for organism in pop[1:]:
-            assert organism.scale.min() >= config.d_min
+            assert organism.scale.min() >= D_MIN
             assert organism.scale.max() <= 4.0
 
     def test_population_size(self, fig1):
@@ -158,11 +157,10 @@ class TestCrossover:
 
 class TestMutate:
     def test_clamped_to_floor(self, minimal):
-        config = GAConfig(iteration_limit=1)
         org = Organism(scale=np.array([[0.5]]))
         rng = ScriptedRng(randints=[1], samples=[[0]], uniforms=[0.7], randoms=[0.3])
-        out = mutate(minimal, org, rng, config)
-        assert out.scale[0, 0] == config.d_min
+        out = mutate(minimal, org, rng)
+        assert out.scale[0, 0] == D_MIN
 
     def test_between_one_and_tenth_entries_change(self):
         # 100-entry organism: mutation touches 1..10 positions
@@ -177,21 +175,20 @@ class TestMutate:
         )
         big = Organism(scale=np.full((10, 10), 5.0))
         for seed in range(10):
-            out = mutate(inst_big, big, random.Random(seed), GAConfig(iteration_limit=1))
+            out = mutate(inst_big, big, random.Random(seed))
             changed = int((out.scale != big.scale).sum())
             assert 1 <= changed <= 10
 
     def test_deterministic(self, fig1):
         org = Organism(scale=np.full((4, 1), 2.0))
-        config = GAConfig(iteration_limit=1)
-        a = mutate(fig1, org, random.Random(4), config)
-        b = mutate(fig1, org, random.Random(4), config)
+        a = mutate(fig1, org, random.Random(4))
+        b = mutate(fig1, org, random.Random(4))
         assert (a.scale == b.scale).all()
 
     def test_unbounded_resets_to_mean_fixed_cost(self, fig1):
         org = Organism(scale=np.full((4, 1), UNBOUNDED))
         rng = ScriptedRng(randints=[1], samples=[[2]], uniforms=[0.25], randoms=[0.9])
-        out = mutate(fig1, org, rng, GAConfig(iteration_limit=1))
+        out = mutate(fig1, org, rng)
         # mean fixed cost 4.0, nudged up by 0.25
         assert out.scale[2, 0] == pytest.approx(4.25)
         assert math.isinf(out.scale[0, 0])
@@ -199,11 +196,10 @@ class TestMutate:
     def test_never_below_floor(self):
         rng = random.Random(0)
         inst = make_small_instance(rng, n_capacities=2)
-        config = GAConfig(iteration_limit=1, d_min=0.01)
-        org = Organism(scale=np.full((inst.n_edges, inst.n_capacities), 0.02))
+        org = Organism(scale=np.full((inst.n_edges, inst.n_capacities), 2 * D_MIN))
         for seed in range(20):
-            out = mutate(inst, org, random.Random(seed), config)
-            assert out.scale.min() >= config.d_min
+            out = mutate(inst, org, random.Random(seed))
+            assert out.scale.min() >= D_MIN
 
 
 class TestTheoremDivisors:
@@ -248,7 +244,6 @@ class TestConfig:
         {"mutation_probability": -0.1, "iteration_limit": 1},
         {"time_limit": 0.0},
         {"iteration_limit": -1},
-        {"d_min": 1e-9, "iteration_limit": 1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):
