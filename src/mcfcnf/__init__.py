@@ -9,7 +9,7 @@ from .evaluate import (VERIFY_TOL, ScoredSolution, score, verify_flow,
 from .exact import (GAP_DEFAULT, BnBNode, ExactResult, brute_force, polish,
                     solve_exact)
 from .flowcore import (D_MIN, FLOW_TOL, UNBOUNDED, ExpandedNetwork,
-                       FlowIterationError, FlowSolution, Infeasible, Organism,
+                       FlowIterationError, FlowSolution, FlowState, Infeasible, Organism,
                        build_expanded_network, compile_topology, flow_tol,
                        lp_relaxation_bound, max_throughput, solve_min_cost_flow)
 from .ga import (GAConfig, IterationRecord, RunResult, crossover, evolve,
@@ -23,7 +23,7 @@ from .instance import (CostParams, FacilityInstance, Instance, ParseError,
 
 __all__ = [
     "BnBNode", "CostParams", "D_MIN", "ExactResult", "ExpandedNetwork",
-    "FLOW_TOL", "FacilityInstance", "FlowIterationError", "FlowSolution",
+    "FLOW_TOL", "FacilityInstance", "FlowIterationError", "FlowSolution", "FlowState",
     "GAConfig", "GAP_DEFAULT", "Infeasible", "Instance", "IterationRecord",
     "Organism", "ParseError", "RunResult", "ScoredSolution", "Terminal",
     "UNBOUNDED", "VERIFY_TOL", "ValidationError", "brute_force",

@@ -168,8 +168,7 @@ def cmd_compare(args) -> int:
             "exact_time_s": exact_time,
         })
 
-    header = ["instance", "ga_cost_mean", "exact_cost", "exact_proven",
-              "lower_bound", "cost_ratio", "ga_time_s", "exact_time_s"]
+    header = list(rows[0])
     lines = [",".join(header)]
     for row in rows:
         lines.append(",".join(
@@ -239,10 +238,7 @@ def main(argv=None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except _UsageError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as err:
+    except (_UsageError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_ERROR
     except Infeasible as err:

@@ -2,9 +2,9 @@
 brute force for small instances, and warm-started neighborhood polishing.
 
 Branch-and-bound relaxes each undecided (edge, class) pair to a linearized
-fixed charge (cost fixed/capacity + variable per unit), so every node bound
-is a single min-cost-flow solve. Pairs forced open contribute their fixed
-cost as a constant and only their variable cost per unit.
+fixed charge (fixed/capacity + variable per unit): a node bound is one
+min-cost-flow solve, repaired from its parent's end state. Pairs forced open
+add their fixed cost as a constant and cost only their variable cost per unit.
 """
 from __future__ import annotations
 
@@ -17,8 +17,8 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .evaluate import ScoredSolution, score, verify_flow
-from .flowcore import (ExpandedNetwork, Infeasible, compile_topology, flow_tol,
-                       max_flow, slope_scaled_costs, solve_min_cost_flow)
+from .flowcore import (ExpandedNetwork, FlowState, Infeasible, compile_topology,
+                       flow_tol, max_flow, slope_scaled_costs, solve_min_cost_flow)
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -44,6 +44,7 @@ class BnBNode:
     lower_bound: float
     depth: int
     branch_pair: int | None = None
+    state: FlowState | None = None  # end state of its solve, for the children
 
 
 @dataclass(frozen=True, eq=False)
@@ -104,7 +105,8 @@ def _branch_and_bound(instance: Instance, budget: float, extra_closed: frozenset
     best_cost = warm.true_cost if warm is not None else math.inf
 
     root_net, root_const = node_network(frozenset(), frozenset())
-    root_sol = solve_min_cost_flow(root_net)  # Infeasible propagates
+    zero = FlowState([], [], np.zeros(topology.n_vertices), 0.0)
+    root_sol = solve_min_cost_flow(root_net, zero)  # Infeasible propagates
     nodes = 1
     root_bound = root_const + root_sol.lp_cost
     candidate = score(instance, root_sol)
@@ -133,7 +135,7 @@ def _branch_and_bound(instance: Instance, budget: float, extra_closed: frozenset
         counter += 1
 
     root_pair = _pick_branch_pair(instance, root_sol.flow, frozenset(), extra_closed)
-    consider(BnBNode(frozenset(), frozenset(), root_bound, 0, root_pair))
+    consider(BnBNode(frozenset(), frozenset(), root_bound, 0, root_pair, root_sol.state))
 
     while heap:
         if time.perf_counter() - start > budget:
@@ -149,7 +151,7 @@ def _branch_and_bound(instance: Instance, budget: float, extra_closed: frozenset
             net, const = node_network(child_open, child_closed)
             nodes += 1
             try:
-                sol = solve_min_cost_flow(net)
+                sol = solve_min_cost_flow(net, node.state, arc_of[pair])
             except Infeasible:
                 continue
             child_bound = const + sol.lp_cost
@@ -162,7 +164,7 @@ def _branch_and_bound(instance: Instance, budget: float, extra_closed: frozenset
             child_pair = _pick_branch_pair(instance, sol.flow, child_open,
                                            child_closed | extra_closed)
             consider(BnBNode(child_open, child_closed, child_bound,
-                             node.depth + 1, child_pair))
+                             node.depth + 1, child_pair, sol.state))
 
     floor = min((entry[0] for entry in heap), default=math.inf)
     final_bound = min(best_cost, pruned_floor, floor)

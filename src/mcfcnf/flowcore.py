@@ -6,15 +6,15 @@ min-cost flow of the target amount from source to sink. The solver is
 successive shortest augmenting paths with vertex potentials: exact,
 dependency-free, and deterministic (ties resolved by lowest arc index).
 
-The network is compiled once per instance and solved many times. The arcs,
-their residual heads and capacities and the per-vertex residual adjacency
-depend only on the instance, so compile_topology builds them on the first
-solve and keeps them on the instance. What one solve adds is a per-arc cost
-vector and a set of closed arcs: a GA decode changes the costs, a
-branch-and-bound node also closes arcs, and the brute force opens a subset.
-A closed arc keeps its place in the arc order with no capacity, so every
-tie-break, and so the solution, is the one of the instance without its pair.
-Max flow (Dinic) runs on the same topology and closed-arc idiom.
+The network is compiled once per instance (compile_topology: arcs, residual
+heads and capacities, per-vertex adjacency, kept on the instance) and solved
+many times from a per-arc cost vector and a set of closed arcs: a GA decode
+changes the costs, a branch-and-bound node also closes arcs, the brute force
+opens a subset. A closed arc keeps its place in the arc order with no
+capacity, so every tie-break is the one of the instance without its pair.
+A branch-and-bound child, one arc closed or cheaper, is solved by the same
+SSP kernel repairing its parent's end state (FlowState; Ahuja, Magnanti &
+Orlin, Network Flows, 1993, ch. 9). Dinic's max flow uses the topology too.
 One rule, flow_tol, says what flow amount counts as zero, for every solver,
 validate, score and verify_flow.
 """
@@ -117,12 +117,24 @@ class ExpandedNetwork(NamedTuple):
     closed: frozenset[int] = frozenset()
 
 
+class FlowState(NamedTuple):
+    """Where an optimal solve ended, compactly: the carrying arcs, their
+    forward and reverse residuals in turn, vertex potentials that keep every
+    reduced cost nonnegative, and the target shortfall."""
+
+    arcs: list[int]
+    residual: list[float]
+    potential: np.ndarray
+    shortfall: float
+
+
 @dataclass(frozen=True, eq=False)
 class FlowSolution:
-    """Flow amounts per (edge, class) pair and the relaxation objective."""
+    """Flow per (edge, class) pair, relaxation objective, kept end state."""
 
     flow: np.ndarray
     lp_cost: float
+    state: FlowState | None = None
 
     def __post_init__(self):
         flow = np.array(self.flow, dtype=np.float64)
@@ -176,54 +188,28 @@ def slope_scaled_costs(instance: Instance) -> np.ndarray:
     return instance.fixed_cost / scale + instance.variable_cost
 
 
-def solve_min_cost_flow(net: ExpandedNetwork) -> FlowSolution:
-    """Route the target amount from source to sink at minimum cost.
-
-    Requires nonnegative unit costs. Raises Infeasible (carrying the achieved
-    max flow) when the network cannot deliver the target.
-    """
-    topology, arc_cost, closed = net
-    n = topology.n_vertices
-    s, t = topology.source, topology.sink
-    target = topology.target
-    head = topology.head
-    adj = topology.adjacency
-    m = len(arc_cost)
-    if m != len(topology.pairs):
-        raise ValueError(f"{m} arc costs for {len(topology.pairs)} arcs")
-    if m and min(arc_cost) < 0:
-        i = arc_cost.index(min(arc_cost))
-        raise ValueError(f"arc {i} has negative unit cost {arc_cost[i]}")
-
-    rcost = [0.0] * (2 * m)
-    rcost[0::2] = arc_cost
-    rcost[1::2] = [-c for c in arc_cost]
-    res = topology.capacity.copy()
-    for i in closed:
-        res[2 * i] = 0.0
-
-    pot = [0.0] * n
+def _augment(topology: Topology, rcost: list[float], res: list[float], pot: list[float],
+             frm: int, to: int, amount: float, stop: float, push_cap: int) -> float:
+    """SSP kernel: send amount from frm to to under nonnegative reduced costs
+    rcost + pot[u] - pot[v]; updates res and pot, returns the amount left."""
+    n, head, adj = topology.n_vertices, topology.head, topology.adjacency
     inf = math.inf
-    remaining = target
-    tol = flow_tol(target)
+    remaining = amount
     # No proven bound: each augmentation saturates an arc or meets the target,
     # but adversarial networks need exponentially many. A Hypothesis property
     # (test_push_cap_never_reached) checks fractional capacities, costs 0-1e9.
-    open_arcs = m - len(closed)
-    push_cap = 4 * open_arcs + 16
     pushes = 0
 
-    while remaining > tol:
+    while remaining > stop:
         pushes += 1
         if pushes > push_cap:
-            raise FlowIterationError(
-                f"augmentation count exceeded {push_cap} on {open_arcs} arcs")
+            raise FlowIterationError(f"augmentation count exceeded {push_cap}")
 
         dist = [inf] * n
         done = [False] * n
         parent = [-1] * n
-        dist[s] = 0.0
-        heap = [(0.0, 0, s)]
+        dist[frm] = 0.0
+        heap = [(0.0, 0, frm)]
         counter = 1
         dist_t = inf
         while heap:
@@ -231,7 +217,7 @@ def solve_min_cost_flow(net: ExpandedNetwork) -> FlowSolution:
             if done[u]:
                 continue
             done[u] = True
-            if u == t:
+            if u == to:
                 dist_t = d
                 break
             pu = pot[u]
@@ -249,9 +235,7 @@ def solve_min_cost_flow(net: ExpandedNetwork) -> FlowSolution:
                     counter += 1
 
         if dist_t == inf:
-            achieved = target - remaining
-            raise Infeasible(
-                f"target {target} exceeds max flow {achieved}", max_flow=achieved)
+            return remaining
 
         # settled vertices keep their label; the rest shift by dist_t, which
         # preserves nonnegative reduced costs on all residual arcs
@@ -259,19 +243,73 @@ def solve_min_cost_flow(net: ExpandedNetwork) -> FlowSolution:
             pot[v] += dist[v] if done[v] and dist[v] < dist_t else dist_t
 
         bottleneck = remaining
-        v = t
-        while v != s:
+        v = to
+        while v != frm:
             rid = parent[v]
             if res[rid] < bottleneck:
                 bottleneck = res[rid]
             v = head[rid ^ 1]
-        v = t
-        while v != s:
+        v = to
+        while v != frm:
             rid = parent[v]
             res[rid] -= bottleneck
             res[rid ^ 1] += bottleneck
             v = head[rid ^ 1]
         remaining -= bottleneck
+    return remaining
+
+
+def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
+                        changed: int | None = None) -> FlowSolution:
+    """Route the target amount from source to sink at minimum cost.
+
+    Requires nonnegative unit costs. Raises Infeasible (carrying the achieved
+    max flow) when the network cannot deliver the target.
+
+    Starts from zero flow and potentials, or from start, the end state of a
+    solve of net before arc `changed` was closed (its flow is sent around it)
+    or made cheaper (saturated if that pays, the surplus sent back); without
+    `changed` the target is routed on top. Then the solution keeps its state.
+    """
+    topology, arc_cost, closed = net
+    head = topology.head
+    target = topology.target
+    m = len(arc_cost)
+    if m != len(topology.pairs):
+        raise ValueError(f"{m} arc costs for {len(topology.pairs)} arcs")
+    if m and min(arc_cost) < 0:
+        i = arc_cost.index(min(arc_cost))
+        raise ValueError(f"arc {i} has negative unit cost {arc_cost[i]}")
+
+    rcost = [0.0] * (2 * m)
+    rcost[0::2] = arc_cost
+    rcost[1::2] = [-c for c in arc_cost]
+    res = topology.capacity.copy()
+    pot, shortfall = [0.0] * topology.n_vertices, 0.0
+    frm, to, amount = topology.source, topology.sink, target
+    if start is not None:
+        for i, fwd, rev in zip(start.arcs, start.residual[0::2], start.residual[1::2]):
+            res[2 * i], res[2 * i + 1] = fwd, rev
+        pot, shortfall = start.potential.tolist(), start.shortfall
+    if changed is not None:
+        fwd, rev = 2 * changed, 2 * changed + 1
+        if changed in closed:  # its flow goes around it
+            frm, to, amount = head[rev], head[fwd], res[rev]
+            res[rev] = 0.0
+        else:  # saturated if that pays; the surplus goes back
+            pays = rcost[fwd] + pot[head[rev]] - pot[head[fwd]] < 0.0
+            frm, to, amount = head[fwd], head[rev], res[fwd] if pays else 0.0
+            res[fwd], res[rev] = res[fwd] - amount, res[rev] + amount
+    for i in closed:
+        res[2 * i] = 0.0
+
+    stop = flow_tol(target) - shortfall
+    left = _augment(topology, rcost, res, pot, frm, to, amount, stop,
+                    push_cap=4 * (m - len(closed)) + 16)
+    if left > stop:
+        achieved = target - shortfall - left
+        raise Infeasible(
+            f"target {target} exceeds max flow {achieved}", max_flow=achieved)
 
     amounts = res[1::2]
     flow = np.zeros(topology.pair_shape)
@@ -280,7 +318,12 @@ def solve_min_cost_flow(net: ExpandedNetwork) -> FlowSolution:
     for amount, cost in zip(amounts, arc_cost):
         if amount != 0.0:
             lp_cost += amount * cost
-    return FlowSolution(flow=flow, lp_cost=lp_cost)
+    state = None
+    if start is not None:
+        arcs = np.flatnonzero(flow.reshape(-1)[topology.pairs]).tolist()
+        state = FlowState(arcs, [r for i in arcs for r in (res[2 * i], res[2 * i + 1])],
+                          np.array(pot), shortfall + left)
+    return FlowSolution(flow=flow, lp_cost=lp_cost, state=state)
 
 
 def lp_relaxation_bound(instance: Instance) -> float:

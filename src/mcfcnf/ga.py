@@ -53,8 +53,8 @@ class GAConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if self.time_limit is None and self.iteration_limit is None:
             raise ValueError("set time_limit and/or iteration_limit")
-        if self.time_limit is not None and not self.time_limit > 0:
-            raise ValueError("time_limit must be positive")
+        if self.time_limit is not None and not 0 < self.time_limit < math.inf:
+            raise ValueError("time_limit must be positive and finite")
         if self.iteration_limit is not None and self.iteration_limit < 0:
             raise ValueError("iteration_limit must be nonnegative")
 
@@ -195,8 +195,9 @@ def evolve(instance: Instance, config: GAConfig,
 
     Randomness is consumed in a fixed documented order (initial entries,
     then per child: two parent tournaments, the crossover interval, the
-    mutation coin and its draws, then the selection tournaments), so runs
-    with an iteration_limit replay bit-identically per seed.
+    mutation coin and its draws, then the selection tournaments), so with an
+    iteration_limit the evolution (best, history) replays bit-identically per
+    seed; polish gets a wall-clock share, so its result may vary with speed.
     """
     problems = validate(instance)
     if problems:
@@ -211,9 +212,6 @@ def evolve(instance: Instance, config: GAConfig,
     scored = _evaluate_all(instance, organisms, [], fitness_listener)
     population: list[_Member] = list(zip(organisms, scored))
     lp_solves = len(population)
-
-    def best_member() -> _Member:
-        return min(population, key=lambda member: member[1].true_cost)
 
     def record(iteration: int) -> IterationRecord:
         costs = [member[1].true_cost for member in population]
@@ -246,7 +244,7 @@ def evolve(instance: Instance, config: GAConfig,
         population = tournament_select(population, config.population_size, rng)
         history.append(record(iteration))
 
-    best_organism, best_scored = best_member()
+    best_organism, best_scored = min(population, key=lambda member: member[1].true_cost)
     if config.time_limit is not None:
         polish_budget = 0.2 * config.time_limit
     else:

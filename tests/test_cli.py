@@ -161,6 +161,12 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
 
+    def test_infinite_time_limit_exits_one(self, fig1_file, capsys):
+        # without the check, solve ran forever: evolution and polish unbounded
+        assert main(["solve", "--instance", str(fig1_file), "--time-limit", "inf"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "finite" in err
+
 
 def test_two_class_edge_solves(tmp_path, capsys):
     """The target routes only with both classes of the edge open; solve and

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import random
 import time
 
@@ -122,6 +123,23 @@ class TestSolveExact:
         assert result.proven_optimal
         assert result.nodes_explored == 891
         assert result.best.true_cost == 573.4276663730062
+
+    @pytest.mark.parametrize("n, seed, nodes, cost, digest", [
+        (16, 3, 891, 573.4276663730062,
+         "a12bc409f134369f54682c7d12bf3fb9a4cc8ab90384166119d802cc5f38d68f"),
+        (81, 6, 2571, 3466.792906966959,
+         "a1524e6b4b9bfd46bf0dbbeb04f207aee185acbf30cba1b789fd21f53262a62d"),
+    ])
+    def test_node_log_pinned_on_grids(self, n, seed, nodes, cost, digest):
+        # digests of the node log taken while every node was solved from
+        # scratch: on integer data, children repaired from their parent's
+        # end state reproduce every node bound bit for bit
+        inst = generate_random("grid", n, 2, seed=seed, target_fraction=0.6)
+        log = []
+        result = solve_exact(inst, budget=600, node_log=log)
+        assert result.proven_optimal
+        assert (result.nodes_explored, result.best.true_cost) == (nodes, cost)
+        assert hashlib.sha256(repr(log).encode()).hexdigest() == digest
 
     def test_proven_flag_matches_gap(self):
         rng = random.Random(333)

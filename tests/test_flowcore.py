@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfcnf import (D_MIN, UNBOUNDED, ExpandedNetwork, Infeasible, Instance,
-                    Organism, build_expanded_network, compile_topology,
-                    lp_relaxation_bound, max_throughput, solve_min_cost_flow,
-                    verify_flow)
-from mcfcnf.flowcore import max_flow
+from mcfcnf import (D_MIN, GAP_DEFAULT, UNBOUNDED, ExpandedNetwork, FlowState,
+                    Infeasible, Instance, Organism, build_expanded_network,
+                    compile_topology, flow_tol, lp_relaxation_bound, max_throughput,
+                    solve_min_cost_flow, verify_flow)
+from mcfcnf.flowcore import max_flow, slope_scaled_costs
 from conftest import integral_flow_min_cost, make_small_instance
 
 
@@ -326,3 +326,68 @@ class TestPushCap:
         topology = compile_topology(inst)
         sol = solve_min_cost_flow(ExpandedNetwork(topology, costs[:len(topology.pairs)]))
         assert verify_flow(inst, sol) == []
+
+
+def _solve_or_none(net, *start):
+    try:
+        return solve_min_cost_flow(net, *start)
+    except Infeasible:
+        return None
+
+
+class TestWarmStart:
+    @settings(max_examples=120, deadline=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(0, 6), fractional=st.booleans(),
+           slack=st.sampled_from([None, -3.0, -0.5, 0.0, 0.5, 3.0]),
+           steps=st.lists(st.tuples(st.booleans(), st.integers(0, 1000)), max_size=6))
+    def test_warm_child_equals_cold_child(self, seed, k, fractional, slack, steps):
+        """Branch-and-bound steps from the root: close an arc, or drop its
+        cost from slope-scaled to variable. The child repaired from its
+        parent's end state is infeasible exactly when a from-scratch solve
+        is; otherwise its flow verifies and costs the same within the gap
+        (degenerate ties may pick another optimal flow)."""
+        rng = random.Random(seed)
+        caps = (0.75, 1.5, 2.25, 3.5) if fractional else (1, 2, 3, 4)
+        base = make_small_instance(rng, max_edges=10, n_capacities=2, cap_choices=caps)
+        scaled = base.capacities * 10.0 ** k
+        inst = dataclasses.replace(base, capacities=scaled, target=base.target * 10.0 ** k)
+        if slack is not None:  # at the max flow, on both sides of flow_tol
+            mf = max_flow(compile_topology(inst))
+            inst = dataclasses.replace(inst, target=mf - slack * flow_tol(mf))
+        topology = compile_topology(inst)
+        cost = topology.arc_costs(slope_scaled_costs(inst))
+        variable = topology.arc_costs(inst.variable_cost)
+        net = ExpandedNetwork(topology, cost)
+        zero = FlowState([], [], np.zeros(inst.n_vertices), 0.0)
+        parent = _solve_or_none(net, zero)
+        assert (parent is None) == (_solve_or_none(net) is None)
+        free = list(range(len(cost)))
+        for close, pick in steps:
+            if parent is None or not free:
+                break
+            arc = free.pop(pick % len(free))
+            if close:
+                net = net._replace(closed=net.closed | {arc})
+            else:
+                net = net._replace(cost=net.cost[:arc] + [variable[arc]] + net.cost[arc + 1:])
+            warm = _solve_or_none(net, parent.state, arc)
+            cold = _solve_or_none(net)
+            assert (warm is None) == (cold is None)
+            if warm is not None:
+                assert verify_flow(inst, warm) == []
+                assert warm.lp_cost == pytest.approx(
+                    cold.lp_cost, abs=GAP_DEFAULT * max(1.0, abs(cold.lp_cost)))
+            parent = warm
+
+    def test_degenerate_tie_may_pick_another_flow(self, fig1):
+        # opening arc 0 makes fig1's two paths cost 4 per unit each: the
+        # repaired child keeps its parent's flow [1, 2, 1, 2] where a
+        # from-scratch solve picks [2, 1, 2, 1]; both are optimal
+        topology = compile_topology(fig1)
+        net = ExpandedNetwork(topology, topology.arc_costs(slope_scaled_costs(fig1)))
+        root = solve_min_cost_flow(net, FlowState([], [], np.zeros(4), 0.0))
+        net = net._replace(cost=[fig1.variable_cost[0, 0]] + net.cost[1:])
+        warm = solve_min_cost_flow(net, root.state, 0)
+        cold = solve_min_cost_flow(net)
+        assert warm.lp_cost == cold.lp_cost == 12.0
+        assert verify_flow(fig1, warm) == verify_flow(fig1, cold) == []

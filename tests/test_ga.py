@@ -249,6 +249,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             GAConfig(**kwargs)
 
+    @pytest.mark.parametrize("limit", [math.inf, math.nan])
+    def test_rejects_time_limit_that_never_ends(self, limit):
+        # an infinite limit gave evolution and polish an infinite budget
+        with pytest.raises(ValueError, match="finite"):
+            GAConfig(time_limit=limit, iteration_limit=5)
+
 
 class TestEvolve:
     def test_diamond_reaches_optimum(self, fig1):
