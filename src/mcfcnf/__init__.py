@@ -6,8 +6,7 @@ branch-and-bound for proven optima and solution polishing.
 """
 from .evaluate import (VERIFY_TOL, ScoredSolution, score, verify_flow,
                        write_solution_csv)
-from .exact import (GAP_DEFAULT, BnBNode, ExactResult, brute_force, polish,
-                    solve_exact)
+from .exact import GAP_DEFAULT, ExactResult, brute_force, polish, solve_exact
 from .flowcore import (D_MIN, FLOW_TOL, UNBOUNDED, ExpandedNetwork,
                        FlowIterationError, FlowSolution, FlowState, Infeasible, Organism,
                        build_expanded_network, compile_topology, flow_tol,
@@ -22,7 +21,7 @@ from .instance import (CostParams, FacilityInstance, Instance, ParseError,
                        save_facility_instance, save_instance, validate)
 
 __all__ = [
-    "BnBNode", "CostParams", "D_MIN", "ExactResult", "ExpandedNetwork",
+    "CostParams", "D_MIN", "ExactResult", "ExpandedNetwork",
     "FLOW_TOL", "FacilityInstance", "FlowIterationError", "FlowSolution", "FlowState",
     "GAConfig", "GAP_DEFAULT", "Infeasible", "Instance", "IterationRecord",
     "Organism", "ParseError", "RunResult", "ScoredSolution", "Terminal",

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import glob
+import math
 import statistics
 import sys
 import time
@@ -123,6 +124,8 @@ def cmd_gen(args) -> int:
 
 def cmd_compare(args) -> int:
     _check_budget(args)
+    if math.isinf(args.budget):  # it is also the GA's time limit, which must end
+        raise _UsageError(f"--budget must be finite for compare (got {args.budget!r})")
     if args.repeats < 1:
         raise _UsageError(f"--repeats must be at least 1 (got {args.repeats})")
     paths = sorted(glob.glob(args.instances))

@@ -1,9 +1,10 @@
-"""Exact solvers: branch-and-bound over pair-use indicators, an enumeration
+"""Exact solvers: branch-and-bound over arc-use indicators, an enumeration
 brute force for small instances, and warm-started neighborhood polishing.
 
-Branch-and-bound relaxes each undecided (edge, class) pair to a linearized
+Branch-and-bound branches on the arcs of the compiled topology, one per
+offered (edge, class) pair, and relaxes each undecided arc to a linearized
 fixed charge (fixed/capacity + variable per unit): a node bound is one
-min-cost-flow solve, repaired from its parent's end state. Pairs forced open
+min-cost-flow solve, repaired from its parent's end state. Arcs forced open
 add their fixed cost as a constant and cost only their variable cost per unit.
 """
 from __future__ import annotations
@@ -32,19 +33,21 @@ BRUTE_FORCE_LIMIT = 20
 
 @dataclass(frozen=True)
 class BnBNode:
-    """A search node: pairs forced open, pairs forced closed, rest free.
+    """A queued search node: arcs of the compiled topology that branching
+    forced open or closed, the rest free (arcs closed for the whole search
+    stay outside the nodes).
 
-    branch_pair is the free pair this node will split on (chosen from its
-    own relaxation flow when the node is created); None means the relaxation
-    was already integral in the use indicators and the node is a leaf.
+    branch_arc is the free arc this node splits on, chosen from its own
+    relaxation flow; a node whose relaxation is integral in the use
+    indicators is a leaf and is never queued.
     """
 
-    fixed_open: frozenset[int]
-    fixed_closed: frozenset[int]
+    opened: frozenset[int]
+    closed: frozenset[int]
     lower_bound: float
     depth: int
-    branch_pair: int | None = None
-    state: FlowState | None = None  # end state of its solve, for the children
+    branch_arc: int
+    state: FlowState  # end state of its solve, for the children
 
 
 @dataclass(frozen=True, eq=False)
@@ -59,84 +62,64 @@ def _gap_abs(incumbent: float) -> float:
     return GAP_DEFAULT * max(1.0, abs(incumbent))
 
 
-def _pick_branch_pair(instance: Instance, flow: np.ndarray,
-                      fixed_open: frozenset[int], fixed_closed: frozenset[int]) -> int | None:
-    """Free pair with the most relaxation flow, fractional fixed charge only
-    (0 < flow < capacity; saturated pairs already pay their full fixed charge
-    in the relaxation). None means the relaxation is integral in the use
-    indicators and the node needs no branching."""
-    tol = flow_tol(instance.target)
-    fractional = (flow > tol) & (flow < instance.capacities[None, :] - tol)
-    flat = fractional.reshape(-1).copy()
-    decided = list(fixed_open) + list(fixed_closed)
-    if decided:
-        flat[decided] = False
-    candidates = np.flatnonzero(flat)
-    if not len(candidates):
-        return None
-    amounts = flow.reshape(-1)[candidates]
-    return int(candidates[np.argmax(amounts)])  # argmax keeps the lowest index on ties
-
-
-def _branch_and_bound(instance: Instance, budget: float, extra_closed: frozenset[int],
+def _branch_and_bound(instance: Instance, budget: float, outside: frozenset[int],
                       warm: ScoredSolution | None,
                       node_log: list | None = None) -> ExactResult:
+    """Best-first search over the arcs of the compiled topology; the arcs in
+    `outside` stay closed in every node."""
     start = time.perf_counter()
     topology = compile_topology(instance)
     free_cost = topology.arc_costs(slope_scaled_costs(instance))
     var_cost = topology.arc_costs(instance.variable_cost)
-    fixed = instance.fixed_cost.reshape(-1).tolist()
-    arc_of = topology.arc_of
-    extra_arcs = topology.arcs_of(extra_closed)
-
-    def node_network(fixed_open: frozenset[int],
-                     fixed_closed: frozenset[int]) -> tuple[ExpandedNetwork, float]:
-        """Network of one node (open pairs at their variable cost, closed
-        pairs shut) plus the fixed-cost constant of its open pairs."""
-        cost = list(free_cost)
-        constant = 0.0
-        for p in sorted(fixed_open):
-            constant += fixed[p]
-            cost[arc_of[p]] = var_cost[arc_of[p]]
-        closed = extra_arcs | topology.arcs_of(fixed_closed)
-        return ExpandedNetwork(topology, cost, closed), constant
+    fixed = topology.arc_costs(instance.fixed_cost)
+    capacity = topology.capacity[0::2]
+    tol = flow_tol(instance.target)
 
     incumbent = warm
     best_cost = warm.true_cost if warm is not None else math.inf
-
-    root_net, root_const = node_network(frozenset(), frozenset())
-    zero = FlowState([], [], np.zeros(topology.n_vertices), 0.0)
-    root_sol = solve_min_cost_flow(root_net, zero)  # Infeasible propagates
-    nodes = 1
-    root_bound = root_const + root_sol.lp_cost
-    candidate = score(instance, root_sol)
-    if candidate.true_cost < best_cost:
-        incumbent = candidate
-        best_cost = candidate.true_cost
-
     # min bound among nodes cut inside the gap window; keeps the reported
     # bound honest when gap-pruning discards marginally better completions
     pruned_floor = math.inf
-    counter = 0
+    nodes = 0
     heap: list = []
 
-    def consider(node: BnBNode) -> None:
-        nonlocal pruned_floor, counter
-        if node.lower_bound >= best_cost:
-            return
-        if node.lower_bound >= best_cost - _gap_abs(best_cost):
-            pruned_floor = min(pruned_floor, node.lower_bound)
-            return
-        if node.branch_pair is None:
-            # relaxation integral in the indicators; its score was already
-            # offered as an incumbent, nothing below this bound remains
-            return
-        heappush(heap, (node.lower_bound, -node.depth, counter, node))
-        counter += 1
+    def visit(opened: frozenset[int], closed: frozenset[int], depth: int,
+              parent_state: FlowState, changed: int | None = None) -> float:
+        """Solve one node (open arcs at their variable cost plus their fixed
+        cost as a constant), offer its flow as the incumbent and queue it
+        unless pruned or integral. Returns its bound; raises Infeasible."""
+        nonlocal incumbent, best_cost, pruned_floor, nodes
+        nodes += 1
+        cost = list(free_cost)
+        constant = 0.0
+        for a in sorted(opened):
+            constant += fixed[a]
+            cost[a] = var_cost[a]
+        sol = solve_min_cost_flow(ExpandedNetwork(topology, cost, outside | closed),
+                                  parent_state, changed)
+        bound = constant + sol.lp_cost
+        candidate = score(instance, sol)
+        if candidate.true_cost < best_cost:
+            incumbent, best_cost = candidate, candidate.true_cost
+        if bound >= best_cost - _gap_abs(best_cost):
+            if bound < best_cost:
+                pruned_floor = min(pruned_floor, bound)
+            return bound
+        # split on the unopened arc with the most fractional flow, the first
+        # on ties; closed arcs carry none, saturated ones pay their full
+        # fixed charge already. No such arc: integral, nothing below remains
+        state = sol.state
+        branch, most = None, tol
+        for a, amount in zip(state.arcs, state.residual[1::2]):
+            if most < amount < capacity[a] - tol and a not in opened:
+                branch, most = a, amount
+        if branch is not None:  # ties: deeper first, then first visited
+            heappush(heap, (bound, -depth, nodes,
+                            BnBNode(opened, closed, bound, depth, branch, state)))
+        return bound
 
-    root_pair = _pick_branch_pair(instance, root_sol.flow, frozenset(), extra_closed)
-    consider(BnBNode(frozenset(), frozenset(), root_bound, 0, root_pair, root_sol.state))
-
+    zero = FlowState([], [], np.zeros(topology.n_vertices), 0.0)
+    visit(frozenset(), frozenset(), 0, zero)  # the root; Infeasible propagates
     while heap:
         if time.perf_counter() - start > budget:
             break  # the nodes left on the heap bound the rest
@@ -145,26 +128,15 @@ def _branch_and_bound(instance: Instance, budget: float, extra_closed: frozenset
             if bound < best_cost:
                 pruned_floor = min(pruned_floor, bound)
             continue
-        pair = node.branch_pair
-        for child_open, child_closed in ((node.fixed_open, node.fixed_closed | {pair}),
-                                         (node.fixed_open | {pair}, node.fixed_closed)):
-            net, const = node_network(child_open, child_closed)
-            nodes += 1
+        arc = node.branch_arc
+        for opened, closed in ((node.opened, node.closed | {arc}),
+                               (node.opened | {arc}, node.closed)):
             try:
-                sol = solve_min_cost_flow(net, node.state, arc_of[pair])
+                child_bound = visit(opened, closed, node.depth + 1, node.state, arc)
             except Infeasible:
                 continue
-            child_bound = const + sol.lp_cost
             if node_log is not None:
-                node_log.append((node.lower_bound, child_bound))
-            cand = score(instance, sol)
-            if cand.true_cost < best_cost:
-                incumbent = cand
-                best_cost = cand.true_cost
-            child_pair = _pick_branch_pair(instance, sol.flow, child_open,
-                                           child_closed | extra_closed)
-            consider(BnBNode(child_open, child_closed, child_bound,
-                             node.depth + 1, child_pair, sol.state))
+                node_log.append((bound, child_bound))
 
     floor = min((entry[0] for entry in heap), default=math.inf)
     final_bound = min(best_cost, pruned_floor, floor)
@@ -253,10 +225,11 @@ def brute_force(instance: Instance) -> ExactResult:
 def polish(instance: Instance, warm: ScoredSolution, budget: float) -> ScoredSolution:
     """Exact improvement restricted to the warm solution's neighborhood.
 
-    Pairs on edges sharing an endpoint with any edge the warm solution uses
-    stay free; every other pair is forced closed. The warm solution seeds
-    the incumbent, so the result is never worse than the input. On budget
-    exhaustion the best found so far (at worst the warm input) is returned.
+    Arcs on edges sharing an endpoint with any edge the warm solution uses
+    stay free; every other arc is closed for the whole search. The warm
+    solution seeds the incumbent, so the result is never worse than the
+    input. On budget exhaustion the best found so far (at worst the warm
+    input) is returned.
     """
     problems = verify_flow(instance, warm.flow)
     if problems:
@@ -264,23 +237,11 @@ def polish(instance: Instance, warm: ScoredSolution, budget: float) -> ScoredSol
     if budget <= 0:
         return warm
 
-    used_edges = np.nonzero(warm.used.any(axis=1))[0]
-    touched = set()
-    for e in used_edges:
-        u, w = instance.edges[e]
-        touched.add(u)
-        touched.add(w)
-    n_caps = instance.n_capacities
-    closed = frozenset(
-        e * n_caps + k
-        for e, (u, w) in enumerate(instance.edges)
-        if u not in touched and w not in touched
-        for k in range(n_caps)
-    )
+    touched = {v for e in np.flatnonzero(warm.used.any(axis=1)) for v in instance.edges[e]}
+    far = [u not in touched and w not in touched for u, w in instance.edges]
+    edge_of = compile_topology(instance).pairs // instance.n_capacities
+    outside = frozenset(np.flatnonzero(np.array(far)[edge_of]).tolist())
     try:
-        result = _branch_and_bound(instance, budget, closed, warm)
+        return _branch_and_bound(instance, budget, outside, warm).best
     except Infeasible:  # cannot happen: warm itself routes the target
         return warm
-    if result.best.true_cost < warm.true_cost:
-        return result.best
-    return warm

@@ -95,16 +95,11 @@ class Topology:
     head: list[int]                 # head vertex of each residual id
     capacity: list[float]           # initial residual capacity of each residual id
     adjacency: list[list[int]]      # residual ids leaving each vertex
-    arc_of: dict[int, int]          # flat pair index -> arc, offered pairs only
 
-    def arc_costs(self, cost: np.ndarray) -> list[float]:
-        """Per-arc unit costs taken from an (edge, class) cost matrix."""
-        return cost.reshape(-1)[self.pairs].tolist()
-
-    def arcs_of(self, pairs) -> frozenset[int]:
-        """Arcs of the offered pairs among flat pair indices."""
-        arc_of = self.arc_of
-        return frozenset(arc_of[p] for p in pairs if p in arc_of)
+    def arc_costs(self, values: np.ndarray) -> list[float]:
+        """Per-arc values (unit or fixed costs) taken from an (edge, class)
+        matrix."""
+        return values.reshape(-1)[self.pairs].tolist()
 
 
 class ExpandedNetwork(NamedTuple):
@@ -163,7 +158,6 @@ def compile_topology(instance: Instance) -> Topology:
             n_vertices=instance.n_vertices, source=instance.source, sink=instance.sink,
             target=instance.target, pair_shape=(instance.n_edges, n_caps), pairs=pairs,
             head=head, capacity=capacity, adjacency=adjacency,
-            arc_of=dict(zip(pairs.tolist(), range(len(pairs)))),
         )
         object.__setattr__(instance, "_topology", topology)
     return topology

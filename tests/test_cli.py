@@ -167,6 +167,18 @@ class TestUsage:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "finite" in err
 
+    def test_compare_infinite_budget_exits_one(self, fig1_file, tmp_path, capsys):
+        # the budget is also the GA's time limit; rejected before any instance
+        # is read, naming the option; exact still accepts it
+        report = tmp_path / "report.csv"
+        assert main(["compare", "--instances", str(fig1_file), "--budget", "inf",
+                     "-o", str(report)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "--budget" in err and "time_limit" not in err
+        assert not report.exists()
+        assert main(["exact", "--instance", str(fig1_file), "--budget", "inf",
+                     "--solution", str(tmp_path / "fig1.sol.csv")]) == 0
+
 
 def test_two_class_edge_solves(tmp_path, capsys):
     """The target routes only with both classes of the edge open; solve and

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from mcfcnf import exact
 from mcfcnf import (GAP_DEFAULT, Infeasible, Instance, Organism, brute_force,
                     build_expanded_network, generate_random, lp_relaxation_bound,
                     polish, score, solve_exact, solve_min_cost_flow, verify_flow)
@@ -183,6 +184,34 @@ class TestPolish:
             out = polish(inst, warm, budget=0.5)
             assert out.true_cost <= warm.true_cost + 1e-12
             assert verify_flow(inst, out.flow) == []
+
+    @pytest.mark.parametrize("kind, n, k, seed, warm_cost, cost, calls, digest", [
+        ("grid", 16, 2, 3, 677.6981502241204, 573.4276663730062, 481,
+         "862bdd0843c1ec075e9ca5235a007638e4d5073c1c28e00de070406fe0781cfc"),
+        ("geometric", 30, 3, 1, 461.33082758710015, 439.9109798257978, 2283,
+         "77f4714d1cf089e5d4c1430557a4ef1ca08050dc13f058eee0ed1bdf8ee97748"),
+    ])
+    def test_search_pinned(self, monkeypatch, kind, n, k, seed, warm_cost, cost, calls,
+                           digest):
+        # polish from the GA's seed organism (divisors = class capacities) to
+        # the end of its search; the solve count and the digest of the
+        # feasible nodes' lp_cost pin its neighborhood, nodes and branching
+        inst = generate_random(kind, n, k, seed=seed, target_fraction=0.6)
+        warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
+        assert warm.true_cost == warm_cost
+        solve, made, lp_costs = exact.solve_min_cost_flow, 0, []
+
+        def spy(*args):
+            nonlocal made
+            made += 1
+            sol = solve(*args)  # infeasible children raise and add no lp_cost
+            lp_costs.append(sol.lp_cost)
+            return sol
+
+        monkeypatch.setattr(exact, "solve_min_cost_flow", spy)
+        assert polish(inst, warm, budget=600).true_cost == cost
+        assert made == calls
+        assert hashlib.sha256(repr(lp_costs).encode()).hexdigest() == digest
 
 
 def test_exact_runtime_stays_small_on_diamond(fig1):

@@ -375,6 +375,10 @@ class TestWarmStart:
             assert (warm is None) == (cold is None)
             if warm is not None:
                 assert verify_flow(inst, warm) == []
+                # closed arcs carry exactly nothing, so branch-and-bound
+                # takes its branch arc from the carrying arcs unmasked
+                flat = warm.flow.reshape(-1)[topology.pairs]
+                assert all(flat[a] == 0.0 for a in net.closed)
                 assert warm.lp_cost == pytest.approx(
                     cold.lp_cost, abs=GAP_DEFAULT * max(1.0, abs(cold.lp_cost)))
             parent = warm
