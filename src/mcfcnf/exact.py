@@ -1,8 +1,9 @@
 """Exact solvers: branch-and-bound over arc-use indicators, an enumeration
 brute force for small instances, and warm-started neighborhood polishing.
 
-Branch-and-bound branches on the arcs of the compiled topology, one per
-offered (edge, class) pair, and relaxes each undecided arc to a linearized
+Branch-and-bound branches on the arcs of a compiled topology, one per
+offered (edge, class) pair (for polishing, only the pairs near the warm
+solution), and relaxes each undecided arc to a linearized
 fixed charge (fixed/capacity + variable per unit): a node bound is one
 min-cost-flow solve, repaired from its parent's end state. Arcs forced open
 add their fixed cost as a constant and cost only their variable cost per unit.
@@ -18,8 +19,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .evaluate import ScoredSolution, score, verify_flow
-from .flowcore import (ExpandedNetwork, FlowState, Infeasible, compile_topology,
-                       flow_tol, max_flow, slope_scaled_costs, solve_min_cost_flow)
+from .flowcore import (ExpandedNetwork, FlowState, Infeasible, Topology, compile_pairs,
+                       compile_topology, flow_tol, max_flow, slope_scaled_costs,
+                       solve_min_cost_flow)
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -33,9 +35,8 @@ BRUTE_FORCE_LIMIT = 20
 
 @dataclass(frozen=True)
 class BnBNode:
-    """A queued search node: arcs of the compiled topology that branching
-    forced open or closed, the rest free (arcs closed for the whole search
-    stay outside the nodes).
+    """A queued search node: arcs of the searched topology that branching
+    forced open or closed, the rest free.
 
     branch_arc is the free arc this node splits on, chosen from its own
     relaxation flow; a node whose relaxation is integral in the use
@@ -62,13 +63,12 @@ def _gap_abs(incumbent: float) -> float:
     return GAP_DEFAULT * max(1.0, abs(incumbent))
 
 
-def _branch_and_bound(instance: Instance, budget: float, outside: frozenset[int],
+def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
                       warm: ScoredSolution | None,
                       node_log: list | None = None) -> ExactResult:
-    """Best-first search over the arcs of the compiled topology; the arcs in
-    `outside` stay closed in every node."""
+    """Best-first search over the arcs of `topology`, the instance's compiled
+    topology or one of a subset of its pairs (the others stay unused)."""
     start = time.perf_counter()
-    topology = compile_topology(instance)
     free_cost = topology.arc_costs(slope_scaled_costs(instance))
     var_cost = topology.arc_costs(instance.variable_cost)
     fixed = topology.arc_costs(instance.fixed_cost)
@@ -95,7 +95,7 @@ def _branch_and_bound(instance: Instance, budget: float, outside: frozenset[int]
         for a in sorted(opened):
             constant += fixed[a]
             cost[a] = var_cost[a]
-        sol = solve_min_cost_flow(ExpandedNetwork(topology, cost, outside | closed),
+        sol = solve_min_cost_flow(ExpandedNetwork(topology, cost, closed),
                                   parent_state, changed)
         bound = constant + sol.lp_cost
         candidate = score(instance, sol)
@@ -156,7 +156,7 @@ def solve_exact(instance: Instance, budget: float,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    return _branch_and_bound(instance, budget, frozenset(), None, node_log)
+    return _branch_and_bound(instance, budget, compile_topology(instance), None, node_log)
 
 
 def brute_force(instance: Instance) -> ExactResult:
@@ -225,8 +225,8 @@ def brute_force(instance: Instance) -> ExactResult:
 def polish(instance: Instance, warm: ScoredSolution, budget: float) -> ScoredSolution:
     """Exact improvement restricted to the warm solution's neighborhood.
 
-    Arcs on edges sharing an endpoint with any edge the warm solution uses
-    stay free; every other arc is closed for the whole search. The warm
+    Pairs on edges sharing an endpoint with any edge the warm solution uses
+    stay free; the search runs on a topology of only those pairs. The warm
     solution seeds the incumbent, so the result is never worse than the
     input. On budget exhaustion the best found so far (at worst the warm
     input) is returned.
@@ -238,10 +238,9 @@ def polish(instance: Instance, warm: ScoredSolution, budget: float) -> ScoredSol
         return warm
 
     touched = {v for e in np.flatnonzero(warm.used.any(axis=1)) for v in instance.edges[e]}
-    far = [u not in touched and w not in touched for u, w in instance.edges]
-    edge_of = compile_topology(instance).pairs // instance.n_capacities
-    outside = frozenset(np.flatnonzero(np.array(far)[edge_of]).tolist())
+    near = np.array([u in touched or w in touched for u, w in instance.edges])
+    topology = compile_pairs(instance, np.flatnonzero(instance.available & near[:, None]))
     try:
-        return _branch_and_bound(instance, budget, outside, warm).best
+        return _branch_and_bound(instance, budget, topology, warm).best
     except Infeasible:  # cannot happen: warm itself routes the target
         return warm

@@ -83,8 +83,9 @@ class Organism:
 @dataclass(frozen=True, eq=False)
 class Topology:
     """Cost-free capacity-expanded network of one instance: one arc per
-    offered (edge, class) pair, in (edge, class) order. Residual id 2i is
-    arc i forward, 2i+1 its reversal."""
+    offered (edge, class) pair, or per pair of a subset, in (edge, class)
+    order, between the vertices those arcs touch (plus source and sink),
+    renumbered in order. Residual id 2i is arc i forward, 2i+1 its reversal."""
 
     n_vertices: int
     source: int
@@ -142,25 +143,34 @@ def compile_topology(instance: Instance) -> Topology:
     (immutable) instance for every later solve."""
     topology = getattr(instance, "_topology", None)
     if topology is None:
-        n_caps = instance.n_capacities
-        pairs = np.flatnonzero(instance.available.reshape(-1))
-        caps = instance.capacities.tolist()
-        head: list[int] = []
-        capacity: list[float] = []
-        adjacency: list[list[int]] = [[] for _ in range(instance.n_vertices)]
-        for i, p in enumerate(pairs.tolist()):
-            u, w = instance.edges[p // n_caps]
-            adjacency[u].append(2 * i)
-            adjacency[w].append(2 * i + 1)
-            head += (w, u)
-            capacity += (caps[p % n_caps], 0.0)
-        topology = Topology(
-            n_vertices=instance.n_vertices, source=instance.source, sink=instance.sink,
-            target=instance.target, pair_shape=(instance.n_edges, n_caps), pairs=pairs,
-            head=head, capacity=capacity, adjacency=adjacency,
-        )
+        topology = compile_pairs(instance, np.flatnonzero(instance.available.reshape(-1)))
         object.__setattr__(instance, "_topology", topology)
     return topology
+
+
+def compile_pairs(instance: Instance, pairs: np.ndarray) -> Topology:
+    """Topology of only the given offered pairs (ascending flat (edge, class)
+    indices), not cached. Leaving a pair's arc out solves exactly like
+    closing it, but no solve pays for the arc or for a vertex left bare."""
+    n_caps = instance.n_capacities
+    caps = instance.capacities.tolist()
+    ends = [instance.edges[p // n_caps] for p in pairs.tolist()]
+    vertices = sorted({instance.source, instance.sink}.union(*ends))
+    index = dict(zip(vertices, range(len(vertices))))
+    head: list[int] = []
+    capacity: list[float] = []
+    adjacency: list[list[int]] = [[] for _ in vertices]
+    for i, ((u, w), p) in enumerate(zip(ends, pairs.tolist())):
+        u, w = index[u], index[w]
+        adjacency[u].append(2 * i)
+        adjacency[w].append(2 * i + 1)
+        head += (w, u)
+        capacity += (caps[p % n_caps], 0.0)
+    return Topology(
+        n_vertices=len(vertices), source=index[instance.source], sink=index[instance.sink],
+        target=instance.target, pair_shape=(instance.n_edges, n_caps), pairs=pairs,
+        head=head, capacity=capacity, adjacency=adjacency,
+    )
 
 
 def build_expanded_network(instance: Instance, organism: Organism) -> ExpandedNetwork:

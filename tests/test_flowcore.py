@@ -11,7 +11,7 @@ from mcfcnf import (D_MIN, GAP_DEFAULT, UNBOUNDED, ExpandedNetwork, FlowState,
                     Infeasible, Instance, Organism, build_expanded_network,
                     compile_topology, flow_tol, lp_relaxation_bound, max_throughput,
                     solve_min_cost_flow, verify_flow)
-from mcfcnf.flowcore import max_flow, slope_scaled_costs
+from mcfcnf.flowcore import compile_pairs, max_flow, slope_scaled_costs
 from conftest import integral_flow_min_cost, make_small_instance
 
 
@@ -307,6 +307,48 @@ class TestMaxFlow:
         with pytest.raises(Infeasible) as err:
             solve_min_cost_flow(ExpandedNetwork(topology, [1.0] * len(topology.pairs), closed))
         assert max_flow(topology, closed) == err.value.max_flow
+
+
+class TestCompilePairs:
+    @settings(max_examples=80, deadline=None)
+    @given(seed=st.integers(0, 10_000))
+    def test_left_out_pairs_solve_like_closed_arcs(self, seed):
+        # a topology of some of the pairs routes bit for bit like the full
+        # one with the other arcs closed, cold and warm-started
+        rng = random.Random(seed)
+        inst = make_small_instance(rng, n_capacities=rng.randint(1, 3))
+        full = compile_topology(inst)
+        keep = np.array([rng.random() < 0.7 for _ in full.pairs], dtype=bool)
+        sub = compile_pairs(inst, full.pairs[keep])
+        cost = [rng.choice([0.0, rng.uniform(0.0, 10.0)]) for _ in full.pairs]
+        left_out = frozenset(np.flatnonzero(~keep).tolist())
+        nets = (ExpandedNetwork(full, cost, left_out),
+                ExpandedNetwork(sub, [c for c, k in zip(cost, keep) if k]))
+        zeros = [FlowState([], [], np.zeros(net.topology.n_vertices), 0.0) for net in nets]
+        try:
+            expected = solve_min_cost_flow(nets[0], zeros[0])
+        except Infeasible as err:
+            with pytest.raises(Infeasible) as sub_err:
+                solve_min_cost_flow(nets[1], zeros[1])
+            assert sub_err.value.max_flow == err.max_flow
+            return
+        got = solve_min_cost_flow(nets[1], zeros[1])
+        assert np.array_equal(got.flow, expected.flow) and got.lp_cost == expected.lp_cost
+        if not got.state.arcs:
+            return
+        arc = rng.choice(got.state.arcs)  # close one carrying arc of the subset
+        children = []
+        for net, sol, a in zip(nets, (expected, got), (int(np.flatnonzero(keep)[arc]), arc)):
+            try:
+                children.append(solve_min_cost_flow(net._replace(closed=net.closed | {a}),
+                                                    sol.state, a))
+            except Infeasible:
+                children.append(None)
+        if children[0] is None or children[1] is None:
+            assert children[0] is children[1]
+        else:
+            assert np.array_equal(children[1].flow, children[0].flow)
+            assert children[1].lp_cost == children[0].lp_cost
 
 
 class TestPushCap:
