@@ -99,7 +99,7 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
                                   parent_state, changed)
         bound = constant + sol.lp_cost
         candidate = score(instance, sol)
-        if candidate.true_cost < best_cost:
+        if incumbent is None or candidate.true_cost < best_cost:
             incumbent, best_cost = candidate, candidate.true_cost
         if bound >= best_cost - _gap_abs(best_cost):
             if bound < best_cost:

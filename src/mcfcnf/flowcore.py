@@ -14,9 +14,9 @@ opens a subset. A closed arc keeps its place in the arc order with no
 capacity, so every tie-break is the one of the instance without its pair.
 A branch-and-bound child, one arc closed or cheaper, is solved by the same
 SSP kernel repairing its parent's end state (FlowState; Ahuja, Magnanti &
-Orlin, Network Flows, 1993, ch. 9). Dinic's max flow uses the topology too.
-One rule, flow_tol, says what flow amount counts as zero, for every solver,
-validate, score and verify_flow.
+Orlin, Network Flows, 1993, ch. 9). Max flow is the same kernel at zero
+cost, which makes it Edmonds-Karp. One rule, flow_tol, says what flow
+amount counts as zero, for every solver, validate, score and verify_flow.
 """
 from __future__ import annotations
 
@@ -199,9 +199,10 @@ def _augment(topology: Topology, rcost: list[float], res: list[float], pot: list
     n, head, adj = topology.n_vertices, topology.head, topology.adjacency
     inf = math.inf
     remaining = amount
-    # No proven bound: each augmentation saturates an arc or meets the target,
-    # but adversarial networks need exponentially many. A Hypothesis property
-    # (test_push_cap_never_reached) checks fractional capacities, costs 0-1e9.
+    # No proven bound for a costed solve: each augmentation saturates an arc
+    # or meets the target, but adversarial networks need exponentially many.
+    # A Hypothesis property (test_push_cap_never_reached) checks fractional
+    # capacities, costs 0-1e9. At zero cost (max_flow) Edmonds-Karp's does.
     pushes = 0
 
     while remaining > stop:
@@ -343,66 +344,28 @@ def lp_relaxation_bound(instance: Instance) -> float:
 
 def max_flow(topology: Topology, closed: frozenset[int] = frozenset()) -> float:
     """Max flow from source to sink over the open arcs of a compiled
-    topology. Dinic's algorithm; deterministic."""
-    n = topology.n_vertices
-    s, t = topology.source, topology.sink
-    head = topology.head
-    adj = topology.adjacency
+    topology: the SSP kernel at zero cost, sending the source's open
+    capacity. Its Dijkstra then pops vertices in push order, so each
+    augmentation takes a path of fewest arcs (Edmonds-Karp): each of the 2m
+    residual arcs is the bottleneck at most n/2 times (Edmonds & Karp,
+    J. ACM 19 (1972) 248-264), so m * n + 1 searches always end it.
+    Infinite along a path of infinite arcs; without one, a cut of finite
+    arcs bounds the flow, so an infinite arc acts as one of their total."""
+    n, m = topology.n_vertices, len(topology.pairs)
     res = topology.capacity.copy()
     for i in closed:
         res[2 * i] = 0.0
 
-    total = 0.0
-    while True:
-        level = [-1] * n
-        level[s] = 0
-        queue = [s]
-        qi = 0
-        while qi < len(queue):
-            u = queue[qi]
-            qi += 1
-            for rid in adj[u]:
-                v = head[rid]
-                if res[rid] > 0.0 and level[v] < 0:
-                    level[v] = level[u] + 1
-                    queue.append(v)
-        if level[t] < 0:
-            return total
-        it = [0] * n
+    def send(residual: list[float], amount: float) -> float:
+        return amount - _augment(topology, [0.0] * (2 * m), residual, [0.0] * n, topology.source,
+                                 topology.sink, amount, 0.0, push_cap=m * n + 1)
 
-        # iterative blocking-flow DFS (path stack of residual arc ids)
-        while True:
-            path: list[int] = []
-            u = s
-            pushed = 0.0
-            while True:
-                if u == t:
-                    pushed = min(res[rid] for rid in path)
-                    for rid in path:
-                        res[rid] -= pushed
-                        res[rid ^ 1] += pushed
-                    break
-                advanced = False
-                while it[u] < len(adj[u]):
-                    rid = adj[u][it[u]]
-                    v = head[rid]
-                    if res[rid] > 0.0 and level[v] == level[u] + 1:
-                        path.append(rid)
-                        u = v
-                        advanced = True
-                        break
-                    it[u] += 1
-                if advanced:
-                    continue
-                level[u] = -1  # dead end in this phase
-                if not path:
-                    break
-                rid = path.pop()
-                u = head[rid ^ 1]
-                it[u] += 1
-            if pushed <= 0.0:
-                break
-            total += pushed
+    if math.inf in res:
+        if send([c if c == math.inf else 0.0 for c in res], 1.0):
+            return math.inf
+        total = math.fsum(c for c in res if c < math.inf)
+        res = [total if c == math.inf else c for c in res]
+    return send(res, sum(res[rid] for rid in topology.adjacency[topology.source]))
 
 
 def max_throughput(instance: Instance) -> float:

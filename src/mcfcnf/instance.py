@@ -110,15 +110,12 @@ def invariant_violations(instance: Instance) -> list[str]:
             v.append(f"capacity {k} must be positive (got {c})")
     if np.any(np.diff(caps) <= 0):
         v.append("capacities must be strictly increasing")
-    if not instance.target > 0:
-        v.append("target must be positive")
-    avail = instance.available
-    bad_fixed = avail & (instance.fixed_cost < 0)
-    for e, k in zip(*np.nonzero(bad_fixed)):
-        v.append(f"edge {e} capacity {k}: fixed cost must be nonnegative")
-    bad_var = avail & ~(instance.variable_cost >= 0)
-    for e, k in zip(*np.nonzero(bad_var)):
-        v.append(f"edge {e} capacity {k}: variable cost must be nonnegative")
+    if not 0 < instance.target < math.inf:
+        v.append("target must be positive and finite")
+    for name, cost in (("fixed", instance.fixed_cost), ("variable", instance.variable_cost)):
+        bad = instance.available & ~((cost >= 0) & (cost < math.inf))
+        for e, k in zip(*np.nonzero(bad)):
+            v.append(f"edge {e} capacity {k}: {name} cost must be finite and nonnegative")
     return v
 
 

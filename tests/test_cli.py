@@ -93,6 +93,19 @@ class TestExact:
         assert fields["proven"] == "false"
         assert float(fields["cost"]) >= float(fields["bound"])
 
+    def test_every_flow_costs_inf(self, tmp_path, capsys):
+        # finite costs whose sum overflows: no flow scores below inf, so the
+        # search keeps its first scored flow instead of failing an assertion
+        path = tmp_path / "huge.mcfcnf"
+        path.write_text("MCFCNF 1\nVERTICES 3 SOURCE 0 SINK 2\nTARGET 1\nCAPACITIES 1 5\n"
+                        "EDGES 2\n0 1 1e308 1e308\n1 2 1.0 1.0\n")
+        code = main(["exact", "--instance", str(path), "--budget", "10",
+                     "--solution", str(tmp_path / "sol.csv")])
+        out, err = capsys.readouterr()
+        assert code == 0 and "Traceback" not in err
+        fields = _summary_fields(out.strip().splitlines()[-1])
+        assert fields["cost"] == "inf" and fields["proven"] == "false"
+
 
 class TestGen:
     def test_deterministic_bytes(self, tmp_path, capsys):

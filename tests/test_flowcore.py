@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from mcfcnf import (D_MIN, GAP_DEFAULT, UNBOUNDED, ExpandedNetwork, FlowState,
                     Infeasible, Instance, Organism, build_expanded_network,
                     compile_topology, flow_tol, lp_relaxation_bound, max_throughput,
-                    solve_min_cost_flow, verify_flow)
+                    solve_exact, solve_min_cost_flow, verify_flow)
 from mcfcnf.flowcore import compile_pairs, max_flow, slope_scaled_costs
 from conftest import integral_flow_min_cost, make_small_instance
 
@@ -294,6 +294,30 @@ class TestMaxFlow:
         assert max_flow(topology) == 7.0
         assert max_flow(topology, frozenset({1})) == 2.0
         assert max_throughput(inst) == 5.0
+
+    @pytest.mark.parametrize("extra, cost", [((), 16.0), (((0, 2),), 8.0)])
+    def test_infinite_class(self, extra, cost):
+        # the widest class is unbounded on every edge: so is the max flow
+        edges = ((0, 1), (1, 2)) + extra
+        inst = Instance(
+            n_vertices=3, source=0, sink=2, edges=edges,
+            capacities=np.array([4.0, math.inf]), fixed_cost=np.ones((len(edges), 2)),
+            variable_cost=np.ones((len(edges), 2)), target=7.0,
+        )
+        assert max_flow(compile_topology(inst)) == math.inf
+        assert max_throughput(inst) == math.inf
+        assert solve_exact(inst, budget=10).best.true_cost == cost
+
+    def test_infinite_arc_into_finite_cut(self):
+        # an unbounded first hop does not make the flow unbounded
+        inst = Instance(
+            n_vertices=3, source=0, sink=2, edges=((0, 1), (1, 2)),
+            capacities=np.array([4.0, math.inf]),
+            fixed_cost=np.array([[1.0, 1.0], [1.0, math.nan]]),
+            variable_cost=np.array([[1.0, 1.0], [1.0, math.nan]]), target=3.0,
+        )
+        assert max_flow(compile_topology(inst)) == 4.0
+        assert max_flow(compile_topology(inst), frozenset({0})) == 4.0
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))

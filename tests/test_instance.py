@@ -61,8 +61,17 @@ class TestParsing:
 
     def test_zero_target_rejected(self, tmp_path):
         path = tmp_path / "bad.mcfcnf"
-        path.write_text(MINIMAL_TEXT.replace("TARGET 3.0", "TARGET 0"))
-        with pytest.raises(ValidationError, match="target must be positive"):
+        for target in ("0", "inf"):
+            path.write_text(MINIMAL_TEXT.replace("TARGET 3.0", f"TARGET {target}"))
+            with pytest.raises(ValidationError, match="target must be positive"):
+                load_instance(path)
+
+    @pytest.mark.parametrize("costs", ["inf 1.0", "1.0 inf"])
+    def test_infinite_cost_rejected(self, tmp_path, costs):
+        # the max flow is 5, but no solve routes through an infinite cost
+        path = tmp_path / "bad.mcfcnf"
+        path.write_text(MINIMAL_TEXT.replace("0 1 1.0 1.0", f"0 1 {costs}"))
+        with pytest.raises(ValidationError, match="edge 0 capacity 0: .* must be finite"):
             load_instance(path)
 
     def test_comments_and_blank_lines_ignored(self):

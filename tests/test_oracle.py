@@ -6,15 +6,21 @@ flow conservation with the target leaving the source. Its optimum is the
 true fixed-charge optimum; with y relaxed to [0, 1] it is the LP relaxation,
 which the slope-scaled bound must equal (z = f / c at the optimum).
 """
+import random
+
 import numpy as np
 import pytest
 
 pytest.importorskip("scipy")
 from scipy.optimize import Bounds, LinearConstraint, milp  # noqa: E402
 from scipy.sparse import coo_array  # noqa: E402
+from scipy.sparse.csgraph import maximum_flow  # noqa: E402
 
-from mcfcnf import (GAP_DEFAULT, GAConfig, evolve, generate_random,  # noqa: E402
-                    lp_relaxation_bound, solve_exact, verify_flow)
+from mcfcnf import (GAP_DEFAULT, GAConfig, compile_topology, evolve,  # noqa: E402
+                    generate_random, lp_relaxation_bound, max_throughput, solve_exact,
+                    verify_flow)
+from mcfcnf.flowcore import max_flow  # noqa: E402
+from conftest import make_small_instance  # noqa: E402
 
 #: (kind, vertices, classes, seed): 140, 204, 330, 468 and 570 offered pairs,
 #: each proven by branch-and-bound within a few seconds.
@@ -79,3 +85,40 @@ def test_solvers_agree_with_highs(kind, n, classes, seed):
         assert result.true_cost >= optimum - tol, name
     for bound in (proof.bound, cut.bound):
         assert bound <= optimum + tol
+
+
+def scipy_max_flow(instance, open_pairs) -> int:
+    """scipy's max flow over the given (edge, class) pairs, whose capacities
+    must be integers; converting to CSR sums the capacities of parallel arcs."""
+    tails = [instance.edges[e][0] for e, _ in open_pairs]
+    heads = [instance.edges[e][1] for e, _ in open_pairs]
+    caps = [int(instance.capacities[k]) for _, k in open_pairs]
+    graph = coo_array((np.array(caps, dtype=np.int32), (tails, heads)),
+                      shape=(instance.n_vertices, instance.n_vertices)).tocsr()
+    return maximum_flow(graph, instance.source, instance.sink).flow_value
+
+
+def test_max_flow_agrees_with_scipy_on_samples():
+    # integer capacities, one to three classes, about a third of the arcs closed
+    for seed in range(400):
+        rng = random.Random(seed)
+        inst = make_small_instance(rng, n_capacities=rng.randint(1, 3))
+        topology = compile_topology(inst)
+        closed = frozenset(i for i in range(len(topology.pairs)) if rng.random() < 0.3)
+        open_pairs = [divmod(int(p), inst.n_capacities)
+                      for i, p in enumerate(topology.pairs) if i not in closed]
+        assert max_flow(topology, closed) == scipy_max_flow(inst, open_pairs), seed
+
+
+@pytest.mark.parametrize("kind, n, classes, seed, fraction, every, widest", [
+    ("geometric", 130, 3, 7, 0.6, 17, 10),   # bench desk
+    ("geometric", 150, 3, 81, 0.5, 40, 23),  # bench large_a
+    ("grid", 81, 2, 6, 0.6, 180, 126),       # bench grid81
+])
+def test_max_flow_agrees_with_scipy_on_bench(kind, n, classes, seed, fraction, every, widest):
+    # every offered class open (validate), and each edge's widest class only
+    inst = generate_random(kind, n, classes, seed=seed, target_fraction=fraction)
+    offered = list(zip(*np.nonzero(inst.available)))
+    widest_only = [(e, k) for e, k in offered if not inst.available[e, k + 1:].any()]
+    assert max_flow(compile_topology(inst)) == scipy_max_flow(inst, offered) == every
+    assert max_throughput(inst) == scipy_max_flow(inst, widest_only) == widest
