@@ -71,8 +71,8 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
     start = time.perf_counter()
     free_cost = topology.arc_costs(slope_scaled_costs(instance))
     var_cost = topology.arc_costs(instance.variable_cost)
-    fixed = topology.arc_costs(instance.fixed_cost)
-    capacity = topology.capacity[0::2]
+    fixed = topology.arc_costs(instance.fixed_cost).tolist()
+    capacity = topology.capacity[0::2].tolist()
     tol = flow_tol(instance.target)
 
     incumbent = warm
@@ -90,11 +90,12 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
         unless pruned or integral. Returns its bound; raises Infeasible."""
         nonlocal incumbent, best_cost, pruned_floor, nodes
         nodes += 1
-        cost = list(free_cost)
+        ordered = sorted(opened)
+        cost = free_cost.copy()
+        cost[ordered] = var_cost[ordered]
         constant = 0.0
-        for a in sorted(opened):
+        for a in ordered:
             constant += fixed[a]
-            cost[a] = var_cost[a]
         sol = solve_min_cost_flow(ExpandedNetwork(topology, cost, closed),
                                   parent_state, changed)
         bound = constant + sol.lp_cost

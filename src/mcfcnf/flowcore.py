@@ -3,12 +3,14 @@
 Every offered (edge, capacity class) pair becomes one arc with capacity c_k
 and unit cost fixed/scale + variable, so the relaxation reduces to a plain
 min-cost flow of the target amount from source to sink. The solver is
-successive shortest augmenting paths with vertex potentials: exact,
-dependency-free, and deterministic (ties resolved by lowest arc index).
+successive shortest augmenting paths with vertex potentials: exact and
+deterministic (ties resolved by lowest arc index), on numpy arrays, with
+its one augmenting-path kernel in C (_ssp.c), compiled with the system's C
+compiler on first use and loaded through ctypes (load_kernel).
 
 The network is compiled once per instance (compile_topology: arcs, residual
-heads and capacities, per-vertex adjacency, kept on the instance) and solved
-many times from a per-arc cost vector and a set of closed arcs: a GA decode
+heads and capacities, CSR adjacency, kept on the instance) and solved many
+times from a per-arc cost vector and a set of closed arcs: a GA decode
 changes the costs, a branch-and-bound node also closes arcs, the brute force
 opens a subset. A closed arc keeps its place in the arc order with no
 capacity, so every tie-break is the one of the instance without its pair.
@@ -20,9 +22,17 @@ amount counts as zero, for every solver, validate, score and verify_flow.
 """
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import os
+import shlex
+import sysconfig
+import tempfile
+import zlib
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
 import numpy as np
@@ -93,14 +103,15 @@ class Topology:
     target: float
     pair_shape: tuple[int, int]
     pairs: np.ndarray               # flat (edge, class) index of each arc
-    head: list[int]                 # head vertex of each residual id
-    capacity: list[float]           # initial residual capacity of each residual id
-    adjacency: list[list[int]]      # residual ids leaving each vertex
+    head: np.ndarray                # int32 head vertex of each residual id
+    capacity: np.ndarray            # float64 initial residual capacity of each residual id
+    adj_start: np.ndarray           # int32: ids leaving u are adj[adj_start[u]:adj_start[u + 1]]
+    adj: np.ndarray                 # int32 residual ids, by tail vertex, ascending
 
-    def arc_costs(self, values: np.ndarray) -> list[float]:
+    def arc_costs(self, values: np.ndarray) -> np.ndarray:
         """Per-arc values (unit or fixed costs) taken from an (edge, class)
         matrix."""
-        return values.reshape(-1)[self.pairs].tolist()
+        return values.reshape(-1)[self.pairs]
 
 
 class ExpandedNetwork(NamedTuple):
@@ -109,7 +120,7 @@ class ExpandedNetwork(NamedTuple):
     the one on the instance without their pairs."""
 
     topology: Topology
-    cost: list[float]
+    cost: np.ndarray                # or any sequence of floats, one per arc
     closed: frozenset[int] = frozenset()
 
 
@@ -153,23 +164,23 @@ def compile_pairs(instance: Instance, pairs: np.ndarray) -> Topology:
     indices), not cached. Leaving a pair's arc out solves exactly like
     closing it, but no solve pays for the arc or for a vertex left bare."""
     n_caps = instance.n_capacities
-    caps = instance.capacities.tolist()
-    ends = [instance.edges[p // n_caps] for p in pairs.tolist()]
-    vertices = sorted({instance.source, instance.sink}.union(*ends))
-    index = dict(zip(vertices, range(len(vertices))))
-    head: list[int] = []
-    capacity: list[float] = []
-    adjacency: list[list[int]] = [[] for _ in vertices]
-    for i, ((u, w), p) in enumerate(zip(ends, pairs.tolist())):
-        u, w = index[u], index[w]
-        adjacency[u].append(2 * i)
-        adjacency[w].append(2 * i + 1)
-        head += (w, u)
-        capacity += (caps[p % n_caps], 0.0)
+    ends = np.asarray(instance.edges, dtype=np.intp).reshape(-1, 2)[pairs // n_caps]
+    kept = np.zeros(instance.n_vertices, dtype=bool)
+    kept[[instance.source, instance.sink]] = True
+    kept[ends] = True
+    index = (np.cumsum(kept) - 1).astype(np.int32)  # new number of each kept vertex
+    n = int(kept.sum())
+    head = index[ends[:, ::-1]].reshape(-1)
+    capacity = np.zeros(2 * len(pairs))
+    capacity[0::2] = instance.capacities[pairs % n_caps]
+    leaving = index[ends].reshape(-1)  # tail of each residual id
+    adj_start = np.zeros(n + 1, dtype=np.int32)
+    adj_start[1:] = np.cumsum(np.bincount(leaving, minlength=n))
     return Topology(
-        n_vertices=len(vertices), source=index[instance.source], sink=index[instance.sink],
+        n_vertices=n, source=int(index[instance.source]), sink=int(index[instance.sink]),
         target=instance.target, pair_shape=(instance.n_edges, n_caps), pairs=pairs,
-        head=head, capacity=capacity, adjacency=adjacency,
+        head=head, capacity=capacity, adj_start=adj_start,
+        adj=np.argsort(leaving, kind="stable").astype(np.int32),
     )
 
 
@@ -192,76 +203,97 @@ def slope_scaled_costs(instance: Instance) -> np.ndarray:
     return instance.fixed_cost / scale + instance.variable_cost
 
 
-def _augment(topology: Topology, rcost: list[float], res: list[float], pot: list[float],
-             frm: int, to: int, amount: float, stop: float, push_cap: int) -> float:
-    """SSP kernel: send amount from frm to to under nonnegative reduced costs
-    rcost + pot[u] - pot[v]; updates res and pot, returns the amount left."""
-    n, head, adj = topology.n_vertices, topology.head, topology.adjacency
-    inf = math.inf
-    remaining = amount
-    # No proven bound for a costed solve: each augmentation saturates an arc
-    # or meets the target, but adversarial networks need exponentially many.
-    # A Hypothesis property (test_push_cap_never_reached) checks fractional
-    # capacities, costs 0-1e9. At zero cost (max_flow) Edmonds-Karp's does.
-    pushes = 0
+#: C source of the SSP kernel, next to this module.
+_SOURCE = Path(__file__).with_name("_ssp.c")
 
-    while remaining > stop:
-        pushes += 1
-        if pushes > push_cap:
+#: Flags the kernel is compiled with: IEEE doubles evaluated in source order
+#: (no fused multiply-add contraction, no -ffast-math, no -march), so its
+#: bits are the same on every machine and equal the reference loop's.
+_CFLAGS = ("-O2", "-shared", "-fPIC", "-ffp-contract=off")
+
+
+class KernelBuildError(OSError):
+    """The C compiler could not build the SSP kernel."""
+
+
+def build_kernel(directory: Path, command: Sequence[str]) -> Path:
+    """The SSP kernel's shared library in directory, compiled by command (a C
+    compiler's argv) unless it is there already. Its name holds the CRC-32
+    of the source bytes and flags, so a library built from other bytes is
+    never loaded (a CRC, not hashlib, whose import alone takes longer than
+    loading the kernel). It is compiled from the bytes hashed, under a
+    temporary name renamed into place: builds racing in one directory all
+    succeed, and none sees a partial file."""
+    source = _SOURCE.read_bytes()
+    library = Path(directory) / f"_ssp-{zlib.crc32(source + ' '.join(_CFLAGS).encode()):08x}.so"
+    if library.is_file():
+        return library
+    library.parent.mkdir(parents=True, exist_ok=True)
+    fd, partial = tempfile.mkstemp(prefix="_ssp-", suffix=".tmp", dir=library.parent)
+    os.close(fd)
+    argv = [*command, *_CFLAGS, "-x", "c", "-", "-o", partial]
+    import subprocess  # here, not at the top: only a build pays for its import
+    try:
+        try:
+            done = subprocess.run(argv, input=source, capture_output=True, check=False)
+        except OSError as err:
+            raise KernelBuildError(f"cannot run {shlex.join(argv)}: {err}") from err
+        if done.returncode != 0:
+            raise KernelBuildError(f"{shlex.join(argv)} exited with status {done.returncode}:\n"
+                                   + done.stderr.decode(errors="replace"))
+        os.replace(partial, library)
+    finally:
+        Path(partial).unlink(missing_ok=True)
+    return library
+
+
+def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., float]:
+    """Load the SSP kernel built by build_kernel(directory, command), as
+    augment(topology, rcost, res, pot, frm, to, amount, stop, push_cap).
+
+    augment sends amount from frm to to under the nonnegative reduced costs
+    rcost + pot[u] - pot[v], one shortest path at a time (Dijkstra stopped
+    at to, ties to the first vertex pushed). It updates the float64 arrays
+    res (per residual id) and pot (per vertex) in place and returns the
+    amount left once it is at most stop or no path remains. More than
+    push_cap augmentations raise FlowIterationError: no bound is proven for
+    a costed solve (each augmentation saturates an arc or meets the target,
+    but adversarial networks need exponentially many), and the Hypothesis
+    property test_push_cap_never_reached checks the cap solve_min_cost_flow
+    sets; at zero cost Edmonds-Karp's bound holds (see max_flow).
+    """
+    function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_augment
+    ints = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
+    floats = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    function.argtypes = [ctypes.c_int32, ints, ints, ints, floats, floats, floats,
+                         ctypes.c_int32, ctypes.c_int32, ctypes.c_double, ctypes.c_double,
+                         ctypes.c_int64, ctypes.POINTER(ctypes.c_double)]
+    function.restype = ctypes.c_int
+
+    def augment(topology: Topology, rcost: np.ndarray, res: np.ndarray, pot: np.ndarray,
+                frm: int, to: int, amount: float, stop: float, push_cap: int) -> float:
+        n, head = topology.n_vertices, topology.head
+        if not (len(rcost) == len(res) == len(head) and len(pot) >= n
+                and 0 <= frm < n and 0 <= to < n):
+            raise ValueError("residual arrays or end vertices do not fit the topology")
+        left = ctypes.c_double()
+        status = function(n, head, topology.adj_start, topology.adj, rcost, res, pot,
+                          frm, to, amount, stop, push_cap, ctypes.byref(left))
+        if status == 1:
             raise FlowIterationError(f"augmentation count exceeded {push_cap}")
+        if status != 0:
+            raise MemoryError("no memory for the SSP kernel's work arrays")
+        return left.value
 
-        dist = [inf] * n
-        done = [False] * n
-        parent = [-1] * n
-        dist[frm] = 0.0
-        heap = [(0.0, 0, frm)]
-        counter = 1
-        dist_t = inf
-        while heap:
-            d, _, u = heappop(heap)
-            if done[u]:
-                continue
-            done[u] = True
-            if u == to:
-                dist_t = d
-                break
-            pu = pot[u]
-            for rid in adj[u]:
-                if res[rid] <= 0.0:
-                    continue
-                v = head[rid]
-                if done[v]:
-                    continue
-                nd = d + rcost[rid] + pu - pot[v]
-                if nd < dist[v]:
-                    dist[v] = nd
-                    parent[v] = rid
-                    heappush(heap, (nd, counter, v))
-                    counter += 1
+    return augment
 
-        if dist_t == inf:
-            return remaining
 
-        # settled vertices keep their label; the rest shift by dist_t, which
-        # preserves nonnegative reduced costs on all residual arcs
-        for v in range(n):
-            pot[v] += dist[v] if done[v] and dist[v] < dist_t else dist_t
-
-        bottleneck = remaining
-        v = to
-        while v != frm:
-            rid = parent[v]
-            if res[rid] < bottleneck:
-                bottleneck = res[rid]
-            v = head[rid ^ 1]
-        v = to
-        while v != frm:
-            rid = parent[v]
-            res[rid] -= bottleneck
-            res[rid ^ 1] += bottleneck
-            v = head[rid ^ 1]
-        remaining -= bottleneck
-    return remaining
+@functools.cache
+def _kernel() -> Callable[..., float]:
+    """The SSP kernel, built into this package's __pycache__ by the C
+    compiler Python was built with, on first use."""
+    return load_kernel(Path(__file__).with_name("__pycache__"),
+                       shlex.split(sysconfig.get_config_var("CC") or "cc"))
 
 
 def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
@@ -279,38 +311,39 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
     topology, arc_cost, closed = net
     head = topology.head
     target = topology.target
-    m = len(arc_cost)
+    cost = np.asarray(arc_cost, dtype=np.float64)
+    m = len(cost)
     if m != len(topology.pairs):
         raise ValueError(f"{m} arc costs for {len(topology.pairs)} arcs")
-    if m and min(arc_cost) < 0:
-        i = arc_cost.index(min(arc_cost))
-        raise ValueError(f"arc {i} has negative unit cost {arc_cost[i]}")
+    bad = np.flatnonzero(~(cost >= 0.0))  # negative or NaN
+    if bad.size:
+        raise ValueError(f"arc {bad[0]} has unit cost {cost[bad[0]]}, not >= 0")
 
-    rcost = [0.0] * (2 * m)
-    rcost[0::2] = arc_cost
-    rcost[1::2] = [-c for c in arc_cost]
+    rcost = np.empty(2 * m)
+    rcost[0::2] = cost
+    rcost[1::2] = -cost
     res = topology.capacity.copy()
-    pot, shortfall = [0.0] * topology.n_vertices, 0.0
+    pot, shortfall = np.zeros(topology.n_vertices), 0.0
     frm, to, amount = topology.source, topology.sink, target
     if start is not None:
-        for i, fwd, rev in zip(start.arcs, start.residual[0::2], start.residual[1::2]):
-            res[2 * i], res[2 * i + 1] = fwd, rev
-        pot, shortfall = start.potential.tolist(), start.shortfall
+        res.reshape(-1, 2)[np.asarray(start.arcs, dtype=np.intp)] = \
+            np.asarray(start.residual, dtype=np.float64).reshape(-1, 2)
+        pot, shortfall = np.array(start.potential, dtype=np.float64), start.shortfall
     if changed is not None:
         fwd, rev = 2 * changed, 2 * changed + 1
         if changed in closed:  # its flow goes around it
-            frm, to, amount = head[rev], head[fwd], res[rev]
+            frm, to, amount = int(head[rev]), int(head[fwd]), float(res[rev])
             res[rev] = 0.0
         else:  # saturated if that pays; the surplus goes back
             pays = rcost[fwd] + pot[head[rev]] - pot[head[fwd]] < 0.0
-            frm, to, amount = head[fwd], head[rev], res[fwd] if pays else 0.0
+            frm, to, amount = int(head[fwd]), int(head[rev]), float(res[fwd]) if pays else 0.0
             res[fwd], res[rev] = res[fwd] - amount, res[rev] + amount
-    for i in closed:
-        res[2 * i] = 0.0
+    if closed:
+        res[2 * np.fromiter(closed, np.intp, len(closed))] = 0.0
 
     stop = flow_tol(target) - shortfall
-    left = _augment(topology, rcost, res, pot, frm, to, amount, stop,
-                    push_cap=4 * (m - len(closed)) + 16)
+    left = _kernel()(topology, rcost, res, pot, frm, to, amount, stop,
+                     push_cap=4 * (m - len(closed)) + 16)
     if left > stop:
         achieved = target - shortfall - left
         raise Infeasible(
@@ -319,15 +352,14 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
     amounts = res[1::2]
     flow = np.zeros(topology.pair_shape)
     flow.reshape(-1)[topology.pairs] = amounts
+    arcs = np.flatnonzero(amounts)
     lp_cost = 0.0
-    for amount, cost in zip(amounts, arc_cost):
-        if amount != 0.0:
-            lp_cost += amount * cost
+    for amount, unit in zip(amounts[arcs].tolist(), cost[arcs].tolist()):
+        lp_cost += amount * unit
     state = None
     if start is not None:
-        arcs = np.flatnonzero(flow.reshape(-1)[topology.pairs]).tolist()
-        state = FlowState(arcs, [r for i in arcs for r in (res[2 * i], res[2 * i + 1])],
-                          np.array(pot), shortfall + left)
+        state = FlowState(arcs.tolist(), res.reshape(-1, 2)[arcs].reshape(-1).tolist(),
+                          pot, shortfall + left)
     return FlowSolution(flow=flow, lp_cost=lp_cost, state=state)
 
 
@@ -345,27 +377,31 @@ def lp_relaxation_bound(instance: Instance) -> float:
 def max_flow(topology: Topology, closed: frozenset[int] = frozenset()) -> float:
     """Max flow from source to sink over the open arcs of a compiled
     topology: the SSP kernel at zero cost, sending the source's open
-    capacity. Its Dijkstra then pops vertices in push order, so each
-    augmentation takes a path of fewest arcs (Edmonds-Karp): each of the 2m
-    residual arcs is the bottleneck at most n/2 times (Edmonds & Karp,
-    J. ACM 19 (1972) 248-264), so m * n + 1 searches always end it.
+    capacity. Every distance is then 0, so the kernel's heap pops vertices in
+    push order, its tie-break, and each augmentation takes a path of fewest
+    arcs (Edmonds-Karp): each of the 2m residual arcs is the bottleneck at
+    most n/2 times (Edmonds & Karp, J. ACM 19 (1972) 248-264), so the push
+    cap of m * n + 1 searches is never reached.
     Infinite along a path of infinite arcs; without one, a cut of finite
     arcs bounds the flow, so an infinite arc acts as one of their total."""
     n, m = topology.n_vertices, len(topology.pairs)
     res = topology.capacity.copy()
-    for i in closed:
-        res[2 * i] = 0.0
+    if closed:
+        res[2 * np.fromiter(closed, np.intp, len(closed))] = 0.0
 
-    def send(residual: list[float], amount: float) -> float:
-        return amount - _augment(topology, [0.0] * (2 * m), residual, [0.0] * n, topology.source,
-                                 topology.sink, amount, 0.0, push_cap=m * n + 1)
+    def send(residual: np.ndarray, amount: float) -> float:
+        return amount - _kernel()(topology, np.zeros(2 * m), residual, np.zeros(n),
+                                  topology.source, topology.sink, amount, 0.0,
+                                  push_cap=m * n + 1)
 
-    if math.inf in res:
-        if send([c if c == math.inf else 0.0 for c in res], 1.0):
+    unbounded = res == math.inf
+    if unbounded.any():
+        if send(np.where(unbounded, res, 0.0), 1.0):
             return math.inf
-        total = math.fsum(c for c in res if c < math.inf)
-        res = [total if c == math.inf else c for c in res]
-    return send(res, sum(res[rid] for rid in topology.adjacency[topology.source]))
+        res[unbounded] = math.fsum(res[~unbounded].tolist())
+    source = topology.source
+    leaving = topology.adj[topology.adj_start[source]:topology.adj_start[source + 1]]
+    return send(res, sum(res[leaving].tolist()))
 
 
 def max_throughput(instance: Instance) -> float:

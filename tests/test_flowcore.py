@@ -42,7 +42,7 @@ class TestBuildNetwork:
     def test_diamond_scaled_costs(self, fig1):
         org = Organism(scale=np.array([[2.0], [1.0], [2.0], [1.0]]))
         net = build_expanded_network(fig1, org)
-        assert net.cost == [3.5, 3.0, 3.5, 3.0]
+        assert net.cost.tolist() == [3.5, 3.0, 3.5, 3.0]
 
     def test_unavailable_pairs_excluded(self):
         inst = Instance(
@@ -114,6 +114,19 @@ class TestSolve:
         with pytest.raises(Infeasible) as err:
             solve_min_cost_flow(build_expanded_network(bad, _ones_organism(bad)))
         assert err.value.max_flow == pytest.approx(5.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, -1.0, -math.inf])
+    def test_cost_not_nonnegative_rejected(self, bad):
+        # NaN fails every comparison, so only "cost >= 0" rejects it; a
+        # NaN arc is never relaxed, and the solve would route around it
+        inst = Instance(
+            n_vertices=3, source=0, sink=2, edges=((0, 1), (1, 2), (0, 2)),
+            capacities=np.array([5.0]), fixed_cost=np.ones((3, 1)),
+            variable_cost=np.ones((3, 1)), target=1.0,
+        )
+        net = ExpandedNetwork(compile_topology(inst), [1.0, 1.0, bad])
+        with pytest.raises(ValueError, match="arc 2 has unit cost .*, not >= 0"):
+            solve_min_cost_flow(net)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000))
@@ -435,7 +448,9 @@ class TestWarmStart:
             if close:
                 net = net._replace(closed=net.closed | {arc})
             else:
-                net = net._replace(cost=net.cost[:arc] + [variable[arc]] + net.cost[arc + 1:])
+                cost = net.cost.copy()
+                cost[arc] = variable[arc]
+                net = net._replace(cost=cost)
             warm = _solve_or_none(net, parent.state, arc)
             cold = _solve_or_none(net)
             assert (warm is None) == (cold is None)
@@ -456,7 +471,9 @@ class TestWarmStart:
         topology = compile_topology(fig1)
         net = ExpandedNetwork(topology, topology.arc_costs(slope_scaled_costs(fig1)))
         root = solve_min_cost_flow(net, FlowState([], [], np.zeros(4), 0.0))
-        net = net._replace(cost=[fig1.variable_cost[0, 0]] + net.cost[1:])
+        cost = net.cost.copy()
+        cost[0] = fig1.variable_cost[0, 0]
+        net = net._replace(cost=cost)
         warm = solve_min_cost_flow(net, root.state, 0)
         cold = solve_min_cost_flow(net)
         assert warm.lp_cost == cold.lp_cost == 12.0

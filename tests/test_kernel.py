@@ -1,0 +1,265 @@
+"""The C SSP kernel against its pure-Python reference, and its loader.
+
+reference_augment is the loop the C kernel (src/mcfcnf/_ssp.c) replaces,
+kept here unchanged in what it computes. Every kernel call a solve makes is
+run through both, and the residuals, potentials, amount left and
+FlowIterationError must agree bit for bit.
+"""
+import contextlib
+import dataclasses
+import math
+import os
+import random
+import shlex
+import subprocess
+import sys
+import sysconfig
+from heapq import heappop, heappush
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from mcfcnf import (ExpandedNetwork, FlowIterationError, FlowState, Infeasible,
+                    compile_topology, generate_random, solve_exact, solve_min_cost_flow)
+from mcfcnf import flowcore
+from mcfcnf.flowcore import KernelBuildError, build_kernel, load_kernel, max_flow
+from conftest import make_small_instance
+
+SRC = Path(flowcore.__file__).resolve().parents[1]
+CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
+
+
+def reference_augment(n: int, head: list[int], adjacency: list[list[int]],
+                      rcost: list[float], res: list[float], pot: list[float],
+                      frm: int, to: int, amount: float, stop: float, push_cap: int) -> float:
+    """SSP kernel: send amount from frm to to under nonnegative reduced costs
+    rcost + pot[u] - pot[v]; updates res and pot, returns the amount left."""
+    inf = math.inf
+    remaining = amount
+    pushes = 0
+
+    while remaining > stop:
+        pushes += 1
+        if pushes > push_cap:
+            raise FlowIterationError(f"augmentation count exceeded {push_cap}")
+
+        dist = [inf] * n
+        done = [False] * n
+        parent = [-1] * n
+        dist[frm] = 0.0
+        heap = [(0.0, 0, frm)]
+        counter = 1
+        dist_t = inf
+        while heap:
+            d, _, u = heappop(heap)
+            if done[u]:
+                continue
+            done[u] = True
+            if u == to:
+                dist_t = d
+                break
+            pu = pot[u]
+            for rid in adjacency[u]:
+                if res[rid] <= 0.0:
+                    continue
+                v = head[rid]
+                if done[v]:
+                    continue
+                nd = d + rcost[rid] + pu - pot[v]
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = rid
+                    heappush(heap, (nd, counter, v))
+                    counter += 1
+
+        if dist_t == inf:
+            return remaining
+
+        for v in range(n):
+            pot[v] += dist[v] if done[v] and dist[v] < dist_t else dist_t
+
+        bottleneck = remaining
+        v = to
+        while v != frm:
+            rid = parent[v]
+            if res[rid] < bottleneck:
+                bottleneck = res[rid]
+            v = head[rid ^ 1]
+        v = to
+        while v != frm:
+            rid = parent[v]
+            res[rid] -= bottleneck
+            res[rid ^ 1] += bottleneck
+            v = head[rid ^ 1]
+        remaining -= bottleneck
+    return remaining
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+@contextlib.contextmanager
+def checked_kernel(cap: int | None = None):
+    """Run every kernel call of the solvers through the C kernel and the
+    reference, asserting equal bits; with cap, both get that push cap.
+    Yields the list of calls checked."""
+    kernel = flowcore._kernel()
+    calls = []
+
+    def augment(topology, rcost, res, pot, frm, to, amount, stop, push_cap):
+        push_cap = push_cap if cap is None else cap
+        adj, start = topology.adj.tolist(), topology.adj_start.tolist()
+        adjacency = [adj[a:b] for a, b in zip(start, start[1:])]
+        ref_res, ref_pot = res.tolist(), pot.tolist()
+        expected = got = None
+        try:
+            expected = reference_augment(topology.n_vertices, topology.head.tolist(), adjacency,
+                                         rcost.tolist(), ref_res, ref_pot, frm, to, amount,
+                                         stop, push_cap)
+        except FlowIterationError as err:
+            expected = err
+        try:
+            got = kernel(topology, rcost, res, pot, frm, to, amount, stop, push_cap)
+        except FlowIterationError as err:
+            got = err
+        calls.append(push_cap)
+        assert _bits(res) == _bits(ref_res)
+        assert _bits(pot[:topology.n_vertices]) == _bits(ref_pot[:topology.n_vertices])
+        if isinstance(expected, FlowIterationError):
+            assert isinstance(got, FlowIterationError) and str(got) == str(expected)
+            raise got
+        assert _bits(got) == _bits(expected)
+        return got
+
+    saved = flowcore._kernel
+    flowcore._kernel = lambda: augment
+    try:
+        yield calls
+    finally:
+        flowcore._kernel = saved
+
+
+def _solve(net, *start):
+    try:
+        return solve_min_cost_flow(net, *start)
+    except (Infeasible, FlowIterationError):
+        return None
+
+
+class TestAgainstReference:
+    @settings(max_examples=150, deadline=None)
+    @given(seed=st.integers(0, 10_000), full=st.booleans(), infinite=st.booleans(),
+           closed_share=st.sampled_from([0.0, 0.3]), cap=st.sampled_from([None, None, 0, 1, 2]),
+           steps=st.lists(st.tuples(st.booleans(), st.integers(0, 1000)), max_size=5))
+    def test_bit_identical(self, seed, full, infinite, closed_share, cap, steps):
+        """Cold solves at or below the max flow, warm children (an arc closed
+        or made cheaper), max flow at zero cost, infinite capacities, closed
+        arcs and a push cap that runs out: every kernel call matches the
+        reference."""
+        rng = random.Random(seed)
+        inst = make_small_instance(rng, max_vertices=12, max_edges=30,
+                                   n_capacities=rng.randint(1, 3), cap_choices=(1, 2, 3, 4, 5))
+        if infinite:
+            inst = dataclasses.replace(
+                inst, capacities=np.append(inst.capacities[:-1], math.inf))
+        mf = max_flow(compile_topology(inst))
+        if full and mf < math.inf:
+            inst = dataclasses.replace(inst, target=mf)
+        topology = compile_topology(inst)
+        m = len(topology.pairs)
+        closed = frozenset(i for i in range(m) if rng.random() < closed_share)
+        cost = np.array([rng.choice([0.0, 0.5, rng.uniform(0.0, 10.0)]) for _ in range(m)])
+        with checked_kernel(cap) as calls:
+            with contextlib.suppress(FlowIterationError):
+                max_flow(topology, closed)
+            net = ExpandedNetwork(topology, cost, closed)
+            _solve(net)
+            parent = _solve(net, FlowState([], [], np.zeros(topology.n_vertices), 0.0))
+            free = sorted(set(range(m)) - closed)
+            for close, pick in steps:
+                if parent is None or not free:
+                    break
+                arc = free.pop(pick % len(free))
+                # as in branch-and-bound, only an arc of finite capacity
+                # gets cheaper (an infinite one would be saturated)
+                if close or math.isinf(topology.capacity[2 * arc]):
+                    net = net._replace(closed=net.closed | {arc})
+                else:
+                    cheaper = net.cost.copy()
+                    cheaper[arc] *= rng.choice([0.0, 0.5])
+                    net = net._replace(cost=cheaper)
+                parent = _solve(net, parent.state, arc)
+        assert calls
+
+    def test_branch_and_bound_proof(self):
+        inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+        with checked_kernel() as calls:
+            result = solve_exact(inst, budget=60)
+        assert result.proven_optimal
+        assert len(calls) == result.nodes_explored
+
+
+class TestLoader:
+    def test_builds_into_empty_directory_and_solves(self, tmp_path):
+        directory = tmp_path / "empty"
+        augment = load_kernel(directory, CC)
+        assert [p.suffix for p in directory.iterdir()] == [".so"]
+        inst = generate_random("grid", 9, 2, seed=3, target_fraction=0.6)
+        topology = compile_topology(inst)
+        net = ExpandedNetwork(topology, topology.arc_costs(inst.variable_cost))
+        expected = solve_min_cost_flow(net)
+        saved = flowcore._kernel
+        flowcore._kernel = lambda: augment
+        try:
+            got = solve_min_cost_flow(net)
+        finally:
+            flowcore._kernel = saved
+        assert got.flow.tobytes() == expected.flow.tobytes()
+        assert got.lp_cost == expected.lp_cost
+
+    def test_concurrent_builds_both_succeed(self, tmp_path):
+        script = (
+            "import sys; from pathlib import Path\n"
+            "from mcfcnf.flowcore import load_kernel\n"
+            "load_kernel(Path(sys.argv[1]), sys.argv[2:])\n"
+            "print('loaded')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        procs = [subprocess.Popen([sys.executable, "-c", script, str(tmp_path), *CC],
+                                  stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+                                  env=env)
+                 for _ in range(2)]
+        outputs = [proc.communicate(timeout=120) for proc in procs]
+        for proc, (out, err) in zip(procs, outputs):
+            assert proc.returncode == 0, err
+            assert out.strip() == "loaded"
+        assert [p.suffix for p in tmp_path.iterdir()] == [".so"]
+
+    def test_failing_compile_names_command_and_stderr(self, tmp_path):
+        command = [sys.executable, "-c",
+                   "import sys; sys.stderr.write('no compiler here'); sys.exit(3)"]
+        with pytest.raises(KernelBuildError) as err:
+            build_kernel(tmp_path, command)
+        assert shlex.join(command) in str(err.value)
+        assert "no compiler here" in str(err.value)
+        assert "status 3" in str(err.value)
+        with pytest.raises(KernelBuildError, match="cannot run"):
+            build_kernel(tmp_path, [str(tmp_path / "missing-cc")])
+        assert list(tmp_path.iterdir()) == []  # no partial file left behind
+
+    def test_library_of_other_source_never_loaded(self, tmp_path, monkeypatch):
+        edited = tmp_path / "_ssp.c"
+        edited.write_bytes(flowcore._SOURCE.read_bytes() + b"\n/* edited */\n")
+        with monkeypatch.context() as patch:
+            patch.setattr(flowcore, "_SOURCE", edited)
+            other = build_kernel(tmp_path / "build", CC)
+        # the library of the other bytes is there, yet this source builds anew
+        with pytest.raises(KernelBuildError):
+            build_kernel(tmp_path / "build", ["false"])
+        library = build_kernel(tmp_path / "build", CC)
+        assert library != other and library.is_file() and other.is_file()
+        assert build_kernel(tmp_path / "build", ["false"]) == library  # now it is reused
