@@ -1,23 +1,19 @@
-/* Successive-shortest-paths kernel of mcfcnf.flowcore, loaded through ctypes.
+/* Min-cost-flow solve of mcfcnf.flowcore (see load_kernel), one ctypes call.
  *
- * ssp_augment sends `amount` from `frm` to `to` over the residual network
- * (residual id 2i is arc i forward, 2i+1 its reversal; head[r] is where r
- * ends, adj[adj_start[u] .. adj_start[u + 1]) the ids leaving u, in
- * increasing order) under the reduced costs rcost[r] + pot[u] - pot[v]. Each
- * round runs a Dijkstra from frm that stops when it settles `to`, shifts the
- * potentials and pushes the bottleneck along the path found. It updates res
- * and pot in place, writes the amount left to *left and returns 0; 1 when
- * more than push_cap rounds were needed, 2 when out of memory.
- *
- * The result must equal, bit for bit, the reference loop the tests keep:
- * the heap is keyed by (distance, push counter), a total order, so the pop
- * order does not depend on the heap; every float expression is evaluated in
- * the reference's left-to-right order (build with -ffp-contract=off, no
+ * Residual id 2i is arc i forward, 2i+1 its reversal; head[r] is where r
+ * ends, adj[adj_start[u] .. adj_start[u + 1]) the ids leaving u, ascending.
+ * ssp_augment is successive shortest paths with potentials: each round a
+ * Dijkstra from frm stops when it settles `to`, the potentials shift and the
+ * path's bottleneck is pushed. Its results must equal, bit for bit, the
+ * reference loop the tests keep: the heap is keyed by (distance, push
+ * counter), a total order, and every float expression is evaluated in the
+ * reference's left-to-right order (built with -ffp-contract=off, no
  * -ffast-math).
  */
 #include <math.h>
 #include <stdint.h>
 #include <stdlib.h>
+#include <string.h>
 
 typedef struct {
     double d;
@@ -60,9 +56,10 @@ static entry pop(entry *heap, int64_t *size) {
     return top;
 }
 
-int ssp_augment(int32_t n, const int32_t *head, const int32_t *adj_start, const int32_t *adj,
-                const double *rcost, double *res, double *pot, int32_t frm, int32_t to,
-                double amount, double stop, int64_t push_cap, double *left) {
+static int ssp_augment(int32_t n, const int32_t *head, const int32_t *adj_start,
+                       const int32_t *adj, const double *cost, double *res, double *pot,
+                       int32_t frm, int32_t to, double amount, double stop, int64_t push_cap,
+                       double *left) {
     /* a round pushes the start, then at most once per residual id scanned */
     int64_t heap_cap = (int64_t)adj_start[n] + 1;
     double *dist = malloc(sizeof(double) * (size_t)n);
@@ -113,7 +110,7 @@ int ssp_augment(int32_t n, const int32_t *head, const int32_t *adj_start, const 
                 w = head[rid];
                 if (done[w])
                     continue;
-                nd = top.d + rcost[rid] + pu - pot[w];
+                nd = top.d + (rid & 1 ? -cost[rid >> 1] : cost[rid >> 1]) + pu - pot[w];
                 if (nd < dist[w]) {
                     dist[w] = nd;
                     parent[w] = rid;
@@ -146,4 +143,47 @@ out:
     free(done);
     free(heap);
     return status;
+}
+
+/* The whole solve: residuals set to capacity, the start's arcs restored, arc
+ * `changed` repaired, closed arcs zeroed, then ssp_augment. Writes the
+ * carrying arcs to arcs and the amount left and their cost (summed in arc
+ * order) to out; returns their number, or -1 (more than push_cap rounds),
+ * -2 (out of memory) or -3 (an arc of infinite capacity to saturate). The
+ * caller checks every index. */
+int64_t ssp_solve(int32_t n, int64_t m, const int32_t *head, const int32_t *adj_start,
+                  const int32_t *adj, const double *capacity, const double *cost,
+                  const int64_t *closed, int64_t n_closed, const int64_t *start_arcs,
+                  const double *start_res, int64_t n_start, int64_t changed,
+                  int32_t changed_closed, int32_t frm, int32_t to, double amount, double stop,
+                  int64_t push_cap, double *res, double *pot, int64_t *arcs, double *out) {
+    int64_t i, k = 0;
+    int status;
+
+    memcpy(res, capacity, sizeof(double) * (size_t)(2 * m));
+    for (i = 0; i < 2 * n_start; i++)
+        res[2 * start_arcs[i / 2] + i % 2] = start_res[i];
+    if (changed >= 0) { /* closed: its flow goes around it (and it is zeroed
+                           below); cheaper: saturated if that pays, surplus back */
+        int64_t r = changed_closed ? 2 * changed + 1 : 2 * changed;
+        frm = head[r];
+        to = head[r ^ 1];
+        amount = changed_closed || cost[changed] + pot[to] - pot[frm] < 0.0 ? res[r] : 0.0;
+        if (amount == INFINITY)
+            return -3;
+        res[r] = res[r] - amount;
+        res[r ^ 1] = res[r ^ 1] + amount;
+    }
+    for (i = 0; i < n_closed; i++)
+        res[2 * closed[i]] = 0.0;
+    status = ssp_augment(n, head, adj_start, adj, cost, res, pot, frm, to, amount, stop,
+                         push_cap, &out[0]);
+    if (status != 0)
+        return -status;
+    for (out[1] = 0.0, i = 0; i < m; i++)
+        if (res[2 * i + 1] != 0.0) {
+            out[1] += res[2 * i + 1] * cost[i];
+            arcs[k++] = i;
+        }
+    return k;
 }

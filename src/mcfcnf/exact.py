@@ -111,7 +111,7 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
         # fixed charge already. No such arc: integral, nothing below remains
         state = sol.state
         branch, most = None, tol
-        for a, amount in zip(state.arcs, state.residual[1::2]):
+        for a, amount in zip(state.arcs.tolist(), state.residual[1::2].tolist()):
             if most < amount < capacity[a] - tol and a not in opened:
                 branch, most = a, amount
         if branch is not None:  # ties: deeper first, then first visited

@@ -2,11 +2,11 @@
 
 Every offered (edge, capacity class) pair becomes one arc with capacity c_k
 and unit cost fixed/scale + variable, so the relaxation reduces to a plain
-min-cost flow of the target amount from source to sink. The solver is
-successive shortest augmenting paths with vertex potentials: exact and
-deterministic (ties resolved by lowest arc index), on numpy arrays, with
-its one augmenting-path kernel in C (_ssp.c), compiled with the system's C
-compiler on first use and loaded through ctypes (load_kernel).
+min-cost flow of the target amount from source to sink, solved by successive
+shortest augmenting paths with vertex potentials: exact and deterministic
+(ties resolved by lowest arc index). A solve is one call of a C kernel
+(_ssp.c: residual setup, warm-start repair, augmentation and cost), built by
+the system's C compiler on first use and loaded through ctypes (load_kernel).
 
 The network is compiled once per instance (compile_topology: arcs, residual
 heads and capacities, CSR adjacency, kept on the instance) and solved many
@@ -14,11 +14,11 @@ times from a per-arc cost vector and a set of closed arcs: a GA decode
 changes the costs, a branch-and-bound node also closes arcs, the brute force
 opens a subset. A closed arc keeps its place in the arc order with no
 capacity, so every tie-break is the one of the instance without its pair.
-A branch-and-bound child, one arc closed or cheaper, is solved by the same
-SSP kernel repairing its parent's end state (FlowState; Ahuja, Magnanti &
-Orlin, Network Flows, 1993, ch. 9). Max flow is the same kernel at zero
-cost, which makes it Edmonds-Karp. One rule, flow_tol, says what flow
-amount counts as zero, for every solver, validate, score and verify_flow.
+A branch-and-bound child, one arc closed or cheaper, is solved by repairing
+its parent's end state (FlowState; Ahuja, Magnanti & Orlin, Network Flows,
+1993, ch. 9). Max flow is the same kernel at zero cost, which makes it
+Edmonds-Karp. One rule, flow_tol, says what flow amount counts as zero, for
+every solver, validate, score and verify_flow.
 """
 from __future__ import annotations
 
@@ -31,7 +31,7 @@ import sysconfig
 import tempfile
 import zlib
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -108,6 +108,16 @@ class Topology:
     adj_start: np.ndarray           # int32: ids leaving u are adj[adj_start[u]:adj_start[u + 1]]
     adj: np.ndarray                 # int32 residual ids, by tail vertex, ascending
 
+    def __post_init__(self):  # checks the kernel's arrays and binds them once
+        n, m = self.n_vertices, len(self.pairs)
+        object.__setattr__(self, "_kernel_args", (
+            n, m, _address(self.head, np.int32, 2 * m, "head"),
+            _address(self.adj_start, np.int32, n + 1, "adj_start"),
+            _address(self.adj, np.int32, 2 * m, "adj")))
+
+    def __reduce__(self):  # a copy's arrays live elsewhere: bind them anew
+        return Topology, tuple(getattr(self, f.name) for f in fields(self))
+
     def arc_costs(self, values: np.ndarray) -> np.ndarray:
         """Per-arc values (unit or fixed costs) taken from an (edge, class)
         matrix."""
@@ -126,11 +136,11 @@ class ExpandedNetwork(NamedTuple):
 
 class FlowState(NamedTuple):
     """Where an optimal solve ended, compactly: the carrying arcs, their
-    forward and reverse residuals in turn, vertex potentials that keep every
-    reduced cost nonnegative, and the target shortfall."""
+    forward and reverse residuals in turn (arrays, or lists), vertex
+    potentials that keep every reduced cost nonnegative, and the shortfall."""
 
-    arcs: list[int]
-    residual: list[float]
+    arcs: np.ndarray
+    residual: np.ndarray
     potential: np.ndarray
     shortfall: float
 
@@ -247,51 +257,73 @@ def build_kernel(directory: Path, command: Sequence[str]) -> Path:
     return library
 
 
-def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., float]:
-    """Load the SSP kernel built by build_kernel(directory, command), as
-    augment(topology, rcost, res, pot, frm, to, amount, stop, push_cap).
+def _address(array: np.ndarray, dtype: type, length: int, what: str) -> int:
+    """Address of array's data, once it is a C-contiguous 1-D dtype array."""
+    if not (type(array) is np.ndarray and array.dtype == dtype and array.ndim == 1
+            and array.flags.c_contiguous):
+        raise TypeError(f"{what} must be a C-contiguous 1-D {np.dtype(dtype)} ndarray")
+    if len(array) != length:
+        raise ValueError(f"{what} has {len(array)} entries, not {length}")
+    if length and array.flags.writeable:  # faster than array.ctypes
+        return ctypes.addressof(ctypes.c_char.from_buffer(array))
+    return array.ctypes.data
 
-    augment sends amount from frm to to under the nonnegative reduced costs
-    rcost + pot[u] - pot[v], one shortest path at a time (Dijkstra stopped
-    at to, ties to the first vertex pushed). It updates the float64 arrays
-    res (per residual id) and pot (per vertex) in place and returns the
-    amount left once it is at most stop or no path remains. More than
-    push_cap augmentations raise FlowIterationError: no bound is proven for
-    a costed solve (each augmentation saturates an arc or meets the target,
-    but adversarial networks need exponentially many), and the Hypothesis
-    property test_push_cap_never_reached checks the cap solve_min_cost_flow
-    sets; at zero cost Edmonds-Karp's bound holds (see max_flow).
+
+def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]:
+    """Load the kernel built by build_kernel(directory, command) as solve(
+    topology, capacity, cost, closed, start, changed, amount, stop, push_cap)
+    -> (left, lp_cost, res, pot, arcs): one C call for the whole solve of
+    solve_min_cost_flow, or of max_flow on its own capacities at zero cost,
+    sending amount one shortest path at a time (Dijkstra stopped at the sink,
+    ties to the first vertex pushed) until at most stop is left. More than
+    push_cap paths raise FlowIterationError: no bound is proven for a costed
+    solve (test_push_cap_never_reached checks solve_min_cost_flow's cap); at
+    zero cost Edmonds-Karp's holds (max_flow). Before C runs, it checks every
+    arc index and each array's dtype, contiguity and length (a topology's once).
     """
-    function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_augment
-    ints = np.ctypeslib.ndpointer(np.int32, ndim=1, flags="C_CONTIGUOUS")
-    floats = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    function.argtypes = [ctypes.c_int32, ints, ints, ints, floats, floats, floats,
-                         ctypes.c_int32, ctypes.c_int32, ctypes.c_double, ctypes.c_double,
-                         ctypes.c_int64, ctypes.POINTER(ctypes.c_double)]
-    function.restype = ctypes.c_int
+    function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_solve
+    int32, int64, pointer = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
+    function.argtypes = [int32, int64, *[pointer] * 6, int64, *[pointer] * 2, int64, int64,
+                         *[int32] * 3, ctypes.c_double, ctypes.c_double, int64, *[pointer] * 4]
+    function.restype = int64
 
-    def augment(topology: Topology, rcost: np.ndarray, res: np.ndarray, pot: np.ndarray,
-                frm: int, to: int, amount: float, stop: float, push_cap: int) -> float:
-        n, head = topology.n_vertices, topology.head
-        if not (len(rcost) == len(res) == len(head) and len(pot) >= n
-                and 0 <= frm < n and 0 <= to < n):
-            raise ValueError("residual arrays or end vertices do not fit the topology")
-        left = ctypes.c_double()
-        status = function(n, head, topology.adj_start, topology.adj, rcost, res, pot,
-                          frm, to, amount, stop, push_cap, ctypes.byref(left))
-        if status == 1:
-            raise FlowIterationError(f"augmentation count exceeded {push_cap}")
-        if status != 0:
-            raise MemoryError("no memory for the SSP kernel's work arrays")
-        return left.value
+    def solve(topology: Topology, capacity: np.ndarray, cost: np.ndarray,
+              closed: frozenset[int], start: FlowState | None, changed: int | None,
+              amount: float, stop: float, push_cap: int) -> tuple:
+        n, m, head, adj_start, adj = topology._kernel_args
+        capacities = _address(capacity, np.float64, 2 * m, "capacity")
+        costs = _address(cost, np.float64, m, "cost")
+        if (closed and not 0 <= min(closed) <= max(closed) < m
+                or changed is not None and not 0 <= changed < m):
+            raise ValueError(f"closed {sorted(closed)} or changed {changed} not in 0..{m - 1}")
+        pot, k, arcs, residual = np.zeros(n), 0, None, None
+        if start is not None:  # arcs and residuals may come as lists
+            start_arcs, start_res = (np.asarray(start.arcs, dtype=np.int64),
+                                     np.asarray(start.residual, dtype=np.float64))
+            pot, k = np.array(start.potential, dtype=np.float64), len(start_arcs)
+            arcs = _address(start_arcs, np.int64, k, "start.arcs")
+            residual = _address(start_res, np.float64, 2 * k, "start.residual")
+            if len(pot) < n or k and start_arcs.view(np.uint64).max() >= m:  # -1 wraps
+                raise ValueError(f"start does not fit {n} vertices and {m} arcs")
+        shut = np.fromiter(closed, np.int64, len(closed))
+        res, out, carrying = np.empty(2 * m), np.empty(2), np.empty(m, dtype=np.int64)
+        count = function(n, m, head, adj_start, adj, capacities, costs,
+                         _address(shut, np.int64, len(shut), "closed"), len(shut), arcs,
+                         residual, k, -1 if changed is None else int(changed), changed in closed,
+                         topology.source, topology.sink, amount, stop, push_cap,
+                         *(_address(a, a.dtype, len(a), "out") for a in (res, pot, carrying, out)))
+        if count < 0:
+            raise (FlowIterationError(f"augmentation count exceeded {push_cap}"),
+                   MemoryError("no memory for the kernel's work arrays"),
+                   ValueError(f"arc {changed}: infinite capacity, cannot saturate"))[-1 - count]
+        return float(out[0]), float(out[1]), res, pot, carrying[:count].copy()
 
-    return augment
+    return solve
 
 
 @functools.cache
-def _kernel() -> Callable[..., float]:
-    """The SSP kernel, built into this package's __pycache__ by the C
-    compiler Python was built with, on first use."""
+def _kernel() -> Callable[..., tuple]:
+    """The kernel, built into this package's __pycache__ on first use."""
     return load_kernel(Path(__file__).with_name("__pycache__"),
                        shlex.split(sysconfig.get_config_var("CC") or "cc"))
 
@@ -305,61 +337,29 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
 
     Starts from zero flow and potentials, or from start, the end state of a
     solve of net before arc `changed` was closed (its flow is sent around it)
-    or made cheaper (saturated if that pays, the surplus sent back); without
-    `changed` the target is routed on top. Then the solution keeps its state.
+    or made cheaper (saturated if that pays, the surplus sent back; ValueError
+    if infinite); without `changed` the target goes on top. Its state is kept.
     """
     topology, arc_cost, closed = net
-    head = topology.head
     target = topology.target
-    cost = np.asarray(arc_cost, dtype=np.float64)
+    cost = np.ascontiguousarray(arc_cost, dtype=np.float64)
     m = len(cost)
-    if m != len(topology.pairs):
-        raise ValueError(f"{m} arc costs for {len(topology.pairs)} arcs")
-    bad = np.flatnonzero(~(cost >= 0.0))  # negative or NaN
-    if bad.size:
-        raise ValueError(f"arc {bad[0]} has unit cost {cost[bad[0]]}, not >= 0")
-
-    rcost = np.empty(2 * m)
-    rcost[0::2] = cost
-    rcost[1::2] = -cost
-    res = topology.capacity.copy()
-    pot, shortfall = np.zeros(topology.n_vertices), 0.0
-    frm, to, amount = topology.source, topology.sink, target
-    if start is not None:
-        res.reshape(-1, 2)[np.asarray(start.arcs, dtype=np.intp)] = \
-            np.asarray(start.residual, dtype=np.float64).reshape(-1, 2)
-        pot, shortfall = np.array(start.potential, dtype=np.float64), start.shortfall
-    if changed is not None:
-        fwd, rev = 2 * changed, 2 * changed + 1
-        if changed in closed:  # its flow goes around it
-            frm, to, amount = int(head[rev]), int(head[fwd]), float(res[rev])
-            res[rev] = 0.0
-        else:  # saturated if that pays; the surplus goes back
-            pays = rcost[fwd] + pot[head[rev]] - pot[head[fwd]] < 0.0
-            frm, to, amount = int(head[fwd]), int(head[rev]), float(res[fwd]) if pays else 0.0
-            res[fwd], res[rev] = res[fwd] - amount, res[rev] + amount
-    if closed:
-        res[2 * np.fromiter(closed, np.intp, len(closed))] = 0.0
-
+    if m and not cost.min() >= 0.0:  # negative or NaN
+        bad = np.flatnonzero(~(cost >= 0.0))[0]
+        raise ValueError(f"arc {bad} has unit cost {cost[bad]}, not >= 0")
+    shortfall = 0.0 if start is None else start.shortfall
     stop = flow_tol(target) - shortfall
-    left = _kernel()(topology, rcost, res, pot, frm, to, amount, stop,
-                     push_cap=4 * (m - len(closed)) + 16)
+    left, lp_cost, res, pot, arcs = _kernel()(topology, topology.capacity, cost, closed, start,
+                                              changed, target, stop, 4 * (m - len(closed)) + 16)
     if left > stop:
         achieved = target - shortfall - left
         raise Infeasible(
             f"target {target} exceeds max flow {achieved}", max_flow=achieved)
 
-    amounts = res[1::2]
     flow = np.zeros(topology.pair_shape)
-    flow.reshape(-1)[topology.pairs] = amounts
-    arcs = np.flatnonzero(amounts)
-    lp_cost = 0.0
-    for amount, unit in zip(amounts[arcs].tolist(), cost[arcs].tolist()):
-        lp_cost += amount * unit
-    state = None
-    if start is not None:
-        state = FlowState(arcs.tolist(), res.reshape(-1, 2)[arcs].reshape(-1).tolist(),
-                          pot, shortfall + left)
+    flow.reshape(-1)[topology.pairs] = res[1::2]
+    state = None if start is None else FlowState(
+        arcs, res.reshape(-1, 2)[arcs].reshape(-1), pot, shortfall + left)
     return FlowSolution(flow=flow, lp_cost=lp_cost, state=state)
 
 
@@ -389,10 +389,9 @@ def max_flow(topology: Topology, closed: frozenset[int] = frozenset()) -> float:
     if closed:
         res[2 * np.fromiter(closed, np.intp, len(closed))] = 0.0
 
-    def send(residual: np.ndarray, amount: float) -> float:
-        return amount - _kernel()(topology, np.zeros(2 * m), residual, np.zeros(n),
-                                  topology.source, topology.sink, amount, 0.0,
-                                  push_cap=m * n + 1)
+    def send(capacity: np.ndarray, amount: float) -> float:
+        return amount - _kernel()(topology, capacity, np.zeros(m), frozenset(), None, None,
+                                  amount, 0.0, m * n + 1)[0]
 
     unbounded = res == math.inf
     if unbounded.any():

@@ -1,7 +1,9 @@
 import dataclasses
+import gc
 import hashlib
 import random
 import time
+import weakref
 
 import numpy as np
 import pytest
@@ -212,6 +214,23 @@ class TestPolish:
         assert polish(inst, warm, budget=600).true_cost == cost
         assert made == calls
         assert hashlib.sha256(repr(lp_costs).encode()).hexdigest() == digest
+
+    def test_neighbourhood_topology_collected(self, monkeypatch):
+        # the kernel keeps what it binds on the topology itself, so nothing
+        # holds a polish's neighbourhood topology once polish returns
+        inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+        warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
+        compile_pairs, topologies = exact.compile_pairs, []
+
+        def spy(*args):
+            topology = compile_pairs(*args)
+            topologies.append(weakref.ref(topology))
+            return topology
+
+        monkeypatch.setattr(exact, "compile_pairs", spy)
+        assert polish(inst, warm, budget=600).true_cost < warm.true_cost
+        gc.collect()
+        assert len(topologies) == 1 and topologies[0]() is None
 
 
 def test_exact_runtime_stays_small_on_diamond(fig1):

@@ -371,7 +371,7 @@ class TestCompilePairs:
             return
         got = solve_min_cost_flow(nets[1], zeros[1])
         assert np.array_equal(got.flow, expected.flow) and got.lp_cost == expected.lp_cost
-        if not got.state.arcs:
+        if len(got.state.arcs) == 0:
             return
         arc = rng.choice(got.state.arcs)  # close one carrying arc of the subset
         children = []
@@ -463,6 +463,26 @@ class TestWarmStart:
                 assert warm.lp_cost == pytest.approx(
                     cold.lp_cost, abs=GAP_DEFAULT * max(1.0, abs(cold.lp_cost)))
             parent = warm
+
+    def test_cheaper_infinite_arc_rejected(self):
+        # paths 0->1->3 and 0->2->3; arc 2 (0->2) has infinite capacity.
+        # Making it cheaper pays, and saturating it would leave inf - inf
+        inst = Instance(
+            n_vertices=4, source=0, sink=3, edges=((0, 1), (1, 3), (0, 2), (2, 3)),
+            capacities=np.array([5.0, math.inf]),
+            fixed_cost=np.array([[1.0, math.nan], [1.0, math.nan], [math.nan, 1.0],
+                                 [1.0, math.nan]]),
+            variable_cost=np.array([[1.0, math.nan], [1.0, math.nan], [math.nan, 1.0],
+                                    [1.0, math.nan]]), target=4.0,
+        )
+        topology = compile_topology(inst)
+        assert topology.capacity[0::2].tolist() == [5.0, 5.0, math.inf, 5.0]
+        net = ExpandedNetwork(topology, np.array([1.0, 1.0, 5.0, 1.0]))
+        root = solve_min_cost_flow(net, FlowState([], [], np.zeros(4), 0.0))
+        assert root.lp_cost == 8.0
+        with pytest.raises(ValueError, match="arc 2: infinite capacity"):
+            solve_min_cost_flow(net._replace(cost=np.array([1.0, 1.0, 0.0, 1.0])),
+                                root.state, 2)
 
     def test_degenerate_tie_may_pick_another_flow(self, fig1):
         # opening arc 0 makes fig1's two paths cost 4 per unit each: the

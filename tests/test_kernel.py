@@ -1,14 +1,18 @@
-"""The C SSP kernel against its pure-Python reference, and its loader.
+"""The C min-cost-flow kernel against its pure-Python reference, and its
+loader.
 
-reference_augment is the loop the C kernel (src/mcfcnf/_ssp.c) replaces,
-kept here unchanged in what it computes. Every kernel call a solve makes is
-run through both, and the residuals, potentials, amount left and
-FlowIterationError must agree bit for bit.
+reference_solve is the solve the C kernel (src/mcfcnf/_ssp.c) replaces:
+residual setup, warm-start repair and the augmenting loop reference_augment,
+kept here unchanged in what they compute. Every kernel call a solve or
+max_flow makes is run through both, and the residuals, potentials, amount
+left, cost, carrying arcs and errors must agree bit for bit.
 """
 import contextlib
+import copy
 import dataclasses
 import math
 import os
+import pickle
 import random
 import shlex
 import subprocess
@@ -98,6 +102,50 @@ def reference_augment(n: int, head: list[int], adjacency: list[list[int]],
     return remaining
 
 
+def reference_solve(topology, capacity, cost, closed, start, changed, amount, stop,
+                    push_cap):
+    """The kernel's solve (see flowcore.load_kernel) on numpy arrays around
+    reference_augment: returns (left, lp_cost, res, pot, arcs)."""
+    head = topology.head
+    m = len(cost)
+    rcost = np.empty(2 * m)
+    rcost[0::2] = cost
+    rcost[1::2] = -cost
+    res = capacity.copy()
+    pot = np.zeros(topology.n_vertices)
+    frm, to = topology.source, topology.sink
+    if start is not None:
+        res.reshape(-1, 2)[np.asarray(start.arcs, dtype=np.intp)] = \
+            np.asarray(start.residual, dtype=np.float64).reshape(-1, 2)
+        pot = np.array(start.potential, dtype=np.float64)
+    if changed is not None:
+        fwd, rev = 2 * changed, 2 * changed + 1
+        if changed in closed:  # its flow goes around it
+            frm, to, amount = int(head[rev]), int(head[fwd]), float(res[rev])
+            res[rev] = 0.0
+        else:  # saturated if that pays; the surplus goes back
+            pays = rcost[fwd] + pot[head[rev]] - pot[head[fwd]] < 0.0
+            frm, to, amount = int(head[fwd]), int(head[rev]), float(res[fwd]) if pays else 0.0
+            if amount == math.inf:
+                raise ValueError(f"arc {changed}: infinite capacity, cannot saturate")
+            res[fwd], res[rev] = res[fwd] - amount, res[rev] + amount
+    if closed:
+        res[2 * np.fromiter(closed, np.intp, len(closed))] = 0.0
+
+    adj, adj_start = topology.adj.tolist(), topology.adj_start.tolist()
+    adjacency = [adj[a:b] for a, b in zip(adj_start, adj_start[1:])]
+    res, pot = res.tolist(), pot.tolist()
+    left = reference_augment(topology.n_vertices, head.tolist(), adjacency, rcost.tolist(),
+                             res, pot, frm, to, amount, stop, push_cap)
+    res, pot = np.array(res), np.array(pot)
+    amounts = res[1::2]
+    arcs = np.flatnonzero(amounts)
+    lp_cost = 0.0
+    for amount, unit in zip(amounts[arcs].tolist(), cost[arcs].tolist()):
+        lp_cost += amount * unit
+    return left, lp_cost, res, pot, arcs
+
+
 def _bits(values) -> bytes:
     return np.asarray(values, dtype=np.float64).tobytes()
 
@@ -110,33 +158,30 @@ def checked_kernel(cap: int | None = None):
     kernel = flowcore._kernel()
     calls = []
 
-    def augment(topology, rcost, res, pot, frm, to, amount, stop, push_cap):
-        push_cap = push_cap if cap is None else cap
-        adj, start = topology.adj.tolist(), topology.adj_start.tolist()
-        adjacency = [adj[a:b] for a, b in zip(start, start[1:])]
-        ref_res, ref_pot = res.tolist(), pot.tolist()
-        expected = got = None
-        try:
-            expected = reference_augment(topology.n_vertices, topology.head.tolist(), adjacency,
-                                         rcost.tolist(), ref_res, ref_pot, frm, to, amount,
-                                         stop, push_cap)
-        except FlowIterationError as err:
-            expected = err
-        try:
-            got = kernel(topology, rcost, res, pot, frm, to, amount, stop, push_cap)
-        except FlowIterationError as err:
-            got = err
-        calls.append(push_cap)
-        assert _bits(res) == _bits(ref_res)
-        assert _bits(pot[:topology.n_vertices]) == _bits(ref_pot[:topology.n_vertices])
-        if isinstance(expected, FlowIterationError):
-            assert isinstance(got, FlowIterationError) and str(got) == str(expected)
+    def solve(topology, capacity, cost, closed, start, changed, amount, stop, push_cap):
+        args = (topology, capacity, cost, closed, start, changed, amount, stop,
+                push_cap if cap is None else cap)
+        outcomes = []
+        for run in (reference_solve, kernel):
+            try:
+                outcomes.append(run(*args))
+            except (FlowIterationError, ValueError) as err:
+                outcomes.append(err)
+        calls.append(args[-1])
+        expected, got = outcomes
+        if isinstance(expected, Exception):
+            assert type(got) is type(expected) and str(got) == str(expected)
             raise got
-        assert _bits(got) == _bits(expected)
+        assert not isinstance(got, Exception), got
+        n = topology.n_vertices
+        assert _bits(got[:2]) == _bits(expected[:2])  # amount left, lp_cost
+        assert _bits(got[2]) == _bits(expected[2])  # res
+        assert _bits(got[3][:n]) == _bits(expected[3][:n])  # pot
+        assert got[4].tolist() == expected[4].tolist()  # carrying arcs
         return got
 
     saved = flowcore._kernel
-    flowcore._kernel = lambda: augment
+    flowcore._kernel = lambda: solve
     try:
         yield calls
     finally:
@@ -184,15 +229,19 @@ class TestAgainstReference:
                 if parent is None or not free:
                     break
                 arc = free.pop(pick % len(free))
-                # as in branch-and-bound, only an arc of finite capacity
-                # gets cheaper (an infinite one would be saturated)
-                if close or math.isinf(topology.capacity[2 * arc]):
+                if close:
                     net = net._replace(closed=net.closed | {arc})
                 else:
                     cheaper = net.cost.copy()
                     cheaper[arc] *= rng.choice([0.0, 0.5])
                     net = net._replace(cost=cheaper)
-                parent = _solve(net, parent.state, arc)
+                try:
+                    parent = _solve(net, parent.state, arc)
+                except ValueError as err:  # only when an infinite arc would be saturated
+                    assert not close and math.isinf(topology.capacity[2 * arc])
+                    assert str(err).startswith(f"arc {arc}: infinite capacity")
+                    break
+                assert parent is None or not np.isnan(parent.flow).any()
         assert calls
 
     def test_branch_and_bound_proof(self):
@@ -263,3 +312,83 @@ class TestLoader:
         library = build_kernel(tmp_path / "build", CC)
         assert library != other and library.is_file() and other.is_file()
         assert build_kernel(tmp_path / "build", ["false"]) == library  # now it is reused
+
+    def test_compiles_without_warnings(self, tmp_path):
+        argv = [*CC, *flowcore._CFLAGS, "-Wall", "-Wextra", "-Werror",
+                "-x", "c", str(flowcore._SOURCE), "-o", str(tmp_path / "_ssp.so")]
+        done = subprocess.run(argv, capture_output=True, text=True, check=False)
+        assert done.returncode == 0, done.stderr
+
+
+class TestWrapper:
+    """load_kernel's wrapper checks what it hands to C, before any C runs."""
+
+    @pytest.fixture
+    def wrapper(self, monkeypatch):
+        calls = []
+
+        class Library:  # stands in for the C library: records each call
+            def __init__(self, path):
+                self.ssp_solve = self
+
+            def __call__(self, *args):
+                calls.append(args)
+                return 0
+
+        monkeypatch.setattr(flowcore.ctypes, "CDLL", Library)
+        inst = generate_random("grid", 9, 2, seed=3, target_fraction=0.6)
+        topology = compile_topology(inst)
+        m = len(topology.pairs)
+        state = FlowState(np.array([0, m - 1]), np.zeros(4), np.zeros(topology.n_vertices), 0.0)
+        args = dict(topology=topology, capacity=topology.capacity, cost=np.ones(m),
+                    closed=frozenset({1}), start=state, changed=0, amount=1.0, stop=0.0,
+                    push_cap=10)
+        return load_kernel(Path(flowcore.__file__).with_name("__pycache__"), CC), args, calls
+
+    def test_valid_call_reaches_c(self, wrapper):
+        solve, args, calls = wrapper
+        solve(**args)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("bad, error", [
+        (lambda a: {"cost": a["cost"].astype(np.float32)}, TypeError),
+        (lambda a: {"cost": np.repeat(a["cost"], 2)[::2]}, TypeError),
+        (lambda a: {"cost": a["cost"][:-1]}, ValueError),
+        (lambda a: {"cost": a["cost"].tolist()}, TypeError),
+        (lambda a: {"capacity": a["topology"].capacity[:-1].copy()}, ValueError),
+        (lambda a: {"closed": frozenset({len(a["cost"])})}, ValueError),
+        (lambda a: {"closed": frozenset({-1})}, ValueError),
+        (lambda a: {"changed": len(a["cost"])}, ValueError),
+        (lambda a: {"start": a["start"]._replace(arcs=np.array([0, len(a["cost"])]))},
+         ValueError),
+        (lambda a: {"start": a["start"]._replace(arcs=np.array([-1, 0]))}, ValueError),
+        (lambda a: {"start": a["start"]._replace(residual=np.zeros(3))}, ValueError),
+        (lambda a: {"start": a["start"]._replace(potential=np.zeros(1))}, ValueError),
+    ], ids=["float32-cost", "strided-cost", "short-cost", "list-cost", "short-capacity",
+            "closed-m", "closed-negative", "changed-m", "start-arc-m", "start-arc-negative",
+            "short-start-residual", "short-potential"])
+    def test_rejected_before_c(self, wrapper, bad, error):
+        solve, args, calls = wrapper
+        with pytest.raises(error):
+            solve(**{**args, **bad(args)})
+        assert calls == []
+
+    def test_topology_checked_when_built(self, wrapper):
+        topology = wrapper[1]["topology"]
+        with pytest.raises(TypeError, match="head must be"):
+            dataclasses.replace(topology, head=topology.head.astype(np.int64))
+        with pytest.raises(ValueError, match="adj has"):
+            dataclasses.replace(topology, adj=topology.adj[:-1].copy())
+
+    def test_copies_bind_their_own_arrays(self):
+        # a deep copy or an unpickled topology has its arrays elsewhere; it
+        # must not reuse the addresses bound for the original
+        inst = generate_random("grid", 9, 2, seed=3, target_fraction=0.6)
+        topology = compile_topology(inst)
+        net = ExpandedNetwork(topology, topology.arc_costs(inst.variable_cost))
+        expected = solve_min_cost_flow(net)
+        for copied in (copy.deepcopy(topology), pickle.loads(pickle.dumps(topology))):
+            assert copied._kernel_args[2:] != topology._kernel_args[2:]
+            got = solve_min_cost_flow(net._replace(topology=copied))
+            assert got.flow.tobytes() == expected.flow.tobytes()
+            assert got.lp_cost == expected.lp_cost
