@@ -83,12 +83,10 @@ def verify_flow(instance: Instance, flow: FlowSolution) -> list[str]:
     dst = np.fromiter((w for _, w in instance.edges), dtype=np.int64, count=instance.n_edges)
     outflow = np.bincount(src, weights=per_edge, minlength=instance.n_vertices)
     inflow = np.bincount(dst, weights=per_edge, minlength=instance.n_vertices)
-    for v in range(instance.n_vertices):
-        if v in (instance.source, instance.sink):
-            continue
-        residual = float(inflow[v] - outflow[v])
-        if abs(residual) > tol:
-            violations.append(f"vertex {v}: conservation violated, residual {residual!r}")
+    residual = inflow - outflow
+    residual[[instance.source, instance.sink]] = 0.0
+    for v in np.flatnonzero(np.abs(residual) > tol):
+        violations.append(f"vertex {v}: conservation violated, residual {float(residual[v])!r}")
 
     sent = float(outflow[instance.source])
     if abs(sent - instance.target) > tol:

@@ -33,24 +33,6 @@ GAP_DEFAULT = 1e-6
 BRUTE_FORCE_LIMIT = 20
 
 
-@dataclass(frozen=True)
-class BnBNode:
-    """A queued search node: arcs of the searched topology that branching
-    forced open or closed, the rest free.
-
-    branch_arc is the free arc this node splits on, chosen from its own
-    relaxation flow; a node whose relaxation is integral in the use
-    indicators is a leaf and is never queued.
-    """
-
-    opened: frozenset[int]
-    closed: frozenset[int]
-    lower_bound: float
-    depth: int
-    branch_arc: int
-    state: FlowState  # end state of its solve, for the children
-
-
 @dataclass(frozen=True, eq=False)
 class ExactResult:
     best: ScoredSolution
@@ -81,14 +63,28 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
     # bound honest when gap-pruning discards marginally better completions
     pruned_floor = math.inf
     nodes = 0
+    # queued nodes: (bound, -depth, visit count, opened, closed, branch arc,
+    # end state), so ties go deeper first, then first visited. branch arc is
+    # the free arc the node splits on; a node whose relaxation is integral
+    # in the use indicators is a leaf and is never queued
     heap: list = []
 
+    def pruned(bound: float) -> bool:
+        """Whether the incumbent is within the gap of bound: written so, not
+        negated, as a NaN while best_cost is inf prunes nothing."""
+        nonlocal pruned_floor
+        if bound >= best_cost - _gap_abs(best_cost):
+            if bound < best_cost:
+                pruned_floor = min(pruned_floor, bound)
+            return True
+        return False
+
     def visit(opened: frozenset[int], closed: frozenset[int], depth: int,
-              parent_state: FlowState, changed: int | None = None) -> float:
+              parent_state: FlowState | None = None, changed: int | None = None) -> float:
         """Solve one node (open arcs at their variable cost plus their fixed
         cost as a constant), offer its flow as the incumbent and queue it
         unless pruned or integral. Returns its bound; raises Infeasible."""
-        nonlocal incumbent, best_cost, pruned_floor, nodes
+        nonlocal incumbent, best_cost, nodes
         nodes += 1
         ordered = sorted(opened)
         cost = free_cost.copy()
@@ -102,9 +98,7 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
         candidate = score(instance, sol)
         if incumbent is None or candidate.true_cost < best_cost:
             incumbent, best_cost = candidate, candidate.true_cost
-        if bound >= best_cost - _gap_abs(best_cost):
-            if bound < best_cost:
-                pruned_floor = min(pruned_floor, bound)
+        if pruned(bound):
             return bound
         # split on the unopened arc with the most fractional flow, the first
         # on ties; closed arcs carry none, saturated ones pay their full
@@ -114,26 +108,20 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
         for a, amount in zip(state.arcs.tolist(), state.residual[1::2].tolist()):
             if most < amount < capacity[a] - tol and a not in opened:
                 branch, most = a, amount
-        if branch is not None:  # ties: deeper first, then first visited
-            heappush(heap, (bound, -depth, nodes,
-                            BnBNode(opened, closed, bound, depth, branch, state)))
+        if branch is not None:
+            heappush(heap, (bound, -depth, nodes, opened, closed, branch, state))
         return bound
 
-    zero = FlowState([], [], np.zeros(topology.n_vertices), 0.0)
-    visit(frozenset(), frozenset(), 0, zero)  # the root; Infeasible propagates
+    visit(frozenset(), frozenset(), 0)  # the root; Infeasible propagates
     while heap:
         if time.perf_counter() - start > budget:
             break  # the nodes left on the heap bound the rest
-        bound, _, _, node = heappop(heap)
-        if bound >= best_cost - _gap_abs(best_cost):
-            if bound < best_cost:
-                pruned_floor = min(pruned_floor, bound)
+        bound, neg_depth, _, opened, closed, arc, state = heappop(heap)
+        if pruned(bound):
             continue
-        arc = node.branch_arc
-        for opened, closed in ((node.opened, node.closed | {arc}),
-                               (node.opened | {arc}, node.closed)):
+        for child in ((opened, closed | {arc}), (opened | {arc}, closed)):
             try:
-                child_bound = visit(opened, closed, node.depth + 1, node.state, arc)
+                child_bound = visit(*child, 1 - neg_depth, state, arc)
             except Infeasible:
                 continue
             if node_log is not None:
@@ -168,28 +156,21 @@ def brute_force(instance: Instance) -> ExactResult:
     increasing fixed cost, which lets the scan stop once fixed cost alone
     exceeds the incumbent. Guarded to edges x classes <= 20.
     """
-    n_caps = instance.n_capacities
-    total_pairs = instance.n_edges * n_caps
+    total_pairs = instance.n_edges * instance.n_capacities
     if total_pairs > BRUTE_FORCE_LIMIT:
         raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} "
                          f"(edge, capacity) pairs, got {total_pairs}")
 
-    pairs = [(e, k) for e in range(instance.n_edges) for k in range(n_caps)
-             if instance.available[e, k]]
-    n_p = len(pairs)
-    caps = instance.capacities
-
-    fixed_sums = np.zeros(1)
-    s_out = np.zeros(1)
-    t_in = np.zeros(1)
-    for e, k in pairs:
-        a = instance.fixed_cost[e, k]
-        u, w = instance.edges[e]
-        c_out = caps[k] if u == instance.source else 0.0
-        c_in = caps[k] if w == instance.sink else 0.0
+    topology = compile_topology(instance)
+    n_p = len(topology.pairs)
+    capacity = topology.capacity[0::2]
+    c_out = np.where(topology.head[1::2] == topology.source, capacity, 0.0).tolist()
+    c_in = np.where(topology.head[0::2] == topology.sink, capacity, 0.0).tolist()
+    fixed_sums = s_out = t_in = np.zeros(1)  # bit i of a subset: arc i open
+    for a, out, into in zip(topology.arc_costs(instance.fixed_cost).tolist(), c_out, c_in):
         fixed_sums = np.concatenate([fixed_sums, fixed_sums + a])
-        s_out = np.concatenate([s_out, s_out + c_out])
-        t_in = np.concatenate([t_in, t_in + c_in])
+        s_out = np.concatenate([s_out, s_out + out])
+        t_in = np.concatenate([t_in, t_in + into])
 
     least = instance.target - flow_tol(instance.target)
     feasible = (s_out >= least) & (t_in >= least)
@@ -199,7 +180,6 @@ def brute_force(instance: Instance) -> ExactResult:
     best_cost = math.inf
     best_flow = None
     solves = 0
-    topology = compile_topology(instance)  # arc i is pairs[i]
     var_cost = topology.arc_costs(instance.variable_cost)
     for mask in masks.tolist():
         fixed = fixed_sums[mask]

@@ -14,11 +14,11 @@ times from a per-arc cost vector and a set of closed arcs: a GA decode
 changes the costs, a branch-and-bound node also closes arcs, the brute force
 opens a subset. A closed arc keeps its place in the arc order with no
 capacity, so every tie-break is the one of the instance without its pair.
-A branch-and-bound child, one arc closed or cheaper, is solved by repairing
-its parent's end state (FlowState; Ahuja, Magnanti & Orlin, Network Flows,
-1993, ch. 9). Max flow is the same kernel at zero cost, which makes it
-Edmonds-Karp. One rule, flow_tol, says what flow amount counts as zero, for
-every solver, validate, score and verify_flow.
+Every solve returns its end state (FlowState); a branch-and-bound child, one
+arc closed or cheaper, is solved by repairing its parent's (Ahuja, Magnanti
+& Orlin, Network Flows, 1993, ch. 9). Max flow is the same kernel at zero
+cost, which makes it Edmonds-Karp. One rule, flow_tol, says what flow
+amount counts as zero, for every solver, validate, score and verify_flow.
 """
 from __future__ import annotations
 
@@ -147,7 +147,7 @@ class FlowState(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FlowSolution:
-    """Flow per (edge, class) pair, relaxation objective, kept end state."""
+    """Flow per (edge, class) pair, relaxation objective, its solve's end state."""
 
     flow: np.ndarray
     lp_cost: float
@@ -205,12 +205,17 @@ def build_expanded_network(instance: Instance, organism: Organism) -> ExpandedNe
     return ExpandedNetwork(topology, topology.arc_costs(cost))
 
 
+def capacity_scale(instance: Instance) -> np.ndarray:
+    """Per-pair divisors equal to the class capacities (floored at D_MIN), a
+    read-only view: the GA's seed organism."""
+    return np.broadcast_to(np.maximum(instance.capacities, D_MIN),
+                           (instance.n_edges, instance.n_capacities))
+
+
 def slope_scaled_costs(instance: Instance) -> np.ndarray:
     """Per-pair unit costs with the fixed charge linearized over the full
     capacity (divisor equal to the class capacity)."""
-    scale = np.broadcast_to(np.maximum(instance.capacities, D_MIN),
-                            (instance.n_edges, instance.n_capacities))
-    return instance.fixed_cost / scale + instance.variable_cost
+    return instance.fixed_cost / capacity_scale(instance) + instance.variable_cost
 
 
 #: C source of the SSP kernel, next to this module.
@@ -264,7 +269,12 @@ def _address(array: np.ndarray, dtype: type, length: int, what: str) -> int:
         raise TypeError(f"{what} must be a C-contiguous 1-D {np.dtype(dtype)} ndarray")
     if len(array) != length:
         raise ValueError(f"{what} has {len(array)} entries, not {length}")
-    if length and array.flags.writeable:  # faster than array.ctypes
+    return _pointer(array)
+
+
+def _pointer(array: np.ndarray) -> int:
+    """Address of a C-contiguous 1-D array's data, unchecked."""
+    if len(array) and array.flags.writeable:  # faster than array.ctypes
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
     return array.ctypes.data
 
@@ -279,7 +289,8 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     push_cap paths raise FlowIterationError: no bound is proven for a costed
     solve (test_push_cap_never_reached checks solve_min_cost_flow's cap); at
     zero cost Edmonds-Karp's holds (max_flow). Before C runs, it checks every
-    arc index and each array's dtype, contiguity and length (a topology's once).
+    arc index and the dtype, contiguity and length of each array a caller
+    supplies (a topology's once); the arrays it makes itself need no check.
     """
     function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_solve
     int32, int64, pointer = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
@@ -303,15 +314,15 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
             pot, k = np.array(start.potential, dtype=np.float64), len(start_arcs)
             arcs = _address(start_arcs, np.int64, k, "start.arcs")
             residual = _address(start_res, np.float64, 2 * k, "start.residual")
-            if len(pot) < n or k and start_arcs.view(np.uint64).max() >= m:  # -1 wraps
+            if (pot.ndim != 1 or len(pot) < n
+                    or k and start_arcs.view(np.uint64).max() >= m):  # -1 wraps
                 raise ValueError(f"start does not fit {n} vertices and {m} arcs")
         shut = np.fromiter(closed, np.int64, len(closed))
         res, out, carrying = np.empty(2 * m), np.empty(2), np.empty(m, dtype=np.int64)
-        count = function(n, m, head, adj_start, adj, capacities, costs,
-                         _address(shut, np.int64, len(shut), "closed"), len(shut), arcs,
-                         residual, k, -1 if changed is None else int(changed), changed in closed,
-                         topology.source, topology.sink, amount, stop, push_cap,
-                         *(_address(a, a.dtype, len(a), "out") for a in (res, pot, carrying, out)))
+        count = function(n, m, head, adj_start, adj, capacities, costs, _pointer(shut),
+                         len(shut), arcs, residual, k, -1 if changed is None else int(changed),
+                         changed in closed, topology.source, topology.sink, amount, stop,
+                         push_cap, *map(_pointer, (res, pot, carrying, out)))
         if count < 0:
             raise (FlowIterationError(f"augmentation count exceeded {push_cap}"),
                    MemoryError("no memory for the kernel's work arrays"),
@@ -338,7 +349,8 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
     Starts from zero flow and potentials, or from start, the end state of a
     solve of net before arc `changed` was closed (its flow is sent around it)
     or made cheaper (saturated if that pays, the surplus sent back; ValueError
-    if infinite); without `changed` the target goes on top. Its state is kept.
+    if infinite); without `changed` the target goes on top. Returns the end
+    state too: a cold solve's equals that of one started from zero.
     """
     topology, arc_cost, closed = net
     target = topology.target
@@ -358,8 +370,7 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
 
     flow = np.zeros(topology.pair_shape)
     flow.reshape(-1)[topology.pairs] = res[1::2]
-    state = None if start is None else FlowState(
-        arcs, res.reshape(-1, 2)[arcs].reshape(-1), pot, shortfall + left)
+    state = FlowState(arcs, res.reshape(-1, 2)[arcs].reshape(-1), pot, shortfall + left)
     return FlowSolution(flow=flow, lp_cost=lp_cost, state=state)
 
 

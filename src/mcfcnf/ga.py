@@ -21,7 +21,8 @@ import numpy as np
 from . import exact
 from .evaluate import ScoredSolution, score
 from .flowcore import (D_MIN, UNBOUNDED, FlowSolution, Infeasible, Organism,
-                       build_expanded_network, flow_tol, solve_min_cost_flow)
+                       build_expanded_network, capacity_scale, flow_tol,
+                       solve_min_cost_flow)
 from .instance import validate
 
 if TYPE_CHECKING:
@@ -93,8 +94,7 @@ def init_population(instance: Instance, config: GAConfig, rng: random.Random) ->
     """Seed organism (divisors equal to the class capacities) plus uniformly
     random organisms with entries in [D_MIN, mean fixed cost]."""
     shape = (instance.n_edges, instance.n_capacities)
-    seed_scale = np.broadcast_to(np.maximum(instance.capacities, D_MIN), shape)
-    population = [Organism(scale=seed_scale.copy())]
+    population = [Organism(scale=capacity_scale(instance))]
     upper = max(_mean_fixed_cost(instance), D_MIN)
     for _ in range(config.population_size - 1):
         entries = [rng.uniform(D_MIN, upper) for _ in range(shape[0] * shape[1])]

@@ -9,8 +9,8 @@ from hypothesis import strategies as st
 
 from mcfcnf import (D_MIN, GAP_DEFAULT, UNBOUNDED, ExpandedNetwork, FlowState,
                     Infeasible, Instance, Organism, build_expanded_network,
-                    compile_topology, flow_tol, lp_relaxation_bound, max_throughput,
-                    solve_exact, solve_min_cost_flow, verify_flow)
+                    compile_topology, flow_tol, generate_random, lp_relaxation_bound,
+                    max_throughput, solve_exact, solve_min_cost_flow, verify_flow)
 from mcfcnf.flowcore import compile_pairs, max_flow, slope_scaled_costs
 from conftest import integral_flow_min_cost, make_small_instance
 
@@ -498,3 +498,28 @@ class TestWarmStart:
         cold = solve_min_cost_flow(net)
         assert warm.lp_cost == cold.lp_cost == 12.0
         assert verify_flow(fig1, warm) == verify_flow(fig1, cold) == []
+
+    def test_cold_state_is_the_zero_start_state(self):
+        # a cold solve returns the end state of one started from all zeros,
+        # bit for bit, and it warm-starts every child exactly as that does
+        inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+        topology = compile_topology(inst)
+        net = ExpandedNetwork(topology, topology.arc_costs(slope_scaled_costs(inst)))
+        variable = topology.arc_costs(inst.variable_cost)
+
+        def bits(sol):
+            state = sol.state
+            return (sol.flow.tobytes(), sol.lp_cost, state.arcs.tolist(),
+                    state.residual.tobytes(), state.potential.tobytes(), state.shortfall)
+
+        cold = solve_min_cost_flow(net)
+        zero = solve_min_cost_flow(net, FlowState([], [], np.zeros(topology.n_vertices), 0.0))
+        assert bits(cold) == bits(zero)
+        for arc in cold.state.arcs.tolist():
+            cheaper = net.cost.copy()
+            cheaper[arc] = variable[arc]
+            for child in (net._replace(closed=frozenset({arc})), net._replace(cost=cheaper)):
+                warm = [_solve_or_none(child, parent.state, arc) for parent in (cold, zero)]
+                assert (warm[0] is None) == (warm[1] is None)
+                if warm[0] is not None:
+                    assert bits(warm[0]) == bits(warm[1])

@@ -244,6 +244,24 @@ class TestAgainstReference:
                 assert parent is None or not np.isnan(parent.flow).any()
         assert calls
 
+    def test_equal_costs_tie_everywhere(self):
+        # every arc at one unit cost, and none at all for max flow: each
+        # search meets many equal distances, which the reference breaks by
+        # push order. Cold, warm (closed and cheaper children) and max-flow
+        # calls on a fixed grid, so a reversed tie-break fails every run
+        inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+        topology = compile_topology(inst)
+        net = ExpandedNetwork(topology, np.ones(len(topology.pairs)))
+        with checked_kernel() as calls:
+            max_flow(topology)
+            root = solve_min_cost_flow(net)
+            for arc in root.state.arcs.tolist():
+                cheaper = net.cost.copy()
+                cheaper[arc] = 0.0
+                _solve(net._replace(closed=frozenset({arc})), root.state, arc)
+                _solve(net._replace(cost=cheaper), root.state, arc)
+        assert len(calls) == 2 + 2 * len(root.state.arcs)
+
     def test_branch_and_bound_proof(self):
         inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
         with checked_kernel() as calls:
