@@ -6,7 +6,7 @@ branch-and-bound for proven optima and solution polishing.
 """
 from .evaluate import (VERIFY_TOL, ScoredSolution, score, verify_flow,
                        write_solution_csv)
-from .exact import GAP_DEFAULT, ExactResult, brute_force, polish, solve_exact
+from .exact import GAP_DEFAULT, ExactResult, polish, solve_exact
 from .flowcore import (D_MIN, FLOW_TOL, UNBOUNDED, ExpandedNetwork,
                        FlowIterationError, FlowSolution, FlowState, Infeasible, Organism,
                        build_expanded_network, compile_topology, flow_tol,
@@ -21,17 +21,15 @@ from .instance import (CostParams, FacilityInstance, Instance, ParseError,
                        save_facility_instance, save_instance, validate)
 
 __all__ = [
-    "CostParams", "D_MIN", "ExactResult", "ExpandedNetwork",
-    "FLOW_TOL", "FacilityInstance", "FlowIterationError", "FlowSolution", "FlowState",
-    "GAConfig", "GAP_DEFAULT", "Infeasible", "Instance", "IterationRecord",
-    "Organism", "ParseError", "RunResult", "ScoredSolution", "Terminal",
-    "UNBOUNDED", "VERIFY_TOL", "ValidationError", "brute_force",
-    "build_expanded_network", "compile_topology", "crossover", "evolve",
-    "fitness", "flow_tol", "format_instance", "from_facility_form",
+    "CostParams", "D_MIN", "ExactResult", "ExpandedNetwork", "FLOW_TOL",
+    "FacilityInstance", "FlowIterationError", "FlowSolution", "FlowState", "GAConfig",
+    "GAP_DEFAULT", "Infeasible", "Instance", "IterationRecord", "Organism",
+    "ParseError", "RunResult", "ScoredSolution", "Terminal", "UNBOUNDED", "VERIFY_TOL",
+    "ValidationError", "build_expanded_network", "compile_topology", "crossover",
+    "evolve", "fitness", "flow_tol", "format_instance", "from_facility_form",
     "generate_random", "init_population", "invariant_violations",
-    "load_facility_instance", "load_instance", "lp_relaxation_bound",
-    "max_throughput", "mutate", "parse_instance", "polish",
-    "save_facility_instance", "save_instance", "score", "solve_exact",
-    "solve_min_cost_flow", "theorem_d", "tournament_select", "validate",
-    "verify_flow", "write_convergence_csv", "write_solution_csv",
+    "load_facility_instance", "load_instance", "lp_relaxation_bound", "max_throughput",
+    "mutate", "parse_instance", "polish", "save_facility_instance", "save_instance",
+    "score", "solve_exact", "solve_min_cost_flow", "theorem_d", "tournament_select",
+    "validate", "verify_flow", "write_convergence_csv", "write_solution_csv",
 ]

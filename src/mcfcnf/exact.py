@@ -1,5 +1,5 @@
-"""Exact solvers: branch-and-bound over arc-use indicators, an enumeration
-brute force for small instances, and warm-started neighborhood polishing.
+"""Exact solvers: branch-and-bound over arc-use indicators and warm-started
+neighborhood polishing.
 
 Branch-and-bound branches on the arcs of a compiled topology, one per
 offered (edge, class) pair (for polishing, only the pairs near the warm
@@ -20,7 +20,7 @@ import numpy as np
 
 from .evaluate import ScoredSolution, score, verify_flow
 from .flowcore import (ExpandedNetwork, FlowState, Infeasible, Topology, compile_pairs,
-                       compile_topology, flow_tol, max_flow, slope_scaled_costs,
+                       compile_topology, flow_tol, slope_scaled_costs,
                        solve_min_cost_flow)
 
 if TYPE_CHECKING:
@@ -28,9 +28,6 @@ if TYPE_CHECKING:
 
 #: Relative optimality gap: the one cost tolerance.
 GAP_DEFAULT = 1e-6
-
-#: Hard ceiling on (edges x classes) for the enumeration brute force.
-BRUTE_FORCE_LIMIT = 20
 
 
 @dataclass(frozen=True, eq=False)
@@ -146,61 +143,6 @@ def solve_exact(instance: Instance, budget: float,
     if budget <= 0:
         raise ValueError("budget must be positive")
     return _branch_and_bound(instance, budget, compile_topology(instance), None, node_log)
-
-
-def brute_force(instance: Instance) -> ExactResult:
-    """Exhaustive optimum over every subset of offered pairs.
-
-    For each open subset the variable-cost-optimal flow is solved exactly,
-    so the result is always proven optimal. Subsets are visited in order of
-    increasing fixed cost, which lets the scan stop once fixed cost alone
-    exceeds the incumbent. Guarded to edges x classes <= 20.
-    """
-    total_pairs = instance.n_edges * instance.n_capacities
-    if total_pairs > BRUTE_FORCE_LIMIT:
-        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} "
-                         f"(edge, capacity) pairs, got {total_pairs}")
-
-    topology = compile_topology(instance)
-    n_p = len(topology.pairs)
-    capacity = topology.capacity[0::2]
-    c_out = np.where(topology.head[1::2] == topology.source, capacity, 0.0).tolist()
-    c_in = np.where(topology.head[0::2] == topology.sink, capacity, 0.0).tolist()
-    fixed_sums = s_out = t_in = np.zeros(1)  # bit i of a subset: arc i open
-    for a, out, into in zip(topology.arc_costs(instance.fixed_cost).tolist(), c_out, c_in):
-        fixed_sums = np.concatenate([fixed_sums, fixed_sums + a])
-        s_out = np.concatenate([s_out, s_out + out])
-        t_in = np.concatenate([t_in, t_in + into])
-
-    least = instance.target - flow_tol(instance.target)
-    feasible = (s_out >= least) & (t_in >= least)
-    masks = np.flatnonzero(feasible)
-    masks = masks[np.argsort(fixed_sums[masks], kind="stable")]
-
-    best_cost = math.inf
-    best_flow = None
-    solves = 0
-    var_cost = topology.arc_costs(instance.variable_cost)
-    for mask in masks.tolist():
-        fixed = fixed_sums[mask]
-        if fixed >= best_cost:  # lp_cost >= 0, so no better total follows
-            break
-        closed = frozenset(i for i in range(n_p) if not mask >> i & 1)
-        solves += 1
-        try:
-            sol = solve_min_cost_flow(ExpandedNetwork(topology, var_cost, closed))
-        except Infeasible:
-            continue
-        total = fixed + sol.lp_cost
-        if total < best_cost:
-            best_cost = total
-            best_flow = sol
-    if best_flow is None:
-        mf = max_flow(topology)
-        raise Infeasible(f"target {instance.target} exceeds max flow {mf}", max_flow=mf)
-    best = score(instance, best_flow)
-    return ExactResult(best=best, proven_optimal=True,
-                       bound=best.true_cost, nodes_explored=solves)
 
 
 def polish(instance: Instance, warm: ScoredSolution, budget: float) -> ScoredSolution:

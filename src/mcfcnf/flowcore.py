@@ -147,7 +147,8 @@ class FlowState(NamedTuple):
 
 @dataclass(frozen=True, eq=False)
 class FlowSolution:
-    """Flow per (edge, class) pair, relaxation objective, its solve's end state."""
+    """Flow per (edge, class) pair, relaxation objective, its solve's end state
+    (None only for a flow built outside a solve, as bench/run.py does from a CSV)."""
 
     flow: np.ndarray
     lp_cost: float

@@ -14,7 +14,7 @@ import random
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -169,8 +169,8 @@ def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
     return Organism(scale=scale)
 
 
-def _evaluate_all(instance: Instance, organisms: list[Organism], population: list[_Member],
-                  listener: Callable[[ScoredSolution], None] | None) -> list[ScoredSolution]:
+def _evaluate_all(instance: Instance, organisms: list[Organism],
+                  population: list[_Member]) -> list[ScoredSolution]:
     """Fitness of each organism. An organism whose divisors equal those of a
     population member or an earlier organism reuses that decode, which is
     the same by purity of fitness."""
@@ -181,14 +181,10 @@ def _evaluate_all(instance: Instance, organisms: list[Organism], population: lis
         if key not in known:
             known[key] = fitness(instance, organism)
         scored.append(known[key])
-    if listener is not None:
-        for s in scored:
-            listener(s)
     return scored
 
 
-def evolve(instance: Instance, config: GAConfig,
-           fitness_listener: Callable[[ScoredSolution], None] | None = None) -> RunResult:
+def evolve(instance: Instance, config: GAConfig) -> RunResult:
     """Run the full search: seeded initialization, tournament-driven
     crossover and mutation under elitist selection, then exact polishing of
     the best flow on the remaining time share.
@@ -209,7 +205,7 @@ def evolve(instance: Instance, config: GAConfig,
     iteration_limit = config.iteration_limit if config.iteration_limit is not None else math.inf
 
     organisms = init_population(instance, config, rng)
-    scored = _evaluate_all(instance, organisms, [], fitness_listener)
+    scored = _evaluate_all(instance, organisms, [])
     population: list[_Member] = list(zip(organisms, scored))
     lp_solves = len(population)
 
@@ -238,7 +234,7 @@ def evolve(instance: Instance, config: GAConfig,
             if rng.random() < config.mutation_probability:
                 child = mutate(instance, child, rng)
             children.append(child)
-        child_scores = _evaluate_all(instance, children, population, fitness_listener)
+        child_scores = _evaluate_all(instance, children, population)
         lp_solves += len(children)
         population = population + list(zip(children, child_scores))
         population = tournament_select(population, config.population_size, rng)

@@ -116,6 +116,11 @@ def invariant_violations(instance: Instance) -> list[str]:
         bad = instance.available & ~((cost >= 0) & (cost < math.inf))
         for e, k in zip(*np.nonzero(bad)):
             v.append(f"edge {e} capacity {k}: {name} cost must be finite and nonnegative")
+    if not v:  # Python floats: an overflow reads inf, with no numpy warning
+        fixed = sum(instance.fixed_cost[instance.available].tolist())
+        variable = sum(instance.variable_cost[instance.available].tolist())
+        if not fixed + instance.target * variable < math.inf:
+            v.append("offered fixed costs plus target x variable costs must have a finite total")
     return v
 
 

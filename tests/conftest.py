@@ -8,7 +8,12 @@ import random
 import numpy as np
 import pytest
 
-from mcfcnf import Instance, max_throughput
+from mcfcnf import (ExactResult, ExpandedNetwork, Infeasible, Instance, compile_topology,
+                    flow_tol, max_throughput, score, solve_min_cost_flow)
+from mcfcnf.flowcore import max_flow
+
+#: Hard ceiling on (edges x classes) for the enumeration brute force.
+BRUTE_FORCE_LIMIT = 20
 
 
 def fig1_instance() -> Instance:
@@ -168,3 +173,58 @@ def integral_score_optimum(instance: Instance) -> float | None:
     var_vec = np.array([instance.variable_cost[e, k] for e, k in pairs])
     costs = flows @ var_vec + (flows > 0) @ fixed_vec
     return float(costs.min())
+
+
+def brute_force(instance: Instance) -> ExactResult:
+    """Exhaustive optimum over every subset of offered pairs.
+
+    For each open subset the variable-cost-optimal flow is solved exactly,
+    so the result is always proven optimal. Subsets are visited in order of
+    increasing fixed cost, which lets the scan stop once fixed cost alone
+    exceeds the incumbent. Guarded to edges x classes <= 20.
+    """
+    total_pairs = instance.n_edges * instance.n_capacities
+    if total_pairs > BRUTE_FORCE_LIMIT:
+        raise ValueError(f"brute force limited to {BRUTE_FORCE_LIMIT} "
+                         f"(edge, capacity) pairs, got {total_pairs}")
+
+    topology = compile_topology(instance)
+    n_p = len(topology.pairs)
+    capacity = topology.capacity[0::2]
+    c_out = np.where(topology.head[1::2] == topology.source, capacity, 0.0).tolist()
+    c_in = np.where(topology.head[0::2] == topology.sink, capacity, 0.0).tolist()
+    fixed_sums = s_out = t_in = np.zeros(1)  # bit i of a subset: arc i open
+    for a, out, into in zip(topology.arc_costs(instance.fixed_cost).tolist(), c_out, c_in):
+        fixed_sums = np.concatenate([fixed_sums, fixed_sums + a])
+        s_out = np.concatenate([s_out, s_out + out])
+        t_in = np.concatenate([t_in, t_in + into])
+
+    least = instance.target - flow_tol(instance.target)
+    feasible = (s_out >= least) & (t_in >= least)
+    masks = np.flatnonzero(feasible)
+    masks = masks[np.argsort(fixed_sums[masks], kind="stable")]
+
+    best_cost = math.inf
+    best_flow = None
+    solves = 0
+    var_cost = topology.arc_costs(instance.variable_cost)
+    for mask in masks.tolist():
+        fixed = fixed_sums[mask]
+        if fixed >= best_cost:  # lp_cost >= 0, so no better total follows
+            break
+        closed = frozenset(i for i in range(n_p) if not mask >> i & 1)
+        solves += 1
+        try:
+            sol = solve_min_cost_flow(ExpandedNetwork(topology, var_cost, closed))
+        except Infeasible:
+            continue
+        total = fixed + sol.lp_cost
+        if total < best_cost:
+            best_cost = total
+            best_flow = sol
+    if best_flow is None:
+        mf = max_flow(topology)
+        raise Infeasible(f"target {instance.target} exceeds max flow {mf}", max_flow=mf)
+    best = score(instance, best_flow)
+    return ExactResult(best=best, proven_optimal=True,
+                       bound=best.true_cost, nodes_explored=solves)

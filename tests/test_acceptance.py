@@ -12,13 +12,14 @@ import time
 import numpy as np
 import pytest
 
-from mcfcnf import (D_MIN, UNBOUNDED, GAConfig, Organism, brute_force,
+from mcfcnf import (D_MIN, UNBOUNDED, GAConfig, Organism,
                     build_expanded_network, evolve, fitness, generate_random,
                     init_population, lp_relaxation_bound, polish, save_instance,
                     score, solve_exact, solve_min_cost_flow, theorem_d,
                     verify_flow)
 from mcfcnf.cli import main
-from conftest import fig1_instance, integral_flow_min_cost, make_small_instance
+from conftest import (brute_force, fig1_instance, integral_flow_min_cost,
+                      make_small_instance)
 
 
 def _report(capsys, number: int, name: str, ok: bool, detail: str = "") -> None:
@@ -171,7 +172,8 @@ GA_SUITE_SPECS = [
 def ga_suite():
     """Twenty seeded instances (~100-500 pairs each), each evolved twice with
     the same seed at iteration-stop 50. Candidate flows from the first run
-    are verified against the constraints as they are produced."""
+    are verified against the constraints as they are decoded; a reused
+    decode is an earlier decode, so every candidate is verified."""
     started = time.perf_counter()
     runs = []
     for kind, n, n_caps, seed in GA_SUITE_SPECS:
@@ -180,16 +182,18 @@ def ga_suite():
         assert 100 <= pairs <= 500, f"{kind} n={n} K={n_caps}: {pairs} pairs"
 
         bad_flows = []
-        evaluated = [0]
 
-        def watch(scored, instance=instance, bad_flows=bad_flows, evaluated=evaluated):
-            evaluated[0] += 1
-            problems = verify_flow(instance, scored.flow)
+        def watch(inst, organism, bad_flows=bad_flows):
+            scored = fitness(inst, organism)
+            problems = verify_flow(inst, scored.flow)
             if problems:
                 bad_flows.append(problems[0])
+            return scored
 
         config = GAConfig(iteration_limit=50, seed=seed)
-        first = evolve(instance, config, fitness_listener=watch)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("mcfcnf.ga.fitness", watch)
+            first = evolve(instance, config)
         second = evolve(instance, config)
 
         seed_org = init_population(instance, config, random.Random(seed))[0]
@@ -199,7 +203,7 @@ def ga_suite():
             "instance": instance,
             "first": first,
             "second": second,
-            "evaluated": evaluated[0],
+            "evaluated": first.history[-1].lp_solves,
             "bad_flows": bad_flows,
             "seed_fitness": fitness(instance, seed_org).true_cost,
             "bound": lp_relaxation_bound(instance),
@@ -302,6 +306,7 @@ def test_criterion_7_performance(capsys):
 # 8. comparison harness under equal two-minute budgets
 # ---------------------------------------------------------------------------
 
+@pytest.mark.slow
 def test_criterion_8_compare_harness(capsys, tmp_path):
     # large-scale published results need proprietary data and a commercial
     # solver; this substitutes generated instances and checks consistency,

@@ -94,17 +94,23 @@ class TestExact:
         assert float(fields["cost"]) >= float(fields["bound"])
 
     def test_every_flow_costs_inf(self, tmp_path, capsys):
-        # finite costs whose sum overflows: no flow scores below inf, so the
-        # search keeps its first scored flow instead of failing an assertion
+        # finite costs whose sum overflows: rejected on load, since no flow
+        # could have a finite cost
         path = tmp_path / "huge.mcfcnf"
         path.write_text("MCFCNF 1\nVERTICES 3 SOURCE 0 SINK 2\nTARGET 1\nCAPACITIES 1 5\n"
                         "EDGES 2\n0 1 1e308 1e308\n1 2 1.0 1.0\n")
         code = main(["exact", "--instance", str(path), "--budget", "10",
                      "--solution", str(tmp_path / "sol.csv")])
         out, err = capsys.readouterr()
-        assert code == 0 and "Traceback" not in err
-        fields = _summary_fields(out.strip().splitlines()[-1])
-        assert fields["cost"] == "inf" and fields["proven"] == "false"
+        assert code == 1 and "Traceback" not in err
+        assert err.startswith("error:") and "finite total" in err
+        assert out == ""
+
+    def test_infeasible_instance(self, infeasible_file, tmp_path, capsys):
+        code = main(["exact", "--instance", str(infeasible_file), "--budget", "10",
+                     "--solution", str(tmp_path / "sol.csv")])
+        assert code == 2
+        assert "exceeds max flow" in capsys.readouterr().err
 
 
 class TestGen:

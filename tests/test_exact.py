@@ -9,10 +9,10 @@ import numpy as np
 import pytest
 
 from mcfcnf import exact
-from mcfcnf import (GAP_DEFAULT, Infeasible, Instance, Organism, brute_force,
+from mcfcnf import (GAP_DEFAULT, Infeasible, Instance, Organism,
                     build_expanded_network, generate_random, lp_relaxation_bound,
                     polish, score, solve_exact, solve_min_cost_flow, verify_flow)
-from conftest import integral_score_optimum, make_small_instance
+from conftest import brute_force, integral_score_optimum, make_small_instance
 
 
 def _scored_relaxation(instance, scale):
@@ -69,6 +69,20 @@ class TestSolveExact:
         result = solve_exact(minimal, budget=10)
         assert result.best.true_cost == pytest.approx(4.0, abs=1e-9)
         assert result.proven_optimal
+
+    def test_every_flow_costs_inf(self):
+        # finite costs whose sum overflows (load_instance rejects them): no
+        # flow scores below inf, so the search keeps its first scored flow
+        # instead of failing an assertion
+        inst = Instance(
+            n_vertices=3, source=0, sink=2, edges=((0, 1), (1, 2)),
+            capacities=np.array([5.0]), fixed_cost=np.array([[1e308], [1.0]]),
+            variable_cost=np.array([[1e308], [1.0]]), target=1.0,
+        )
+        result = solve_exact(inst, budget=10)
+        assert result.best.true_cost == np.inf
+        assert not result.proven_optimal
+        assert verify_flow(inst, result.best.flow) == []
 
     def test_budget_must_be_positive(self, minimal):
         with pytest.raises(ValueError, match="budget"):
@@ -237,3 +251,9 @@ def test_exact_runtime_stays_small_on_diamond(fig1):
     started = time.perf_counter()
     solve_exact(fig1, budget=10)
     assert time.perf_counter() - started < 1.0
+
+
+def test_every_exported_name_resolves():
+    import mcfcnf
+    for name in mcfcnf.__all__:
+        assert hasattr(mcfcnf, name), name

@@ -273,10 +273,18 @@ class TestEvolve:
             == [(r.iteration, r.best_cost, r.mean_cost, r.lp_solves) for r in b.history]
         assert len(a.history) == 13
 
-    def test_every_candidate_is_a_valid_flow(self, fig1):
+    def test_every_candidate_is_a_valid_flow(self, fig1, monkeypatch):
+        # a reused decode is an earlier decode, so checking every decode
+        # checks every candidate
+        import mcfcnf.ga
         seen = []
-        evolve(fig1, GAConfig(iteration_limit=4, seed=2), fitness_listener=seen.append)
-        assert len(seen) == 10 + 4 * 5  # initial population plus 5 children per iteration
+        real = mcfcnf.ga.fitness
+        monkeypatch.setattr(mcfcnf.ga, "fitness",
+                            lambda inst, org: seen.append(real(inst, org)) or seen[-1])
+        result = evolve(fig1, GAConfig(iteration_limit=4, seed=2))
+        # initial population plus 5 children per iteration
+        assert result.history[-1].lp_solves == 10 + 4 * 5
+        assert seen
         for scored in seen:
             assert verify_flow(fig1, scored.flow) == []
 
@@ -296,14 +304,13 @@ class TestEvolve:
 
     def test_duplicate_children_decoded_once(self, fig1, monkeypatch):
         import mcfcnf.ga
-        decodes, seen = [], []
+        decodes = []
         real = mcfcnf.ga.fitness
         monkeypatch.setattr(mcfcnf.ga, "fitness",
                             lambda inst, org: decodes.append(org) or real(inst, org))
-        result = evolve(fig1, GAConfig(iteration_limit=8, seed=6, mutation_probability=0.1),
-                        fitness_listener=seen.append)
-        assert len(seen) == result.history[-1].lp_solves == 10 + 8 * 5
-        assert len(decodes) < len(seen)
+        result = evolve(fig1, GAConfig(iteration_limit=8, seed=6, mutation_probability=0.1))
+        assert result.history[-1].lp_solves == 10 + 8 * 5
+        assert len(decodes) < result.history[-1].lp_solves
 
 
 def test_convergence_csv(tmp_path, fig1):

@@ -9,13 +9,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfcnf import (FacilityInstance, GAConfig, Infeasible, Instance, ParseError,
-                    Terminal, ValidationError, brute_force, evolve, format_instance,
+                    Terminal, ValidationError, evolve, format_instance,
                     from_facility_form, generate_random, load_instance,
                     max_throughput, parse_instance, save_instance, solve_exact,
                     validate)
 from mcfcnf.instance import (format_facility_instance, load_facility_instance,
                              parse_facility_instance, save_facility_instance)
-from conftest import fig1_instance, make_small_instance, two_class_edge_instance
+from conftest import (brute_force, fig1_instance, make_small_instance,
+                      two_class_edge_instance)
 
 MINIMAL_TEXT = """\
 MCFCNF 1
@@ -73,6 +74,18 @@ class TestParsing:
         path.write_text(MINIMAL_TEXT.replace("0 1 1.0 1.0", f"0 1 {costs}"))
         with pytest.raises(ValidationError, match="edge 0 capacity 0: .* must be finite"):
             load_instance(path)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("costs,ok", [("1.0 1e308", False), ("1.7e308 0.0", True)])
+    def test_overflowing_cost_total_rejected(self, tmp_path, costs, ok):
+        # target 3: 3 x 1e308 overflows, 1.7e308 + 0 does not
+        path = tmp_path / "huge.mcfcnf"
+        path.write_text(MINIMAL_TEXT.replace("0 1 1.0 1.0", f"0 1 {costs}"))
+        if ok:
+            assert load_instance(path).fixed_cost[0, 0] == 1.7e308
+        else:
+            with pytest.raises(ValidationError, match="finite total"):
+                load_instance(path)
 
     def test_comments_and_blank_lines_ignored(self):
         text = "# leading comment\n\n" + MINIMAL_TEXT.replace(

@@ -10,12 +10,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfcnf import (GAP_DEFAULT, UNBOUNDED, GAConfig, Infeasible, Instance, Organism,
-                    brute_force, compile_topology, evolve, fitness, flow_tol,
+                    compile_topology, evolve, fitness, flow_tol,
                     lp_relaxation_bound, polish, save_instance, solve_exact,
                     validate, verify_flow)
 from mcfcnf.cli import main
 from mcfcnf.flowcore import max_flow
-from conftest import make_small_instance
+from conftest import brute_force, make_small_instance
 
 NA = np.nan
 
