@@ -102,11 +102,11 @@ def cmd_exact(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    params = CostParams(
-        fixed_range=(args.fixed_min, args.fixed_max),
-        variable_range=(args.variable_min, args.variable_max),
-    )
     try:
+        params = CostParams(
+            fixed_range=(args.fixed_min, args.fixed_max),
+            variable_range=(args.variable_min, args.variable_max),
+        )
         instance = generate_random(
             kind=args.kind, n_vertices=args.vertices, n_capacities=args.capacities,
             cost_params=params, target_fraction=args.target_fraction, seed=args.seed,

@@ -7,13 +7,14 @@ every constraint, so it accepts every shortfall a solver may leave.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flowcore import FlowSolution, flow_tol
+from .flowcore import FlowSolution, FlowState, Topology, flow_tol
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -56,6 +57,23 @@ def score(instance: Instance, flow: FlowSolution) -> ScoredSolution:
     variable_part = float((instance.variable_cost[avail] * g[avail]).sum())
     return ScoredSolution(flow=flow, used=used.astype(np.int8),
                           true_cost=fixed_part + variable_part)
+
+
+def compile_true_cost(instance: Instance, topology: Topology) -> Callable[[FlowState], float]:
+    """True cost of a solve's end state on topology, bit for bit score's: both
+    sum, pairwise by position, the used pairs' fixed costs in pair order, then
+    variable cost times flow over all offered pairs (a subset's scattered in)."""
+    tol = flow_tol(instance.target)
+    fixed = topology.arc_costs(instance.fixed_cost)
+    variable = instance.variable_cost[instance.available]
+    slot = np.searchsorted(np.flatnonzero(instance.available), topology.pairs)
+
+    def true_cost(state: FlowState) -> float:
+        flows, carried = state.residual[1::2], np.zeros(len(variable))
+        carried[slot[state.arcs]] = flows
+        return float(fixed[state.arcs[flows > tol]].sum()) + float((variable * carried).sum())
+
+    return true_cost
 
 
 def verify_flow(instance: Instance, flow: FlowSolution) -> list[str]:

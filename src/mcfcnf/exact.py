@@ -3,10 +3,11 @@ neighborhood polishing.
 
 Branch-and-bound branches on the arcs of a compiled topology, one per
 offered (edge, class) pair (for polishing, only the pairs near the warm
-solution), and relaxes each undecided arc to a linearized
-fixed charge (fixed/capacity + variable per unit): a node bound is one
-min-cost-flow solve, repaired from its parent's end state. Arcs forced open
-add their fixed cost as a constant and cost only their variable cost per unit.
+solution), and relaxes each undecided arc to a linearized fixed charge
+(fixed/capacity + variable per unit): a node bound is one min-cost-flow
+solve, repaired from its parent's end state. Arcs forced open add their
+fixed cost as a constant and cost only their variable cost per unit. A node
+is scored from its end state; only an incumbent gets a dense flow matrix.
 """
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evaluate import ScoredSolution, score, verify_flow
+from .evaluate import ScoredSolution, compile_true_cost, score, verify_flow
 from .flowcore import (ExpandedNetwork, FlowState, Infeasible, Topology, compile_pairs,
                        compile_topology, flow_tol, slope_scaled_costs,
                        solve_min_cost_flow)
@@ -53,6 +54,7 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
     fixed = topology.arc_costs(instance.fixed_cost).tolist()
     capacity = topology.capacity[0::2].tolist()
     tol = flow_tol(instance.target)
+    true_cost = compile_true_cost(instance, topology)
 
     incumbent = warm
     best_cost = warm.true_cost if warm is not None else math.inf
@@ -91,16 +93,15 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
             constant += fixed[a]
         sol = solve_min_cost_flow(ExpandedNetwork(topology, cost, closed),
                                   parent_state, changed)
-        bound = constant + sol.lp_cost
-        candidate = score(instance, sol)
-        if incumbent is None or candidate.true_cost < best_cost:
-            incumbent, best_cost = candidate, candidate.true_cost
+        bound, state = constant + sol.lp_cost, sol.state
+        if incumbent is None or true_cost(state) < best_cost:
+            incumbent = score(instance, sol)  # the dense flow, for an incumbent only
+            best_cost = incumbent.true_cost
         if pruned(bound):
             return bound
         # split on the unopened arc with the most fractional flow, the first
         # on ties; closed arcs carry none, saturated ones pay their full
         # fixed charge already. No such arc: integral, nothing below remains
-        state = sol.state
         branch, most = None, tol
         for a, amount in zip(state.arcs.tolist(), state.residual[1::2].tolist()):
             if most < amount < capacity[a] - tol and a not in opened:

@@ -11,12 +11,13 @@ the system's C compiler on first use and loaded through ctypes (load_kernel).
 The network is compiled once per instance (compile_topology: arcs, residual
 heads and capacities, CSR adjacency, kept on the instance) and solved many
 times from a per-arc cost vector and a set of closed arcs: a GA decode
-changes the costs, a branch-and-bound node also closes arcs, the brute force
-opens a subset. A closed arc keeps its place in the arc order with no
-capacity, so every tie-break is the one of the instance without its pair.
-Every solve returns its end state (FlowState); a branch-and-bound child, one
-arc closed or cheaper, is solved by repairing its parent's (Ahuja, Magnanti
-& Orlin, Network Flows, 1993, ch. 9). Max flow is the same kernel at zero
+changes the costs, a branch-and-bound node also closes arcs. A closed arc
+keeps its place in the arc order with no capacity, so every tie-break is the
+one of the instance without its pair. A solve returns its end state
+(FlowState); the dense (edge, class) flow is built from it only when read,
+for an incumbent or for output. A branch-and-bound child, one arc closed or
+cheaper, is solved by repairing its parent's end state (Ahuja, Magnanti &
+Orlin, Network Flows, 1993, ch. 9). Max flow is the same kernel at zero
 cost, which makes it Edmonds-Karp. One rule, flow_tol, says what flow
 amount counts as zero, for every solver, validate, score and verify_flow.
 """
@@ -113,7 +114,8 @@ class Topology:
         object.__setattr__(self, "_kernel_args", (
             n, m, _address(self.head, np.int32, 2 * m, "head"),
             _address(self.adj_start, np.int32, n + 1, "adj_start"),
-            _address(self.adj, np.int32, 2 * m, "adj")))
+            _address(self.adj, np.int32, 2 * m, "adj"),
+            _address(self.capacity, np.float64, 2 * m, "capacity")))
 
     def __reduce__(self):  # a copy's arrays live elsewhere: bind them anew
         return Topology, tuple(getattr(self, f.name) for f in fields(self))
@@ -145,19 +147,22 @@ class FlowState(NamedTuple):
     shortfall: float
 
 
-@dataclass(frozen=True, eq=False)
 class FlowSolution:
-    """Flow per (edge, class) pair, relaxation objective, its solve's end state
-    (None only for a flow built outside a solve, as bench/run.py does from a CSV)."""
+    """Flow per (edge, class) pair and relaxation objective. A solve's holds its
+    end state and topology, and builds the read-only dense flow when first read."""
 
-    flow: np.ndarray
-    lp_cost: float
-    state: FlowState | None = None
+    def __init__(self, flow: np.ndarray | None, lp_cost: float,
+                 state: FlowState | None = None, topology: Topology | None = None):
+        self._flow = None if flow is None else np.array(flow, dtype=np.float64)
+        self.lp_cost, self.state, self.topology = lp_cost, state, topology
 
-    def __post_init__(self):
-        flow = np.array(self.flow, dtype=np.float64)
-        flow.setflags(write=False)
-        object.__setattr__(self, "flow", flow)
+    @property
+    def flow(self) -> np.ndarray:
+        if self._flow is None:
+            self._flow = np.zeros(self.topology.pair_shape)
+            self._flow.reshape(-1)[self.topology.pairs[self.state.arcs]] = self.state.residual[1::2]
+        self._flow.setflags(write=False)
+        return self._flow
 
 
 def compile_topology(instance: Instance) -> Topology:
@@ -291,7 +296,7 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     solve (test_push_cap_never_reached checks solve_min_cost_flow's cap); at
     zero cost Edmonds-Karp's holds (max_flow). Before C runs, it checks every
     arc index and the dtype, contiguity and length of each array a caller
-    supplies (a topology's once); the arrays it makes itself need no check.
+    supplies (a topology's, capacity included, once); its own need no check.
     """
     function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_solve
     int32, int64, pointer = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
@@ -302,8 +307,9 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     def solve(topology: Topology, capacity: np.ndarray, cost: np.ndarray,
               closed: frozenset[int], start: FlowState | None, changed: int | None,
               amount: float, stop: float, push_cap: int) -> tuple:
-        n, m, head, adj_start, adj = topology._kernel_args
-        capacities = _address(capacity, np.float64, 2 * m, "capacity")
+        n, m, head, adj_start, adj, capacities = topology._kernel_args
+        if capacity is not topology.capacity:  # max_flow's own
+            capacities = _address(capacity, np.float64, 2 * m, "capacity")
         costs = _address(cost, np.float64, m, "cost")
         if (closed and not 0 <= min(closed) <= max(closed) < m
                 or changed is not None and not 0 <= changed < m):
@@ -369,10 +375,8 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
         raise Infeasible(
             f"target {target} exceeds max flow {achieved}", max_flow=achieved)
 
-    flow = np.zeros(topology.pair_shape)
-    flow.reshape(-1)[topology.pairs] = res[1::2]
     state = FlowState(arcs, res.reshape(-1, 2)[arcs].reshape(-1), pot, shortfall + left)
-    return FlowSolution(flow=flow, lp_cost=lp_cost, state=state)
+    return FlowSolution(None, lp_cost, state, topology)
 
 
 def lp_relaxation_bound(instance: Instance) -> float:

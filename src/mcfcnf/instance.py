@@ -449,6 +449,12 @@ class CostParams:
     fixed_range: tuple[float, float] = (4.0, 40.0)
     variable_range: tuple[float, float] = (0.5, 4.0)
 
+    def __post_init__(self):
+        for what, (low, high) in (("fixed", self.fixed_range), ("variable", self.variable_range)):
+            if not 0.0 <= low <= high < math.inf:  # NaN fails too
+                raise ValueError(f"{what} cost range must be finite with 0 <= min <= max "
+                                 f"(got {low!r} to {high!r})")
+
 
 # Fixed costs grow sublinearly with capacity (exponent < 1): bigger pipes are
 # cheaper per capacity unit in every class step, mirroring bulk discounts.

@@ -134,6 +134,21 @@ class TestGen:
         assert code == 1
         assert "need at least 2 vertices" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flags", [
+        ["--fixed-min", "nan"], ["--variable-min", "-3"], ["--fixed-max", "inf"],
+        ["--variable-max", "nan"], ["--fixed-min", "50", "--fixed-max", "4"],
+        ["--fixed-min", "-1"],
+    ])
+    def test_bad_cost_range(self, tmp_path, capsys, flags):
+        # each used to crash, write an instance that fails validate, or draw
+        # costs outside 0 <= min <= max
+        out = tmp_path / "x.mcfcnf"
+        code = main(["gen", "--kind", "grid", "--vertices", "9", "--capacities", "2",
+                     *flags, "-o", str(out)])
+        assert code == 1
+        assert "cost range must be finite with 0 <= min <= max" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_two_instances(self, fig1_file, minimal_file, tmp_path, capsys):

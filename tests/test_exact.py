@@ -1,6 +1,8 @@
 import dataclasses
 import gc
 import hashlib
+import itertools
+import math
 import random
 import time
 import weakref
@@ -9,9 +11,10 @@ import numpy as np
 import pytest
 
 from mcfcnf import exact
-from mcfcnf import (GAP_DEFAULT, Infeasible, Instance, Organism,
+from mcfcnf import (GAP_DEFAULT, FlowSolution, Infeasible, Instance, Organism,
                     build_expanded_network, generate_random, lp_relaxation_bound,
                     polish, score, solve_exact, solve_min_cost_flow, verify_flow)
+from mcfcnf.evaluate import compile_true_cost
 from conftest import brute_force, integral_score_optimum, make_small_instance
 
 
@@ -245,6 +248,69 @@ class TestPolish:
         assert polish(inst, warm, budget=600).true_cost < warm.true_cost
         gc.collect()
         assert len(topologies) == 1 and topologies[0]() is None
+
+
+def _record_solves(monkeypatch) -> list:
+    """The solutions of every feasible node of the searches that follow."""
+    solve, solutions = exact.solve_min_cost_flow, []
+
+    def spy(*args):
+        solutions.append(solve(*args))
+        return solutions[-1]
+
+    monkeypatch.setattr(exact, "solve_min_cost_flow", spy)
+    return solutions
+
+
+class TestArcSpaceCost:
+    @pytest.mark.parametrize("kind, n, k, seed, search, digest", [
+        ("grid", 16, 2, 3, "prove",
+         "148174362a0549dc63c0ed8c7d261beba287e7715e81dbb0b78445609a21159f"),
+        ("geometric", 30, 3, 1, "prove",
+         "b11200f7b7cd9a78675a8212284e6de6670ed8c56cf3b04f44bbded99eb48a11"),
+        ("grid", 16, 2, 3, "polish",
+         "ab460dd3fb6678eba7fbe3bc60b4c968fd3eb22671f23d18370e87b6993a07fe"),
+    ])
+    def test_bit_identical_to_score(self, monkeypatch, kind, n, k, seed, search, digest):
+        # a node's true cost, taken from its end state, is score's on the
+        # dense flow bit for bit; the dense flows, built on first read, are
+        # read-only and hash as the matrices each solve used to fill
+        inst = generate_random(kind, n, k, seed=seed, target_fraction=0.6)
+        solutions = _record_solves(monkeypatch)
+        if search == "prove":
+            solve_exact(inst, budget=600)
+        else:  # the warm start's solve is not a node: it bypasses exact
+            warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
+            polish(inst, warm, budget=600)
+        topology = solutions[0].topology
+        assert all(sol.topology is topology for sol in solutions)
+        assert (search == "polish") == (len(topology.pairs) < inst.available.sum())
+        true_cost, dense = compile_true_cost(inst, topology), hashlib.sha256()
+        for sol in solutions:
+            expected = score(inst, FlowSolution(flow=sol.flow, lp_cost=sol.lp_cost)).true_cost
+            assert true_cost(sol.state).hex() == expected.hex()
+            assert not sol.flow.flags.writeable
+            dense.update(sol.flow.tobytes())
+        assert dense.hexdigest() == digest
+
+    def test_score_runs_for_incumbents_only(self, monkeypatch):
+        # score, and the dense flow it reads, is paid once per new incumbent,
+        # never per node
+        inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+        solutions, scored, real_score = _record_solves(monkeypatch), [], exact.score
+
+        def spy(*args):
+            scored.append(real_score(*args))
+            return scored[-1]
+
+        monkeypatch.setattr(exact, "score", spy)
+        result = solve_exact(inst, budget=600)
+        costs = [score(inst, sol).true_cost for sol in solutions]
+        best = [math.inf, *itertools.accumulate(costs, min)]
+        improvements = [cost for cost, before in zip(costs, best) if cost < before]
+        assert [s.true_cost for s in scored] == improvements
+        assert scored[-1] is result.best
+        assert len(scored) < result.nodes_explored // 20
 
 
 def test_exact_runtime_stays_small_on_diamond(fig1):

@@ -397,6 +397,8 @@ class TestWrapper:
             dataclasses.replace(topology, head=topology.head.astype(np.int64))
         with pytest.raises(ValueError, match="adj has"):
             dataclasses.replace(topology, adj=topology.adj[:-1].copy())
+        with pytest.raises(TypeError, match="capacity must be"):
+            dataclasses.replace(topology, capacity=topology.capacity.astype(np.float32))
 
     def test_copies_bind_their_own_arrays(self):
         # a deep copy or an unpickled topology has its arrays elsewhere; it
