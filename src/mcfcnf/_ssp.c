@@ -4,7 +4,9 @@
  * ends, adj[adj_start[u] .. adj_start[u + 1]) the ids leaving u, ascending.
  * ssp_augment is successive shortest paths with potentials: each round a
  * Dijkstra from frm stops when it settles `to`, the potentials shift and the
- * path's bottleneck is pushed. Its results must equal, bit for bit, the
+ * path's bottleneck is pushed. A path of infinite bottleneck, possible only
+ * when the amount is infinite (max flow), ends it before the push, with
+ * sent = INFINITY. Its results must equal, bit for bit, the
  * reference loop the tests keep: the heap is keyed by (distance, push
  * counter), a total order, and every float expression is evaluated in the
  * reference's left-to-right order (built with -ffp-contract=off, no
@@ -59,14 +61,14 @@ static entry pop(entry *heap, int64_t *size) {
 static int ssp_augment(int32_t n, const int32_t *head, const int32_t *adj_start,
                        const int32_t *adj, const double *cost, double *res, double *pot,
                        int32_t frm, int32_t to, double amount, double stop, int64_t push_cap,
-                       double *left) {
+                       double *left, double *sent) {
     /* a round pushes the start, then at most once per residual id scanned */
     int64_t heap_cap = (int64_t)adj_start[n] + 1;
     double *dist = malloc(sizeof(double) * (size_t)n);
     int32_t *parent = malloc(sizeof(int32_t) * (size_t)n);
     char *done = malloc((size_t)n);
     entry *heap = malloc(sizeof(entry) * (size_t)heap_cap);
-    double remaining = amount;
+    double remaining = amount, total = 0.0;
     int64_t pushes = 0;
     int status = 0;
 
@@ -130,14 +132,20 @@ static int ssp_augment(int32_t n, const int32_t *head, const int32_t *adj_start,
         for (v = to; v != frm; v = head[parent[v] ^ 1])
             if (res[parent[v]] < bottleneck)
                 bottleneck = res[parent[v]];
+        if (bottleneck == INFINITY) {
+            total = INFINITY;
+            break;
+        }
         for (v = to; v != frm; v = head[parent[v] ^ 1]) {
             res[parent[v]] -= bottleneck;
             res[parent[v] ^ 1] += bottleneck;
         }
         remaining -= bottleneck;
+        total += bottleneck;
     }
 out:
     *left = remaining;
+    *sent = total;
     free(dist);
     free(parent);
     free(done);
@@ -147,10 +155,10 @@ out:
 
 /* The whole solve: residuals set to capacity, the start's arcs restored, arc
  * `changed` repaired, closed arcs zeroed, then ssp_augment. Writes the
- * carrying arcs to arcs and the amount left and their cost (summed in arc
- * order) to out; returns their number, or -1 (more than push_cap rounds),
- * -2 (out of memory) or -3 (an arc of infinite capacity to saturate). The
- * caller checks every index. */
+ * carrying arcs to arcs and, to out, the amount left, their cost (summed in
+ * arc order) and the amount sent; returns their number, or -1 (more than
+ * push_cap rounds), -2 (out of memory) or -3 (an arc of infinite capacity to
+ * saturate). The caller checks every index. */
 int64_t ssp_solve(int32_t n, int64_t m, const int32_t *head, const int32_t *adj_start,
                   const int32_t *adj, const double *capacity, const double *cost,
                   const int64_t *closed, int64_t n_closed, const int64_t *start_arcs,
@@ -177,7 +185,7 @@ int64_t ssp_solve(int32_t n, int64_t m, const int32_t *head, const int32_t *adj_
     for (i = 0; i < n_closed; i++)
         res[2 * closed[i]] = 0.0;
     status = ssp_augment(n, head, adj_start, adj, cost, res, pot, frm, to, amount, stop,
-                         push_cap, &out[0]);
+                         push_cap, &out[0], &out[2]);
     if (status != 0)
         return -status;
     for (out[1] = 0.0, i = 0; i < m; i++)

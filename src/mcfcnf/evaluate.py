@@ -97,16 +97,18 @@ def verify_flow(instance: Instance, flow: FlowSolution) -> list[str]:
                           f"capacity {float(instance.capacities[k])!r} by {excess!r}")
 
     per_edge = np.where(avail, g, 0.0).sum(axis=1)
-    src = np.fromiter((u for u, _ in instance.edges), dtype=np.int64, count=instance.n_edges)
-    dst = np.fromiter((w for _, w in instance.edges), dtype=np.int64, count=instance.n_edges)
-    outflow = np.bincount(src, weights=per_edge, minlength=instance.n_vertices)
-    inflow = np.bincount(dst, weights=per_edge, minlength=instance.n_vertices)
+    # over the vertices the edges touch, then source and sink, numbered in order
+    vertices, index = np.unique(np.append(np.asarray(instance.edges, dtype=np.int64),
+                                          [instance.source, instance.sink]), return_inverse=True)
+    outflow = np.bincount(index[:-2:2], weights=per_edge, minlength=len(vertices))
+    inflow = np.bincount(index[1:-2:2], weights=per_edge, minlength=len(vertices))
     residual = inflow - outflow
-    residual[[instance.source, instance.sink]] = 0.0
+    residual[index[-2:]] = 0.0
     for v in np.flatnonzero(np.abs(residual) > tol):
-        violations.append(f"vertex {v}: conservation violated, residual {float(residual[v])!r}")
+        violations.append(f"vertex {vertices[v]}: conservation violated, "
+                          f"residual {float(residual[v])!r}")
 
-    sent = float(outflow[instance.source])
+    sent = float(outflow[index[-2]])
     if abs(sent - instance.target) > tol:
         violations.append(f"source outflow {sent!r} misses target {instance.target!r} "
                           f"by {sent - instance.target!r}")

@@ -39,7 +39,8 @@ class ExactResult:
     nodes_explored: int
 
 
-def _gap_abs(incumbent: float) -> float:
+def gap_abs(incumbent: float) -> float:
+    """The absolute gap within which a bound proves a cost optimal."""
     return GAP_DEFAULT * max(1.0, abs(incumbent))
 
 
@@ -72,7 +73,7 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
         """Whether the incumbent is within the gap of bound: written so, not
         negated, as a NaN while best_cost is inf prunes nothing."""
         nonlocal pruned_floor
-        if bound >= best_cost - _gap_abs(best_cost):
+        if bound >= best_cost - gap_abs(best_cost):
             if bound < best_cost:
                 pruned_floor = min(pruned_floor, bound)
             return True
@@ -127,7 +128,7 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
 
     floor = min((entry[0] for entry in heap), default=math.inf)
     final_bound = min(best_cost, pruned_floor, floor)
-    proven = (best_cost - final_bound) <= _gap_abs(best_cost)
+    proven = (best_cost - final_bound) <= gap_abs(best_cost)
     assert incumbent is not None
     return ExactResult(best=incumbent, proven_optimal=proven,
                        bound=final_bound, nodes_explored=nodes)

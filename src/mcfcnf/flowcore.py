@@ -17,9 +17,11 @@ one of the instance without its pair. A solve returns its end state
 (FlowState); the dense (edge, class) flow is built from it only when read,
 for an incumbent or for output. A branch-and-bound child, one arc closed or
 cheaper, is solved by repairing its parent's end state (Ahuja, Magnanti &
-Orlin, Network Flows, 1993, ch. 9). Max flow is the same kernel at zero
-cost, which makes it Edmonds-Karp. One rule, flow_tol, says what flow
-amount counts as zero, for every solver, validate, score and verify_flow.
+Orlin, Network Flows, 1993, ch. 9). Max flow is one call of the same
+kernel at zero cost, which makes it Edmonds-Karp, sending an unbounded
+amount: it stops at a path of infinite capacity. One rule, flow_tol, says
+what flow amount counts as zero, for every solver, validate, score and
+verify_flow.
 """
 from __future__ import annotations
 
@@ -181,19 +183,18 @@ def compile_pairs(instance: Instance, pairs: np.ndarray) -> Topology:
     closing it, but no solve pays for the arc or for a vertex left bare."""
     n_caps = instance.n_capacities
     ends = np.asarray(instance.edges, dtype=np.intp).reshape(-1, 2)[pairs // n_caps]
-    kept = np.zeros(instance.n_vertices, dtype=bool)
-    kept[[instance.source, instance.sink]] = True
-    kept[ends] = True
-    index = (np.cumsum(kept) - 1).astype(np.int32)  # new number of each kept vertex
-    n = int(kept.sum())
-    head = index[ends[:, ::-1]].reshape(-1)
+    # the arcs' ends, then source and sink, by their number among the kept vertices
+    kept, index = np.unique(np.append(ends, [instance.source, instance.sink]),
+                            return_inverse=True)
+    n, index = len(kept), index.astype(np.int32)
+    head = index[:-2].reshape(-1, 2)[:, ::-1].flatten()
     capacity = np.zeros(2 * len(pairs))
     capacity[0::2] = instance.capacities[pairs % n_caps]
-    leaving = index[ends].reshape(-1)  # tail of each residual id
+    leaving = index[:-2]  # tail of each residual id
     adj_start = np.zeros(n + 1, dtype=np.int32)
     adj_start[1:] = np.cumsum(np.bincount(leaving, minlength=n))
     return Topology(
-        n_vertices=n, source=int(index[instance.source]), sink=int(index[instance.sink]),
+        n_vertices=n, source=int(index[-2]), sink=int(index[-1]),
         target=instance.target, pair_shape=(instance.n_edges, n_caps), pairs=pairs,
         head=head, capacity=capacity, adj_start=adj_start,
         adj=np.argsort(leaving, kind="stable").astype(np.int32),
@@ -287,16 +288,17 @@ def _pointer(array: np.ndarray) -> int:
 
 def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]:
     """Load the kernel built by build_kernel(directory, command) as solve(
-    topology, capacity, cost, closed, start, changed, amount, stop, push_cap)
-    -> (left, lp_cost, res, pot, arcs): one C call for the whole solve of
-    solve_min_cost_flow, or of max_flow on its own capacities at zero cost,
-    sending amount one shortest path at a time (Dijkstra stopped at the sink,
-    ties to the first vertex pushed) until at most stop is left. More than
-    push_cap paths raise FlowIterationError: no bound is proven for a costed
-    solve (test_push_cap_never_reached checks solve_min_cost_flow's cap); at
-    zero cost Edmonds-Karp's holds (max_flow). Before C runs, it checks every
-    arc index and the dtype, contiguity and length of each array a caller
-    supplies (a topology's, capacity included, once); its own need no check.
+    topology, cost, closed, start, changed, amount, stop, push_cap) -> (left,
+    lp_cost, res, pot, arcs, sent): one C call for the whole solve of
+    solve_min_cost_flow, or of max_flow at zero cost, sending amount one
+    shortest path at a time (Dijkstra stopped at the sink, ties to the first
+    vertex pushed) until at most stop is left, no path is left, or a path's
+    bottleneck is infinite (sent is then infinite). More than push_cap paths
+    raise FlowIterationError: no bound is proven for a costed solve
+    (test_push_cap_never_reached checks solve_min_cost_flow's cap); at zero
+    cost Edmonds-Karp's holds (max_flow). Before C runs, it checks every arc
+    index and the dtype, contiguity and length of each array a caller
+    supplies (a topology's once, when built); its own need no check.
     """
     function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_solve
     int32, int64, pointer = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
@@ -304,12 +306,10 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
                          *[int32] * 3, ctypes.c_double, ctypes.c_double, int64, *[pointer] * 4]
     function.restype = int64
 
-    def solve(topology: Topology, capacity: np.ndarray, cost: np.ndarray,
-              closed: frozenset[int], start: FlowState | None, changed: int | None,
-              amount: float, stop: float, push_cap: int) -> tuple:
-        n, m, head, adj_start, adj, capacities = topology._kernel_args
-        if capacity is not topology.capacity:  # max_flow's own
-            capacities = _address(capacity, np.float64, 2 * m, "capacity")
+    def solve(topology: Topology, cost: np.ndarray, closed: frozenset[int],
+              start: FlowState | None, changed: int | None, amount: float, stop: float,
+              push_cap: int) -> tuple:
+        n, m, head, adj_start, adj, capacity = topology._kernel_args
         costs = _address(cost, np.float64, m, "cost")
         if (closed and not 0 <= min(closed) <= max(closed) < m
                 or changed is not None and not 0 <= changed < m):
@@ -325,8 +325,8 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
                     or k and start_arcs.view(np.uint64).max() >= m):  # -1 wraps
                 raise ValueError(f"start does not fit {n} vertices and {m} arcs")
         shut = np.fromiter(closed, np.int64, len(closed))
-        res, out, carrying = np.empty(2 * m), np.empty(2), np.empty(m, dtype=np.int64)
-        count = function(n, m, head, adj_start, adj, capacities, costs, _pointer(shut),
+        res, out, carrying = np.empty(2 * m), np.empty(3), np.empty(m, dtype=np.int64)
+        count = function(n, m, head, adj_start, adj, capacity, costs, _pointer(shut),
                          len(shut), arcs, residual, k, -1 if changed is None else int(changed),
                          changed in closed, topology.source, topology.sink, amount, stop,
                          push_cap, *map(_pointer, (res, pot, carrying, out)))
@@ -334,7 +334,7 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
             raise (FlowIterationError(f"augmentation count exceeded {push_cap}"),
                    MemoryError("no memory for the kernel's work arrays"),
                    ValueError(f"arc {changed}: infinite capacity, cannot saturate"))[-1 - count]
-        return float(out[0]), float(out[1]), res, pot, carrying[:count].copy()
+        return float(out[0]), float(out[1]), res, pot, carrying[:count].copy(), float(out[2])
 
     return solve
 
@@ -368,8 +368,8 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
         raise ValueError(f"arc {bad} has unit cost {cost[bad]}, not >= 0")
     shortfall = 0.0 if start is None else start.shortfall
     stop = flow_tol(target) - shortfall
-    left, lp_cost, res, pot, arcs = _kernel()(topology, topology.capacity, cost, closed, start,
-                                              changed, target, stop, 4 * (m - len(closed)) + 16)
+    left, lp_cost, res, pot, arcs, _ = _kernel()(topology, cost, closed, start, changed,
+                                                 target, stop, 4 * (m - len(closed)) + 16)
     if left > stop:
         achieved = target - shortfall - left
         raise Infeasible(
@@ -392,31 +392,16 @@ def lp_relaxation_bound(instance: Instance) -> float:
 
 def max_flow(topology: Topology, closed: frozenset[int] = frozenset()) -> float:
     """Max flow from source to sink over the open arcs of a compiled
-    topology: the SSP kernel at zero cost, sending the source's open
-    capacity. Every distance is then 0, so the kernel's heap pops vertices in
-    push order, its tie-break, and each augmentation takes a path of fewest
-    arcs (Edmonds-Karp): each of the 2m residual arcs is the bottleneck at
+    topology: the SSP kernel at zero cost, sending an unbounded amount.
+    Every distance is then 0, so the kernel's heap pops vertices in push
+    order, its tie-break, and each augmentation takes a path of fewest arcs
+    (Edmonds-Karp). A path of infinite arcs makes the flow infinite and stops
+    the kernel; every other path has a finite bottleneck, which a finite
+    residual arc sets, and each of the 2m residual arcs is the bottleneck at
     most n/2 times (Edmonds & Karp, J. ACM 19 (1972) 248-264), so the push
-    cap of m * n + 1 searches is never reached.
-    Infinite along a path of infinite arcs; without one, a cut of finite
-    arcs bounds the flow, so an infinite arc acts as one of their total."""
+    cap of m * n + 1 searches is never reached."""
     n, m = topology.n_vertices, len(topology.pairs)
-    res = topology.capacity.copy()
-    if closed:
-        res[2 * np.fromiter(closed, np.intp, len(closed))] = 0.0
-
-    def send(capacity: np.ndarray, amount: float) -> float:
-        return amount - _kernel()(topology, capacity, np.zeros(m), frozenset(), None, None,
-                                  amount, 0.0, m * n + 1)[0]
-
-    unbounded = res == math.inf
-    if unbounded.any():
-        if send(np.where(unbounded, res, 0.0), 1.0):
-            return math.inf
-        res[unbounded] = math.fsum(res[~unbounded].tolist())
-    source = topology.source
-    leaving = topology.adj[topology.adj_start[source]:topology.adj_start[source + 1]]
-    return send(res, sum(res[leaving].tolist()))
+    return _kernel()(topology, np.zeros(m), closed, None, None, math.inf, 0.0, m * n + 1)[5]
 
 
 def max_throughput(instance: Instance) -> float:

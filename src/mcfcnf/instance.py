@@ -16,6 +16,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .flowcore import compile_topology, flow_tol, max_flow, max_throughput
+
 
 class ParseError(ValueError):
     """Malformed instance file."""
@@ -135,8 +137,6 @@ def validate(instance: Instance) -> list[str]:
     v = invariant_violations(instance)
     if v:
         return v
-    from .flowcore import compile_topology, flow_tol, max_flow
-
     mf = max_flow(compile_topology(instance))
     if instance.target - mf > flow_tol(instance.target):
         v.append(f"target exceeds max flow (target={_fmt(instance.target)}, max flow={_fmt(mf)})")
@@ -558,8 +558,6 @@ def generate_random(kind: str, n_vertices: int, n_capacities: int,
         raise ValueError("target_fraction must be in (0, 1]")
     params = cost_params or CostParams()
     rng = random.Random(seed)
-
-    from .flowcore import max_throughput
 
     for _ in range(_MAX_GENERATOR_ATTEMPTS):
         if kind == "grid":

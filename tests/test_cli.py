@@ -112,6 +112,22 @@ class TestExact:
         assert code == 2
         assert "exceeds max flow" in capsys.readouterr().err
 
+    def test_vertices_no_edge_touches_cost_nothing(self, tmp_path, capsys):
+        # a vertex count far beyond memory: only the two vertices the edge
+        # touches are ever numbered, so nothing of that size is allocated
+        path = tmp_path / "sparse.mcfcnf"
+        path.write_text("MCFCNF 1\nVERTICES 1000000000000 SOURCE 0 SINK 1\nTARGET 1\n"
+                        "CAPACITIES 2 1 5\nEDGES 1\n0 1 1 1 2 1\n")
+        assert main(["exact", "--instance", str(path), "--budget", "10",
+                     "--solution", str(tmp_path / "exact.csv")]) == 0
+        assert capsys.readouterr().out.strip().splitlines()[-1] == \
+            "cost=2.0 proven=true bound=2.0 nodes=3"
+        assert main(["solve", "--instance", str(path), "--iterations", "2",
+                     "--solution", str(tmp_path / "ga.csv"),
+                     "--convergence", str(tmp_path / "conv.csv")]) == 0
+        fields = _summary_fields(capsys.readouterr().out.strip().splitlines()[-1])
+        assert fields["polished_cost"] == "2.0"
+
 
 class TestGen:
     def test_deterministic_bytes(self, tmp_path, capsys):

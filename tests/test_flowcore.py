@@ -308,9 +308,13 @@ class TestMaxFlow:
         assert max_flow(topology, frozenset({1})) == 2.0
         assert max_throughput(inst) == 5.0
 
-    @pytest.mark.parametrize("extra, cost", [((), 16.0), (((0, 2),), 8.0)])
-    def test_infinite_class(self, extra, cost):
-        # the widest class is unbounded on every edge: so is the max flow
+    @pytest.mark.parametrize("extra, cost, closed", [
+        ((), 16.0, {(3,): 4.0}),
+        (((0, 2),), 8.0, {(3,): math.inf, (3, 5): 8.0}),
+    ], ids=["extra0-16.0", "extra1-8.0"])
+    def test_infinite_class(self, extra, cost, closed):
+        # the widest class is unbounded on every edge: so is the max flow.
+        # Arc 2e + 1 is edge e's infinite class; closing it leaves its 4
         edges = ((0, 1), (1, 2)) + extra
         inst = Instance(
             n_vertices=3, source=0, sink=2, edges=edges,
@@ -318,6 +322,8 @@ class TestMaxFlow:
             variable_cost=np.ones((len(edges), 2)), target=7.0,
         )
         assert max_flow(compile_topology(inst)) == math.inf
+        for arcs, flow in closed.items():
+            assert max_flow(compile_topology(inst), frozenset(arcs)) == flow
         assert max_throughput(inst) == math.inf
         assert solve_exact(inst, budget=10).best.true_cost == cost
 

@@ -5,7 +5,7 @@ reference_solve is the solve the C kernel (src/mcfcnf/_ssp.c) replaces:
 residual setup, warm-start repair and the augmenting loop reference_augment,
 kept here unchanged in what they compute. Every kernel call a solve or
 max_flow makes is run through both, and the residuals, potentials, amount
-left, cost, carrying arcs and errors must agree bit for bit.
+left, cost, carrying arcs, amount sent and errors must agree bit for bit.
 """
 import contextlib
 import copy
@@ -38,11 +38,15 @@ CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
 
 def reference_augment(n: int, head: list[int], adjacency: list[list[int]],
                       rcost: list[float], res: list[float], pot: list[float],
-                      frm: int, to: int, amount: float, stop: float, push_cap: int) -> float:
+                      frm: int, to: int, amount: float, stop: float,
+                      push_cap: int) -> tuple[float, float]:
     """SSP kernel: send amount from frm to to under nonnegative reduced costs
-    rcost + pot[u] - pot[v]; updates res and pot, returns the amount left."""
+    rcost + pot[u] - pot[v]; updates res and pot, returns the amount left and
+    the amount sent (infinite, and nothing pushed, at a path of infinite
+    bottleneck)."""
     inf = math.inf
     remaining = amount
+    sent = 0.0
     pushes = 0
 
     while remaining > stop:
@@ -80,7 +84,7 @@ def reference_augment(n: int, head: list[int], adjacency: list[list[int]],
                     counter += 1
 
         if dist_t == inf:
-            return remaining
+            return remaining, sent
 
         for v in range(n):
             pot[v] += dist[v] if done[v] and dist[v] < dist_t else dist_t
@@ -92,6 +96,8 @@ def reference_augment(n: int, head: list[int], adjacency: list[list[int]],
             if res[rid] < bottleneck:
                 bottleneck = res[rid]
             v = head[rid ^ 1]
+        if bottleneck == inf:
+            return remaining, inf
         v = to
         while v != frm:
             rid = parent[v]
@@ -99,19 +105,19 @@ def reference_augment(n: int, head: list[int], adjacency: list[list[int]],
             res[rid ^ 1] += bottleneck
             v = head[rid ^ 1]
         remaining -= bottleneck
-    return remaining
+        sent += bottleneck
+    return remaining, sent
 
 
-def reference_solve(topology, capacity, cost, closed, start, changed, amount, stop,
-                    push_cap):
+def reference_solve(topology, cost, closed, start, changed, amount, stop, push_cap):
     """The kernel's solve (see flowcore.load_kernel) on numpy arrays around
-    reference_augment: returns (left, lp_cost, res, pot, arcs)."""
+    reference_augment: returns (left, lp_cost, res, pot, arcs, sent)."""
     head = topology.head
     m = len(cost)
     rcost = np.empty(2 * m)
     rcost[0::2] = cost
     rcost[1::2] = -cost
-    res = capacity.copy()
+    res = topology.capacity.copy()
     pot = np.zeros(topology.n_vertices)
     frm, to = topology.source, topology.sink
     if start is not None:
@@ -135,15 +141,15 @@ def reference_solve(topology, capacity, cost, closed, start, changed, amount, st
     adj, adj_start = topology.adj.tolist(), topology.adj_start.tolist()
     adjacency = [adj[a:b] for a, b in zip(adj_start, adj_start[1:])]
     res, pot = res.tolist(), pot.tolist()
-    left = reference_augment(topology.n_vertices, head.tolist(), adjacency, rcost.tolist(),
-                             res, pot, frm, to, amount, stop, push_cap)
+    left, sent = reference_augment(topology.n_vertices, head.tolist(), adjacency,
+                                   rcost.tolist(), res, pot, frm, to, amount, stop, push_cap)
     res, pot = np.array(res), np.array(pot)
     amounts = res[1::2]
     arcs = np.flatnonzero(amounts)
     lp_cost = 0.0
     for amount, unit in zip(amounts[arcs].tolist(), cost[arcs].tolist()):
         lp_cost += amount * unit
-    return left, lp_cost, res, pot, arcs
+    return left, lp_cost, res, pot, arcs, sent
 
 
 def _bits(values) -> bytes:
@@ -158,8 +164,8 @@ def checked_kernel(cap: int | None = None):
     kernel = flowcore._kernel()
     calls = []
 
-    def solve(topology, capacity, cost, closed, start, changed, amount, stop, push_cap):
-        args = (topology, capacity, cost, closed, start, changed, amount, stop,
+    def solve(topology, cost, closed, start, changed, amount, stop, push_cap):
+        args = (topology, cost, closed, start, changed, amount, stop,
                 push_cap if cap is None else cap)
         outcomes = []
         for run in (reference_solve, kernel):
@@ -178,6 +184,7 @@ def checked_kernel(cap: int | None = None):
         assert _bits(got[2]) == _bits(expected[2])  # res
         assert _bits(got[3][:n]) == _bits(expected[3][:n])  # pot
         assert got[4].tolist() == expected[4].tolist()  # carrying arcs
+        assert _bits(got[5]) == _bits(expected[5])  # amount sent
         return got
 
     saved = flowcore._kernel
@@ -358,9 +365,8 @@ class TestWrapper:
         topology = compile_topology(inst)
         m = len(topology.pairs)
         state = FlowState(np.array([0, m - 1]), np.zeros(4), np.zeros(topology.n_vertices), 0.0)
-        args = dict(topology=topology, capacity=topology.capacity, cost=np.ones(m),
-                    closed=frozenset({1}), start=state, changed=0, amount=1.0, stop=0.0,
-                    push_cap=10)
+        args = dict(topology=topology, cost=np.ones(m), closed=frozenset({1}), start=state,
+                    changed=0, amount=1.0, stop=0.0, push_cap=10)
         return load_kernel(Path(flowcore.__file__).with_name("__pycache__"), CC), args, calls
 
     def test_valid_call_reaches_c(self, wrapper):
@@ -373,7 +379,6 @@ class TestWrapper:
         (lambda a: {"cost": np.repeat(a["cost"], 2)[::2]}, TypeError),
         (lambda a: {"cost": a["cost"][:-1]}, ValueError),
         (lambda a: {"cost": a["cost"].tolist()}, TypeError),
-        (lambda a: {"capacity": a["topology"].capacity[:-1].copy()}, ValueError),
         (lambda a: {"closed": frozenset({len(a["cost"])})}, ValueError),
         (lambda a: {"closed": frozenset({-1})}, ValueError),
         (lambda a: {"changed": len(a["cost"])}, ValueError),
@@ -382,8 +387,8 @@ class TestWrapper:
         (lambda a: {"start": a["start"]._replace(arcs=np.array([-1, 0]))}, ValueError),
         (lambda a: {"start": a["start"]._replace(residual=np.zeros(3))}, ValueError),
         (lambda a: {"start": a["start"]._replace(potential=np.zeros(1))}, ValueError),
-    ], ids=["float32-cost", "strided-cost", "short-cost", "list-cost", "short-capacity",
-            "closed-m", "closed-negative", "changed-m", "start-arc-m", "start-arc-negative",
+    ], ids=["float32-cost", "strided-cost", "short-cost", "list-cost", "closed-m",
+            "closed-negative", "changed-m", "start-arc-m", "start-arc-negative",
             "short-start-residual", "short-potential"])
     def test_rejected_before_c(self, wrapper, bad, error):
         solve, args, calls = wrapper
