@@ -137,11 +137,11 @@ def cmd_compare(args) -> int:
     consistency_failures = []
     for path in paths:
         instance = _load_checked(path)
-        problems = validate(instance)
-        if problems:
-            print(f"{path}: " + "; ".join(problems), file=sys.stderr)
+        try:  # the run's first solve decides routability
+            bound = lp_relaxation_bound(instance)
+        except Infeasible as err:
+            print(f"{path}: {err}", file=sys.stderr)
             return EXIT_INFEASIBLE
-        bound = lp_relaxation_bound(instance)
 
         ga_costs = []
         ga_started = time.perf_counter()
@@ -156,17 +156,17 @@ def cmd_compare(args) -> int:
         exact_result = exact_mod.solve_exact(instance, budget=args.budget)
         exact_time = time.perf_counter() - exact_started
 
-        ga_mean = statistics.fmean(ga_costs)
+        ga_mean, exact_cost = statistics.fmean(ga_costs), exact_result.best.true_cost
         if ga_mean < bound - exact_mod.gap_abs(bound):
             consistency_failures.append(
                 f"{path}: GA cost {ga_mean!r} below lower bound {bound!r}")
         rows.append({
             "instance": Path(path).stem,
             "ga_cost_mean": ga_mean,
-            "exact_cost": exact_result.best.true_cost,
+            "exact_cost": exact_cost,
             "exact_proven": str(exact_result.proven_optimal).lower(),
             "lower_bound": bound,
-            "cost_ratio": ga_mean / exact_result.best.true_cost,
+            "cost_ratio": ga_mean / exact_cost if exact_cost else (math.inf if ga_mean else 1.0),
             "ga_time_s": ga_time,
             "exact_time_s": exact_time,
         })

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flowcore import FlowSolution, FlowState, Topology, flow_tol
+from .flowcore import FlowSolution, FlowState, Topology, check_pair_shape, flow_tol
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -37,19 +37,12 @@ class ScoredSolution:
         object.__setattr__(self, "used", used)
 
 
-def _check_shape(instance: Instance, flow: FlowSolution) -> None:
-    shape = (instance.n_edges, instance.n_capacities)
-    if flow.flow.shape != shape:
-        raise ValueError(f"flow shape {flow.flow.shape} does not match "
-                         f"instance (edges, capacities) {shape}")
-
-
 def score(instance: Instance, flow: FlowSolution) -> ScoredSolution:
     """Compute use indicators and the true cost of a flow.
 
     Pure and deterministic; does not verify flow validity (see verify_flow).
     """
-    _check_shape(instance, flow)
+    check_pair_shape(instance, flow.flow, "flow")
     avail = instance.available
     g = flow.flow
     used = (g > flow_tol(instance.target)) & avail
@@ -80,7 +73,7 @@ def verify_flow(instance: Instance, flow: FlowSolution) -> list[str]:
     """Check capacities, conservation at internal vertices and the target,
     each within max(VERIFY_TOL, flow_tol(target)). Returns one message per
     violation, naming the offending edge/vertex and the residual."""
-    _check_shape(instance, flow)
+    check_pair_shape(instance, flow.flow, "flow")
     tol = max(VERIFY_TOL, flow_tol(instance.target))
     g = flow.flow
     avail = instance.available

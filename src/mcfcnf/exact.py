@@ -142,8 +142,8 @@ def solve_exact(instance: Instance, budget: float,
     ValueError for a nonpositive budget. With node_log a list, appends
     (parent bound, child bound) per explored child.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
+    if not budget > 0:  # NaN too
+        raise ValueError(f"budget must be positive (got {budget!r})")
     return _branch_and_bound(instance, budget, compile_topology(instance), None, node_log)
 
 
@@ -159,7 +159,7 @@ def polish(instance: Instance, warm: ScoredSolution, budget: float) -> ScoredSol
     problems = verify_flow(instance, warm.flow)
     if problems:
         raise ValueError("warm start is not a valid flow: " + "; ".join(problems))
-    if budget <= 0:
+    if not budget > 0:  # NaN too
         return warm
 
     touched = {v for e in np.flatnonzero(warm.used.any(axis=1)) for v in instance.edges[e]}

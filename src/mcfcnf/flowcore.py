@@ -60,6 +60,11 @@ def flow_tol(target: float) -> float:
     return FLOW_TOL * max(1.0, target)
 
 
+def unroutable(target: float, max_flow: float) -> str:
+    """The one message for a target above the network's max flow."""
+    return f"target exceeds max flow (target={float(target)!r}, max flow={float(max_flow)!r})"
+
+
 class Infeasible(Exception):
     """The network cannot carry the target flow amount."""
 
@@ -201,12 +206,17 @@ def compile_pairs(instance: Instance, pairs: np.ndarray) -> Topology:
     )
 
 
+def check_pair_shape(instance: Instance, array: np.ndarray, what: str) -> None:
+    """ValueError unless array holds one entry per (edge, class) pair."""
+    shape = (instance.n_edges, instance.n_capacities)
+    if array.shape != shape:
+        raise ValueError(f"{what} shape {array.shape} does not match "
+                         f"instance (edges, capacities) {shape}")
+
+
 def build_expanded_network(instance: Instance, organism: Organism) -> ExpandedNetwork:
     """Expand an instance under an organism's fixed-cost divisors."""
-    shape = (instance.n_edges, instance.n_capacities)
-    if organism.scale.shape != shape:
-        raise ValueError(f"organism shape {organism.scale.shape} does not match "
-                         f"instance (edges, capacities) {shape}")
+    check_pair_shape(instance, organism.scale, "organism")
     topology = compile_topology(instance)
     cost = instance.fixed_cost / organism.scale + instance.variable_cost
     return ExpandedNetwork(topology, topology.arc_costs(cost))
@@ -372,8 +382,7 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
                                                  target, stop, 4 * (m - len(closed)) + 16)
     if left > stop:
         achieved = target - shortfall - left
-        raise Infeasible(
-            f"target {target} exceeds max flow {achieved}", max_flow=achieved)
+        raise Infeasible(unroutable(target, achieved), max_flow=achieved)
 
     state = FlowState(arcs, res.reshape(-1, 2)[arcs].reshape(-1), pot, shortfall + left)
     return FlowSolution(None, lp_cost, state, topology)

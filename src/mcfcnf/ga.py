@@ -21,9 +21,9 @@ import numpy as np
 from . import exact
 from .evaluate import ScoredSolution, score
 from .flowcore import (D_MIN, UNBOUNDED, FlowSolution, Infeasible, Organism,
-                       build_expanded_network, capacity_scale, flow_tol,
-                       solve_min_cost_flow)
-from .instance import validate
+                       build_expanded_network, capacity_scale, check_pair_shape,
+                       flow_tol, solve_min_cost_flow)
+from .instance import invariant_violations
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -36,7 +36,8 @@ class GAConfig:
     """Run parameters. A stop rule is required: a wall-clock time_limit
     (evolution gets 4/5, polishing 1/5) and/or an iteration_limit for
     bit-reproducible runs. With only an iteration_limit, polishing gets a
-    quarter of the evolution wall time, i.e. one fifth of the whole run."""
+    quarter of the evolution wall time, i.e. one fifth of the whole run.
+    Whether the target routes is no parameter: the run's first decode decides."""
 
     population_size: int = 10
     crossover_probability: float = 0.5
@@ -80,7 +81,7 @@ class RunResult:
 def _mean_fixed_cost(instance: Instance) -> float:
     finite = instance.fixed_cost[instance.available]
     mean = float(finite.mean()) if finite.size else 0.0
-    return mean if mean > 0 else 1.0
+    return max(mean, D_MIN) if mean > 0 else 1.0
 
 
 def fitness(instance: Instance, organism: Organism) -> ScoredSolution:
@@ -95,7 +96,7 @@ def init_population(instance: Instance, config: GAConfig, rng: random.Random) ->
     random organisms with entries in [D_MIN, mean fixed cost]."""
     shape = (instance.n_edges, instance.n_capacities)
     population = [Organism(scale=capacity_scale(instance))]
-    upper = max(_mean_fixed_cost(instance), D_MIN)
+    upper = _mean_fixed_cost(instance)
     for _ in range(config.population_size - 1):
         entries = [rng.uniform(D_MIN, upper) for _ in range(shape[0] * shape[1])]
         population.append(Organism(scale=np.array(entries).reshape(shape)))
@@ -112,16 +113,14 @@ def tournament_select(population: list[_Member], target_size: int,
                          f"population of {len(population)}")
     pool = list(population)
     while len(pool) > target_size:
-        i, j = rng.sample(range(len(pool)), 2)
-        loser = max(i, j, key=lambda idx: (pool[idx][1].true_cost, idx))
-        del pool[loser]
+        del pool[_duel(pool, rng)[1]]
     return pool
 
 
-def _tournament_pick(population: list[_Member], rng: random.Random) -> Organism:
-    i, j = rng.sample(range(len(population)), 2)
-    winner = min(i, j, key=lambda idx: (population[idx][1].true_cost, idx))
-    return population[winner][0]
+def _duel(pool: list[_Member], rng: random.Random) -> tuple[int, int]:
+    """Two members drawn, as (winner, loser) indices: lower (true cost, index) wins."""
+    i, j = rng.sample(range(len(pool)), 2)
+    return (i, j) if (pool[i][1].true_cost, i) < (pool[j][1].true_cost, j) else (j, i)
 
 
 def crossover(parent_a: Organism, parent_b: Organism, rng: random.Random) -> Organism:
@@ -145,7 +144,7 @@ def mutate(instance: Instance, organism: Organism, rng: random.Random) -> Organi
     length = scale.size
     count = rng.randint(1, max(1, length // 10))
     positions = rng.sample(range(length), count)
-    reset = max(_mean_fixed_cost(instance), D_MIN)
+    reset = _mean_fixed_cost(instance)
     for pos in positions:
         value = scale[pos]
         if math.isinf(value):
@@ -161,10 +160,7 @@ def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
     """Divisors that make the relaxation reproduce a given optimal flow:
     unbounded on carrying pairs (fixed cost vanishes), floor elsewhere
     (fixed cost prohibitive)."""
-    shape = (instance.n_edges, instance.n_capacities)
-    if optimal_flow.flow.shape != shape:
-        raise ValueError(f"flow shape {optimal_flow.flow.shape} does not match "
-                         f"instance (edges, capacities) {shape}")
+    check_pair_shape(instance, optimal_flow.flow, "flow")
     scale = np.where(optimal_flow.flow > flow_tol(instance.target), UNBOUNDED, D_MIN)
     return Organism(scale=scale)
 
@@ -187,7 +183,8 @@ def _evaluate_all(instance: Instance, organisms: list[Organism],
 def evolve(instance: Instance, config: GAConfig) -> RunResult:
     """Run the full search: seeded initialization, tournament-driven
     crossover and mutation under elitist selection, then exact polishing of
-    the best flow on the remaining time share.
+    the best flow on the remaining time share. The seed's decode, the first
+    solve, raises Infeasible when the target cannot be routed.
 
     Randomness is consumed in a fixed documented order (initial entries,
     then per child: two parent tournaments, the crossover interval, the
@@ -195,7 +192,7 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
     iteration_limit the evolution (best, history) replays bit-identically per
     seed; polish gets a wall-clock share, so its result may vary with speed.
     """
-    problems = validate(instance)
+    problems = invariant_violations(instance)
     if problems:
         raise Infeasible("; ".join(problems))
 
@@ -228,8 +225,7 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
         iteration += 1
         children = []
         for _ in range(n_children):
-            parent_a = _tournament_pick(population, rng)
-            parent_b = _tournament_pick(population, rng)
+            parent_a, parent_b = (population[_duel(population, rng)[0]][0] for _ in range(2))
             child = crossover(parent_a, parent_b, rng)
             if rng.random() < config.mutation_probability:
                 child = mutate(instance, child, rng)

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .flowcore import compile_topology, flow_tol, max_flow, max_throughput
+from .flowcore import compile_topology, flow_tol, max_flow, max_throughput, unroutable
 
 
 class ParseError(ValueError):
@@ -139,7 +139,7 @@ def validate(instance: Instance) -> list[str]:
         return v
     mf = max_flow(compile_topology(instance))
     if instance.target - mf > flow_tol(instance.target):
-        v.append(f"target exceeds max flow (target={_fmt(instance.target)}, max flow={_fmt(mf)})")
+        v.append(unroutable(instance.target, mf))
     return v
 
 
@@ -468,8 +468,10 @@ _MAX_GENERATOR_ATTEMPTS = 64
 def _draw_capacities(rng: random.Random, n_capacities: int) -> list[float]:
     caps = [float(rng.randint(*_FIRST_CAPACITY))]
     for _ in range(n_capacities - 1):
-        grown = math.ceil(caps[-1] * rng.uniform(*_CAPACITY_GROWTH))
-        caps.append(float(max(grown, caps[-1] + 1)))
+        grown = caps[-1] * rng.uniform(*_CAPACITY_GROWTH)
+        if grown == math.inf:
+            raise ValueError(f"capacity class {len(caps)} of {n_capacities} overflows a float")
+        caps.append(float(max(math.ceil(grown), caps[-1] + 1)))
     return caps
 
 

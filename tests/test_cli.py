@@ -1,6 +1,6 @@
 import pytest
 
-from mcfcnf import save_instance
+from mcfcnf import GAConfig, Infeasible, evolve, load_instance, save_instance, validate
 from mcfcnf.cli import main
 from conftest import fig1_instance, minimal_instance, two_class_edge_instance
 
@@ -165,6 +165,17 @@ class TestGen:
         assert "cost range must be finite with 0 <= min <= max" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_too_many_capacities(self, tmp_path, capsys):
+        # the class sizes grow geometrically until one overflows a float;
+        # that used to raise OverflowError out of math.ceil
+        out = tmp_path / "x.mcfcnf"
+        code = main(["gen", "--kind", "grid", "--vertices", "9", "--capacities", "1500",
+                     "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and "overflows a float" in err
+        assert not out.exists()
+
 
 class TestCompare:
     def test_two_instances(self, fig1_file, minimal_file, tmp_path, capsys):
@@ -182,6 +193,33 @@ class TestCompare:
         assert float(fig1_row[2]) == pytest.approx(20.0)  # exact
         assert float(fig1_row[1]) >= float(fig1_row[4]) - 1e-6  # >= lower bound
         assert float(rows["minimal"][2]) == pytest.approx(4.0)
+
+    def test_unroutable_instance(self, infeasible_file, tmp_path, capsys):
+        report = tmp_path / "report.csv"
+        code = main(["compare", "--instances", str(infeasible_file), "--budget", "1",
+                     "--repeats", "1", "--iterations", "2", "-o", str(report)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == f"{infeasible_file}: target exceeds max flow (target=10.0, max flow=5.0)\n"
+        assert not report.exists()
+        # the GA's first decode gives validate's message, word for word
+        instance = load_instance(infeasible_file)
+        with pytest.raises(Infeasible) as raised:
+            evolve(instance, GAConfig(iteration_limit=1))
+        assert str(raised.value) == validate(instance)[0]
+
+    def test_zero_cost_optimum(self, tmp_path, capsys):
+        # every cost 0: the optimum is 0, and cost_ratio used to divide by it
+        path, report = tmp_path / "free.mcfcnf", tmp_path / "report.csv"
+        assert main(["gen", "--kind", "grid", "--vertices", "9", "--capacities", "2",
+                     "--fixed-min", "0", "--fixed-max", "0", "--variable-min", "0",
+                     "--variable-max", "0", "-o", str(path)]) == 0
+        assert main(["compare", "--instances", str(path), "--budget", "1", "--repeats", "1",
+                     "--iterations", "2", "-o", str(report)]) == 0
+        header, row = report.read_text().splitlines()
+        fields = dict(zip(header.split(","), row.split(",")))
+        assert fields["exact_cost"] == fields["ga_cost_mean"] == "0.000000"
+        assert fields["cost_ratio"] == "1.000000"
 
     def test_empty_glob(self, tmp_path, capsys):
         code = main(["compare", "--instances", str(tmp_path / "none-*.mcfcnf"),
@@ -242,3 +280,24 @@ def test_two_class_edge_solves(tmp_path, capsys):
     assert main(["solve", "--instance", str(path), "--iterations", "3",
                  "--solution", solution]) == 0
     assert _summary_fields(capsys.readouterr().out.strip())["polished_cost"] == "6.5"
+
+
+_DEGENERATE = {
+    "no-edges": "CAPACITIES 1 5\nEDGES 0\n",
+    "no-capacities": "CAPACITIES 0\nEDGES 2\n0 1\n1 2\n",
+    "zero-costs": "CAPACITIES 1 5\nEDGES 2\n0 1 0 0\n1 2 0 0\n",
+}
+
+
+@pytest.mark.parametrize("command", [
+    "solve --instance {f} --iterations 2 --solution {out} --convergence {conv}",
+    "exact --instance {f} --budget 5 --solution {out}",
+    "compare --instances {f} --budget 1 --repeats 1 --iterations 2 -o {out}",
+], ids=["solve", "exact", "compare"])
+@pytest.mark.parametrize("name", sorted(_DEGENERATE))
+def test_degenerate_file_exits_cleanly(tmp_path, capsys, name, command):
+    path = tmp_path / f"{name}.mcfcnf"
+    path.write_text("MCFCNF 1\nVERTICES 3 SOURCE 0 SINK 2\nTARGET 1\n" + _DEGENERATE[name])
+    argv = command.format(f=path, out=tmp_path / "out.csv", conv=tmp_path / "conv.csv")
+    assert main(argv.split()) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -91,6 +91,11 @@ class TestSolveExact:
         with pytest.raises(ValueError, match="budget"):
             solve_exact(minimal, budget=0)
 
+    def test_nan_budget_rejected(self, minimal):
+        # NaN passes a `budget <= 0` test, which let it run an unbounded search
+        with pytest.raises(ValueError, match=r"budget must be positive \(got nan\)"):
+            solve_exact(minimal, budget=float("nan"))
+
     def test_infeasible(self, minimal):
         bad = dataclasses.replace(minimal, target=10.0)
         with pytest.raises(Infeasible):
@@ -187,6 +192,11 @@ class TestPolish:
         warm = _scored_relaxation(fig1, [[2.0], [1.0], [2.0], [1.0]])
         out = polish(fig1, warm, budget=0.0)
         assert out is warm
+
+    def test_nan_budget_returns_warm(self, fig1):
+        # a search with a NaN deadline never stops for time; none is run
+        warm = _scored_relaxation(fig1, [[2.0], [1.0], [2.0], [1.0]])
+        assert polish(fig1, warm, budget=float("nan")) is warm
 
     def test_invalid_warm_rejected(self, fig1):
         from mcfcnf import FlowSolution
