@@ -42,7 +42,7 @@ def _load_checked(path: str):
         return load_instance(path)
     except FileNotFoundError:
         raise _UsageError(f"instance file not found: {path}") from None
-    except (ParseError, ValidationError) as err:
+    except (ParseError, ValidationError, UnicodeDecodeError) as err:
         raise _UsageError(f"{path}: {err}") from None
 
 
@@ -180,11 +180,9 @@ def cmd_compare(args) -> int:
     Path(args.output).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
     for line in lines:
         print(line)
-    if consistency_failures:
-        for failure in consistency_failures:
-            print("internal consistency failure: " + failure, file=sys.stderr)
-        return EXIT_ERROR
-    return EXIT_OK
+    for failure in consistency_failures:
+        print("internal consistency failure: " + failure, file=sys.stderr)
+    return EXIT_ERROR if consistency_failures else EXIT_OK
 
 
 def _build_parser() -> _Parser:

@@ -3,18 +3,18 @@
 A flow's true cost charges each (edge, class) pair its full fixed cost
 whenever the pair carries any flow, plus the variable cost per unit carried.
 "Any" means more than flowcore.flow_tol(target), which verify_flow allows on
-every constraint, so it accepts every shortfall a solver may leave.
+every constraint, so it accepts every shortfall a solver may leave. One
+function, true_cost, prices every flow in arc space.
 """
 from __future__ import annotations
 
-from collections.abc import Callable
 from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .flowcore import FlowSolution, FlowState, Topology, check_pair_shape, flow_tol
+from .flowcore import FlowSolution, Topology, check_pair_shape, compile_topology, flow_tol
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -37,53 +37,49 @@ class ScoredSolution:
         object.__setattr__(self, "used", used)
 
 
+def true_cost(topology: Topology, arcs: np.ndarray, amounts: np.ndarray) -> float:
+    """True cost of amounts on the topology's arcs (ascending): the used arcs'
+    fixed costs, then variable cost times flow over all the instance's
+    offered pairs (a subset's scattered in), each summed in pair order, so a
+    flow's cost has the same bits on every topology that holds its arcs."""
+    carried = np.zeros(len(topology.variable))
+    carried[topology.slot[arcs]] = amounts
+    return (float(topology.fixed[arcs[amounts > flow_tol(topology.target)]].sum())
+            + float((topology.variable * carried).sum()))
+
+
 def score(instance: Instance, flow: FlowSolution) -> ScoredSolution:
-    """Compute use indicators and the true cost of a flow.
-
-    Pure and deterministic; does not verify flow validity (see verify_flow).
+    """Use indicators and true cost of a flow: a solve's of this instance from
+    its end state, any other from its dense matrix. Pure and deterministic;
+    does not verify flow validity (see verify_flow).
     """
-    check_pair_shape(instance, flow.flow, "flow")
-    avail = instance.available
-    g = flow.flow
-    used = (g > flow_tol(instance.target)) & avail
-    fixed_part = float(instance.fixed_cost[used].sum())
-    variable_part = float((instance.variable_cost[avail] * g[avail]).sum())
-    return ScoredSolution(flow=flow, used=used.astype(np.int8),
-                          true_cost=fixed_part + variable_part)
-
-
-def compile_true_cost(instance: Instance, topology: Topology) -> Callable[[FlowState], float]:
-    """True cost of a solve's end state on topology, bit for bit score's: both
-    sum, pairwise by position, the used pairs' fixed costs in pair order, then
-    variable cost times flow over all offered pairs (a subset's scattered in)."""
-    tol = flow_tol(instance.target)
-    fixed = topology.arc_costs(instance.fixed_cost)
-    variable = instance.variable_cost[instance.available]
-    slot = np.searchsorted(np.flatnonzero(instance.available), topology.pairs)
-
-    def true_cost(state: FlowState) -> float:
-        flows, carried = state.residual[1::2], np.zeros(len(variable))
-        carried[slot[state.arcs]] = flows
-        return float(fixed[state.arcs[flows > tol]].sum()) + float((variable * carried).sum())
-
-    return true_cost
+    topology = flow.topology
+    if flow.state is not None and topology.available is instance.available:
+        arcs, amounts = flow.state.arcs, flow.state.residual[1::2]
+    else:  # a dense flow, or a solve of another instance: priced at this one's costs
+        check_pair_shape(instance, flow.flow, "flow")
+        topology = compile_topology(instance)
+        arcs, amounts = np.arange(len(topology.pairs)), flow.flow.reshape(-1)[topology.pairs]
+    used = np.zeros(instance.available.shape, dtype=np.int8)
+    used.reshape(-1)[topology.pairs[arcs[amounts > flow_tol(instance.target)]]] = 1
+    return ScoredSolution(flow=flow, used=used, true_cost=true_cost(topology, arcs, amounts))
 
 
 def verify_flow(instance: Instance, flow: FlowSolution) -> list[str]:
     """Check capacities, conservation at internal vertices and the target,
-    each within max(VERIFY_TOL, flow_tol(target)). Returns one message per
-    violation, naming the offending edge/vertex and the residual."""
+    each within max(VERIFY_TOL, flow_tol(target)), which a NaN fails. Returns
+    one message per violation, naming the offending edge/vertex and the residual."""
     check_pair_shape(instance, flow.flow, "flow")
     tol = max(VERIFY_TOL, flow_tol(instance.target))
     g = flow.flow
     avail = instance.available
     violations: list[str] = []
 
-    for e, k in zip(*np.nonzero(g < -tol)):
-        violations.append(f"edge {e} capacity {k}: negative flow {float(g[e, k])!r}")
-    for e, k in zip(*np.nonzero(~avail & (np.abs(g) > tol))):
+    for e, k in zip(*np.nonzero(~(g >= -tol))):
+        violations.append(f"edge {e} capacity {k}: negative or NaN flow {float(g[e, k])!r}")
+    for e, k in zip(*np.nonzero(~avail & ~(np.abs(g) <= tol))):
         violations.append(f"edge {e} capacity {k}: flow {float(g[e, k])!r} on an unavailable class")
-    over = avail & (g > instance.capacities[None, :] + tol)
+    over = avail & ~(g <= instance.capacities[None, :] + tol)
     for e, k in zip(*np.nonzero(over)):
         excess = float(g[e, k] - instance.capacities[k])
         violations.append(f"edge {e} capacity {k}: flow {float(g[e, k])!r} exceeds "
@@ -97,12 +93,12 @@ def verify_flow(instance: Instance, flow: FlowSolution) -> list[str]:
     inflow = np.bincount(index[1:-2:2], weights=per_edge, minlength=len(vertices))
     residual = inflow - outflow
     residual[index[-2:]] = 0.0
-    for v in np.flatnonzero(np.abs(residual) > tol):
+    for v in np.flatnonzero(~(np.abs(residual) <= tol)):
         violations.append(f"vertex {vertices[v]}: conservation violated, "
                           f"residual {float(residual[v])!r}")
 
     sent = float(outflow[index[-2]])
-    if abs(sent - instance.target) > tol:
+    if not abs(sent - instance.target) <= tol:
         violations.append(f"source outflow {sent!r} misses target {instance.target!r} "
                           f"by {sent - instance.target!r}")
     return violations

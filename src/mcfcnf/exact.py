@@ -7,7 +7,7 @@ solution), and relaxes each undecided arc to a linearized fixed charge
 (fixed/capacity + variable per unit): a node bound is one min-cost-flow
 solve, repaired from its parent's end state. Arcs forced open add their
 fixed cost as a constant and cost only their variable cost per unit. A node
-is scored from its end state; only an incumbent gets a dense flow matrix.
+is priced in arc space from its end state, a new incumbent is also scored.
 """
 from __future__ import annotations
 
@@ -19,7 +19,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evaluate import ScoredSolution, compile_true_cost, score, verify_flow
+from .evaluate import ScoredSolution, score, true_cost, verify_flow
 from .flowcore import (ExpandedNetwork, FlowState, Infeasible, Topology, compile_pairs,
                        compile_topology, flow_tol, slope_scaled_costs,
                        solve_min_cost_flow)
@@ -51,11 +51,10 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
     topology or one of a subset of its pairs (the others stay unused)."""
     start = time.perf_counter()
     free_cost = topology.arc_costs(slope_scaled_costs(instance))
-    var_cost = topology.arc_costs(instance.variable_cost)
-    fixed = topology.arc_costs(instance.fixed_cost).tolist()
+    var_cost = topology.variable[topology.slot]
+    fixed = topology.fixed.tolist()
     capacity = topology.capacity[0::2].tolist()
     tol = flow_tol(instance.target)
-    true_cost = compile_true_cost(instance, topology)
 
     incumbent = warm
     best_cost = warm.true_cost if warm is not None else math.inf
@@ -95,8 +94,8 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
         sol = solve_min_cost_flow(ExpandedNetwork(topology, cost, closed),
                                   parent_state, changed)
         bound, state = constant + sol.lp_cost, sol.state
-        if incumbent is None or true_cost(state) < best_cost:
-            incumbent = score(instance, sol)  # the dense flow, for an incumbent only
+        if incumbent is None or true_cost(topology, state.arcs, state.residual[1::2]) < best_cost:
+            incumbent = score(instance, sol)  # a ScoredSolution, for a new incumbent only
             best_cost = incumbent.true_cost
         if pruned(bound):
             return bound

@@ -8,16 +8,17 @@ shortest augmenting paths with vertex potentials: exact and deterministic
 (_ssp.c: residual setup, warm-start repair, augmentation and cost), built by
 the system's C compiler on first use and loaded through ctypes (load_kernel).
 
-The network is compiled once per instance (compile_topology: arcs, residual
-heads and capacities, CSR adjacency, kept on the instance) and solved many
-times from a per-arc cost vector and a set of closed arcs: a GA decode
-changes the costs, a branch-and-bound node also closes arcs. A closed arc
-keeps its place in the arc order with no capacity, so every tie-break is the
-one of the instance without its pair. A solve returns its end state
-(FlowState); the dense (edge, class) flow is built from it only when read,
-for an incumbent or for output. A branch-and-bound child, one arc closed or
-cheaper, is solved by repairing its parent's end state (Ahuja, Magnanti &
-Orlin, Network Flows, 1993, ch. 9). Max flow is one call of the same
+The network is compiled once per instance (compile_topology: arcs, their
+pair costs, residual heads and capacities, CSR adjacency, kept on the
+instance) and solved many times from a per-arc cost vector and a set of
+closed arcs: a GA decode changes the costs, a branch-and-bound node also
+closes arcs. A closed arc keeps its place in the arc order with no
+capacity, so every tie-break is the one of the instance without its pair.
+A solve returns its end state (FlowState), which is scored in arc space;
+the dense (edge, class) flow is built from it only when read, by
+verify_flow, theorem_d or output. A branch-and-bound child, one arc closed
+or cheaper, is solved by repairing its parent's end state (Ahuja, Magnanti
+& Orlin, Network Flows, 1993, ch. 9). Max flow is one call of the same
 kernel at zero cost, which makes it Edmonds-Karp, sending an unbounded
 amount: it stops at a path of infinite capacity. One rule, flow_tol, says
 what flow amount counts as zero, for every solver, validate, score and
@@ -100,17 +101,20 @@ class Organism:
 
 @dataclass(frozen=True, eq=False)
 class Topology:
-    """Cost-free capacity-expanded network of one instance: one arc per
-    offered (edge, class) pair, or per pair of a subset, in (edge, class)
-    order, between the vertices those arcs touch (plus source and sink),
-    renumbered in order. Residual id 2i is arc i forward, 2i+1 its reversal."""
+    """Capacity-expanded network of one instance, with its pairs' own costs:
+    one arc per offered (edge, class) pair, or per pair of a subset, in (edge,
+    class) order, between the vertices those arcs touch (plus source and
+    sink), renumbered in order. Residual id 2i is arc i forward, 2i+1 back."""
 
     n_vertices: int
     source: int
     sink: int
     target: float
-    pair_shape: tuple[int, int]
+    available: np.ndarray           # the instance's own (edge, class) mask of offered pairs
     pairs: np.ndarray               # flat (edge, class) index of each arc
+    fixed: np.ndarray               # fixed cost of each arc
+    slot: np.ndarray                # index of each arc's pair among the offered pairs
+    variable: np.ndarray            # variable cost of each offered pair, in pair order
     head: np.ndarray                # int32 head vertex of each residual id
     capacity: np.ndarray            # float64 initial residual capacity of each residual id
     adj_start: np.ndarray           # int32: ids leaving u are adj[adj_start[u]:adj_start[u + 1]]
@@ -128,8 +132,7 @@ class Topology:
         return Topology, tuple(getattr(self, f.name) for f in fields(self))
 
     def arc_costs(self, values: np.ndarray) -> np.ndarray:
-        """Per-arc values (unit or fixed costs) taken from an (edge, class)
-        matrix."""
+        """Per-arc values (unit or fixed costs) of an (edge, class) matrix."""
         return values.reshape(-1)[self.pairs]
 
 
@@ -166,7 +169,7 @@ class FlowSolution:
     @property
     def flow(self) -> np.ndarray:
         if self._flow is None:
-            self._flow = np.zeros(self.topology.pair_shape)
+            self._flow = np.zeros(self.topology.available.shape)
             self._flow.reshape(-1)[self.topology.pairs[self.state.arcs]] = self.state.residual[1::2]
         self._flow.setflags(write=False)
         return self._flow
@@ -186,7 +189,7 @@ def compile_pairs(instance: Instance, pairs: np.ndarray) -> Topology:
     """Topology of only the given offered pairs (ascending flat (edge, class)
     indices), not cached. Leaving a pair's arc out solves exactly like
     closing it, but no solve pays for the arc or for a vertex left bare."""
-    n_caps = instance.n_capacities
+    n_caps, offered = instance.n_capacities, np.flatnonzero(instance.available.reshape(-1))
     ends = np.asarray(instance.edges, dtype=np.intp).reshape(-1, 2)[pairs // n_caps]
     # the arcs' ends, then source and sink, by their number among the kept vertices
     kept, index = np.unique(np.append(ends, [instance.source, instance.sink]),
@@ -199,8 +202,9 @@ def compile_pairs(instance: Instance, pairs: np.ndarray) -> Topology:
     adj_start = np.zeros(n + 1, dtype=np.int32)
     adj_start[1:] = np.cumsum(np.bincount(leaving, minlength=n))
     return Topology(
-        n_vertices=n, source=int(index[-2]), sink=int(index[-1]),
-        target=instance.target, pair_shape=(instance.n_edges, n_caps), pairs=pairs,
+        n_vertices=n, source=int(index[-2]), sink=int(index[-1]), target=instance.target,
+        available=instance.available, pairs=pairs, fixed=instance.fixed_cost.reshape(-1)[pairs],
+        slot=np.searchsorted(offered, pairs), variable=instance.variable_cost.reshape(-1)[offered],
         head=head, capacity=capacity, adj_start=adj_start,
         adj=np.argsort(leaving, kind="stable").astype(np.int32),
     )

@@ -87,8 +87,7 @@ def _mean_fixed_cost(instance: Instance) -> float:
 def fitness(instance: Instance, organism: Organism) -> ScoredSolution:
     """Decode the organism via the exact relaxation solve and score the
     resulting flow at true cost. Lower cost means fitter."""
-    flow = solve_min_cost_flow(build_expanded_network(instance, organism))
-    return score(instance, flow)
+    return score(instance, solve_min_cost_flow(build_expanded_network(instance, organism)))
 
 
 def init_population(instance: Instance, config: GAConfig, rng: random.Random) -> list[Organism]:

@@ -94,7 +94,7 @@ class Instance:
 def invariant_violations(instance: Instance) -> list[str]:
     """Structural invariant check; returns one message per violation."""
     v: list[str] = []
-    n = instance.n_vertices
+    n = min(instance.n_vertices, 2**63)  # the compiled network numbers vertices in int64
     if not 0 <= instance.source < n:
         v.append(f"source id {instance.source} out of range [0, {n})")
     if not 0 <= instance.sink < n:
@@ -158,9 +158,11 @@ def _significant_lines(text: str) -> list[tuple[int, list[str]]]:
 
 def _parse_float(token: str, ln: int, what: str) -> float:
     try:
-        return float(token)
+        if not math.isnan(value := float(token)):  # only NA NA marks a class not offered
+            return value
     except ValueError:
-        raise ParseError(f"line {ln}: expected a number for {what}, got {token!r}") from None
+        pass
+    raise ParseError(f"line {ln}: expected a number for {what}, got {token!r}")
 
 
 def _parse_int(token: str, ln: int, what: str) -> int:
@@ -344,9 +346,9 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
     becomes the sorted union of transport capacities and terminal limits.
 
     Raises ValueError when a terminal names a vertex outside the transport
-    graph. The result is not feasibility-checked: a facility instance whose
-    terminals cannot carry the target translates into an instance that
-    validate() flags.
+    graph or has a nonpositive limit or a NaN open cost. The result is not
+    feasibility-checked: a facility instance whose terminals cannot carry the
+    target translates into an instance that validate() flags.
     """
     n = facility.n_vertices
     for role, terms in (("source", facility.sources), ("sink", facility.sinks)):
@@ -355,6 +357,8 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
                 raise ValueError(f"{role} vertex {t.vertex} not in transport graph (n={n})")
             if not t.limit > 0:
                 raise ValueError(f"{role} at vertex {t.vertex}: limit must be positive")
+            if math.isnan(t.open_cost):  # a NaN fixed cost would drop the terminal
+                raise ValueError(f"{role} at vertex {t.vertex}: open cost must not be NaN")
 
     old_caps = [float(c) for c in facility.capacities]
     limits = [float(t.limit) for t in facility.sources + facility.sinks]

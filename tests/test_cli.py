@@ -282,10 +282,16 @@ def test_two_class_edge_solves(tmp_path, capsys):
     assert _summary_fields(capsys.readouterr().out.strip())["polished_cost"] == "6.5"
 
 
+_HEAD = b"MCFCNF 1\nVERTICES 3 SOURCE 0 SINK 2\nTARGET 1\n"
 _DEGENERATE = {
-    "no-edges": "CAPACITIES 1 5\nEDGES 0\n",
-    "no-capacities": "CAPACITIES 0\nEDGES 2\n0 1\n1 2\n",
-    "zero-costs": "CAPACITIES 1 5\nEDGES 2\n0 1 0 0\n1 2 0 0\n",
+    "no-edges": _HEAD + b"CAPACITIES 1 5\nEDGES 0\n",
+    "no-capacities": _HEAD + b"CAPACITIES 0\nEDGES 2\n0 1\n1 2\n",
+    "zero-costs": _HEAD + b"CAPACITIES 1 5\nEDGES 2\n0 1 0 0\n1 2 0 0\n",
+    "not-utf8": _HEAD + b"CAPACITIES 1 5\nEDGES 2\n0 1 0 0\n1 2 0 0 # caf\xe9\n",
+    # an id below the vertex count but beyond int64, which numbers the network
+    "id-beyond-int64": (b"MCFCNF 1\nVERTICES " + b"1" + b"0" * 23 + b" SOURCE 0 SINK 1\n"
+                        b"TARGET 1\nCAPACITIES 1 5\nEDGES 2\n0 " + b"1" + b"0" * 20
+                        + b" 1 1\n" + b"1" + b"0" * 20 + b" 1 1 1\n"),
 }
 
 
@@ -297,7 +303,11 @@ _DEGENERATE = {
 @pytest.mark.parametrize("name", sorted(_DEGENERATE))
 def test_degenerate_file_exits_cleanly(tmp_path, capsys, name, command):
     path = tmp_path / f"{name}.mcfcnf"
-    path.write_text("MCFCNF 1\nVERTICES 3 SOURCE 0 SINK 2\nTARGET 1\n" + _DEGENERATE[name])
+    path.write_bytes(_DEGENERATE[name])
     argv = command.format(f=path, out=tmp_path / "out.csv", conv=tmp_path / "conv.csv")
-    assert main(argv.split()) in (0, 1, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    status = main(argv.split())
+    err = capsys.readouterr().err
+    assert status in (0, 1, 2)
+    assert "Traceback" not in err
+    if name in ("not-utf8", "id-beyond-int64"):
+        assert status == 1 and err.startswith(f"error: {path}: ")

@@ -1,10 +1,12 @@
+import dataclasses
+import math
 import random
 
 import numpy as np
 import pytest
 
-from mcfcnf import (FlowSolution, Organism, build_expanded_network,
-                    lp_relaxation_bound, score, solve_min_cost_flow,
+from mcfcnf import (FlowSolution, Organism, build_expanded_network, flow_tol,
+                    generate_random, lp_relaxation_bound, score, solve_min_cost_flow,
                     verify_flow, write_solution_csv)
 from conftest import make_small_instance
 
@@ -59,6 +61,28 @@ class TestScore:
                                + (inst.variable_cost[avail] * g[avail]).sum())
             assert scored.true_cost == pytest.approx(recomputed, rel=1e-9)
 
+    @pytest.mark.parametrize("change", ["costs", "offer", "target"])
+    def test_solve_of_another_instance_priced_at_own_costs(self, change):
+        # a solve's flow scored against another instance of the same shape
+        # gets that instance's dense-formula cost (costs, offers and zero
+        # rule), never the costs of the instance it was solved on
+        inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+        sol = _lp_solution(inst)
+        fixed, carrying = inst.fixed_cost.copy(), np.argwhere(sol.flow > 0)[0]
+        fixed[tuple(carrying)] = math.nan  # the pair is not offered any more
+        other = dataclasses.replace(inst, **{
+            "costs": {"fixed_cost": 2 * inst.fixed_cost, "variable_cost": inst.variable_cost + 1},
+            "offer": {"fixed_cost": fixed},
+            "target": {"target": 1e12 * sol.flow[tuple(carrying)]}}[change])
+        g, avail = sol.flow, other.available
+        used = (g > flow_tol(other.target)) & avail
+        expected = (float(other.fixed_cost[used].sum())
+                    + float((other.variable_cost[avail] * g[avail]).sum()))
+        got = score(other, sol)
+        assert got.true_cost == expected
+        assert got.used.tolist() == used.astype(np.int8).tolist()
+        assert got.true_cost != score(inst, sol).true_cost
+
 
 class TestVerifyFlow:
     def test_lp_solution_passes(self):
@@ -84,6 +108,23 @@ class TestVerifyFlow:
     def test_negative_flow_flagged(self, minimal):
         problems = verify_flow(minimal, _flow(minimal, [-1.0]))
         assert any("negative" in p for p in problems)
+
+    def test_nan_entry_flagged(self):
+        inst = generate_random("grid", 9, 2, seed=3)
+        flow = _lp_solution(inst).flow.copy()
+        e, k = np.argwhere(flow > 0)[0]
+        flow[e, k] = math.nan
+        problems = verify_flow(inst, FlowSolution(flow=flow, lp_cost=0.0))
+        assert f"edge {e} capacity {k}: negative or NaN flow nan" in problems
+        assert any("conservation violated, residual nan" in p for p in problems)
+
+    def test_all_nan_flow_flagged(self):
+        inst = generate_random("grid", 9, 2, seed=3)
+        flow = FlowSolution(flow=np.full(inst.fixed_cost.shape, math.nan), lp_cost=0.0)
+        problems = verify_flow(inst, flow)
+        assert sum("NaN flow nan" in p for p in problems) == inst.fixed_cost.size
+        assert problems[-1].startswith("source outflow nan misses target")
+        assert math.isnan(score(inst, flow).true_cost)
 
 
 class TestDominance:

@@ -14,7 +14,7 @@ from mcfcnf import exact
 from mcfcnf import (GAP_DEFAULT, FlowSolution, Infeasible, Instance, Organism,
                     build_expanded_network, generate_random, lp_relaxation_bound,
                     polish, score, solve_exact, solve_min_cost_flow, verify_flow)
-from mcfcnf.evaluate import compile_true_cost
+from mcfcnf.evaluate import true_cost
 from conftest import brute_force, integral_score_optimum, make_small_instance
 
 
@@ -204,6 +204,12 @@ class TestPolish:
         with pytest.raises(ValueError, match="valid flow"):
             polish(fig1, bogus, budget=1.0)
 
+    def test_nan_warm_rejected(self):
+        inst = generate_random("grid", 9, 2, seed=3)
+        nan = score(inst, FlowSolution(flow=np.full(inst.fixed_cost.shape, math.nan), lp_cost=0.0))
+        with pytest.raises(ValueError, match="valid flow"):
+            polish(inst, nan, budget=1.0)
+
     def test_never_regresses(self):
         rng = random.Random(555)
         for _ in range(15):
@@ -295,10 +301,11 @@ class TestArcSpaceCost:
         topology = solutions[0].topology
         assert all(sol.topology is topology for sol in solutions)
         assert (search == "polish") == (len(topology.pairs) < inst.available.sum())
-        true_cost, dense = compile_true_cost(inst, topology), hashlib.sha256()
+        dense = hashlib.sha256()
         for sol in solutions:
             expected = score(inst, FlowSolution(flow=sol.flow, lp_cost=sol.lp_cost)).true_cost
-            assert true_cost(sol.state).hex() == expected.hex()
+            got = true_cost(topology, sol.state.arcs, sol.state.residual[1::2])
+            assert got.hex() == expected.hex()
             assert not sol.flow.flags.writeable
             dense.update(sol.flow.tobytes())
         assert dense.hexdigest() == digest

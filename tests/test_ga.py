@@ -8,9 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfcnf import (D_MIN, UNBOUNDED, GAConfig, Infeasible, Organism,
-                    crossover, evolve, fitness, init_population,
+                    crossover, evolve, fitness, generate_random, init_population,
                     lp_relaxation_bound, mutate, solve_exact, theorem_d,
-                    tournament_select, verify_flow, write_convergence_csv)
+                    tournament_select, verify_flow, write_convergence_csv,
+                    write_solution_csv)
 from mcfcnf import FlowSolution, ScoredSolution
 from conftest import make_small_instance
 
@@ -311,6 +312,23 @@ class TestEvolve:
         result = evolve(fig1, GAConfig(iteration_limit=8, seed=6, mutation_probability=0.1))
         assert result.history[-1].lp_solves == 10 + 8 * 5
         assert len(decodes) < result.history[-1].lp_solves
+
+    def test_decodes_build_no_dense_flow(self, monkeypatch, tmp_path):
+        # each decode is scored from its end state: the dense flow matrix is
+        # built for polish's check of its warm start and for the output only
+        inst = generate_random("geometric", 30, 3, seed=1, target_fraction=0.6)
+        built, dense = [], FlowSolution.flow.fget
+
+        def spy(flow):
+            if flow._flow is None:
+                built.append(flow)
+            return dense(flow)
+
+        monkeypatch.setattr(FlowSolution, "flow", property(spy))
+        result = evolve(inst, GAConfig(iteration_limit=100, seed=0))
+        assert built == [result.best.flow]
+        write_solution_csv(tmp_path / "sol.csv", result.polished)
+        assert len(built) <= 2 and result.history[-1].lp_solves == 510
 
 
 def test_convergence_csv(tmp_path, fig1):

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from mcfcnf import (FacilityInstance, GAConfig, Infeasible, Instance, ParseError,
                     Terminal, ValidationError, evolve, format_instance,
-                    from_facility_form, generate_random, load_instance,
+                    from_facility_form, generate_random, invariant_violations, load_instance,
                     max_throughput, parse_instance, save_instance, solve_exact,
                     validate)
 from mcfcnf.instance import (format_facility_instance, load_facility_instance,
@@ -118,6 +118,13 @@ class TestParsing:
         with pytest.raises(ParseError, match="NA"):
             parse_instance(text)
 
+    @pytest.mark.parametrize("pair", ["nan 7", "NaN NA", "-nan 1"])
+    def test_nan_fixed_cost_rejected(self, pair):
+        # only NA NA marks a class an edge does not offer; a NaN number would
+        # drop the class and its variable cost without a word
+        with pytest.raises(ParseError, match="line 6: expected a number for fixed cost 0"):
+            parse_instance(MINIMAL_TEXT.replace("0 1 1.0 1.0", "0 1 " + pair))
+
     def test_negative_variable_cost_rejected(self, tmp_path):
         path = tmp_path / "bad.mcfcnf"
         path.write_text(MINIMAL_TEXT.replace("0 1 1.0 1.0", "0 1 1.0 -1.0"))
@@ -196,6 +203,16 @@ class TestValidate:
         )
         assert any("strictly increasing" in p for p in validate(inst))
 
+    def test_ids_beyond_int64_rejected(self):
+        # below the vertex count, but the compiled network numbers vertices in int64
+        big = 2**63
+        inst = Instance(n_vertices=10**23, source=0, sink=big, edges=((0, big), (big - 1, 1)),
+                        capacities=np.array([5.0]), fixed_cost=np.ones((2, 1)),
+                        variable_cost=np.ones((2, 1)), target=1.0)
+        bound = f"out of range [0, {big})"
+        assert invariant_violations(inst) == [f"sink id {big} {bound}",
+                                              f"edge 0: endpoint (0, {big}) {bound}"]
+
     def test_source_equals_sink(self):
         inst = Instance(
             n_vertices=2, source=0, sink=0, edges=((0, 1),),
@@ -271,6 +288,14 @@ class TestFacilityForm:
             fac, sources=(Terminal(vertex=7, open_cost=1.0, unit_cost=0.0, limit=5.0),))
         with pytest.raises(ValueError, match="source vertex 7"):
             from_facility_form(fac)
+
+    @pytest.mark.parametrize("role", ["sources", "sinks"])
+    def test_nan_open_cost_rejected(self, role):
+        # a NaN fixed cost marks no offer, which would drop the terminal
+        fac = _small_facility()
+        nan = dataclasses.replace(getattr(fac, role)[0], open_cost=math.nan)
+        with pytest.raises(ValueError, match="open cost must not be NaN"):
+            from_facility_form(dataclasses.replace(fac, **{role: (nan,)}))
 
     def test_feasibility_preserved(self):
         # translated max flow equals what the terminals and transport allow
