@@ -1,4 +1,5 @@
-/* Min-cost-flow solve of mcfcnf.flowcore (see load_kernel), one ctypes call.
+/* Min-cost-flow solve of mcfcnf.flowcore (see load_kernel), one ctypes call
+ * that allocates nothing: the caller passes every array it writes.
  *
  * Residual id 2i is arc i forward, 2i+1 its reversal; head[r] is where r
  * ends, adj[adj_start[u] .. adj_start[u + 1]) the ids leaving u, ascending.
@@ -7,100 +8,103 @@
  * path's bottleneck is pushed. A path of infinite bottleneck, possible only
  * when the amount is infinite (max flow), ends it before the push, with
  * sent = INFINITY. Its results must equal, bit for bit, the
- * reference loop the tests keep: the heap is keyed by (distance, push
+ * reference loop the tests keep: vertices are keyed by (distance, push
  * counter), a total order, and every float expression is evaluated in the
  * reference's left-to-right order (built with -ffp-contract=off, no
- * -ffast-math).
+ * -ffast-math). The reference's lazy heap holds stale entries too; here an
+ * indexed heap holds each reached vertex once, and a shorter distance moves
+ * it up under a new counter (decrease-key). A vertex's live entry pops
+ * before its stale ones, so both settle the vertices in one order.
  */
 #include <math.h>
 #include <stdint.h>
-#include <stdlib.h>
 #include <string.h>
 
+/* The Dijkstra arrays, carved from the caller's 32 bytes per vertex. */
 typedef struct {
-    double d;
-    int64_t counter;
-    int32_t v;
-} entry;
+    double *dist;
+    int64_t *counter; /* the push counter of a vertex's key */
+    int32_t *parent;  /* residual id that reached a vertex */
+    int32_t *heap;    /* reached, unsettled vertices, a binary heap */
+    int32_t *slot;    /* slot[v]: where v sits in heap */
+    char *done;
+    int32_t size;
+} search;
 
-static int before(const entry *a, const entry *b) {
-    return a->d < b->d || (a->d == b->d && a->counter < b->counter);
+static int before(const search *s, int32_t v, int32_t w) {
+    const double *d = s->dist;
+    return d[v] < d[w] || (d[v] == d[w] && s->counter[v] < s->counter[w]);
 }
 
-static void push(entry *heap, int64_t *size, entry e) {
-    int64_t i = (*size)++;
+static void place(search *s, int32_t i, int32_t v) {
+    s->heap[i] = v;
+    s->slot[v] = i;
+}
+
+/* Move vertex v, new or with a lower key, up from slot i to its place. */
+static void sift_up(search *s, int32_t i, int32_t v) {
     while (i > 0) {
-        int64_t up = (i - 1) / 2;
-        if (!before(&e, &heap[up]))
+        int32_t up = (i - 1) / 2;
+        if (!before(s, v, s->heap[up]))
             break;
-        heap[i] = heap[up];
+        place(s, i, s->heap[up]);
         i = up;
     }
-    heap[i] = e;
+    place(s, i, v);
 }
 
-static entry pop(entry *heap, int64_t *size) {
-    entry top = heap[0], last = heap[--(*size)];
-    int64_t i = 0, n = *size;
+static int32_t pop(search *s) {
+    int32_t top = s->heap[0], last = s->heap[--s->size], n = s->size, i = 0;
     for (;;) {
-        int64_t child = 2 * i + 1;
+        int32_t child = 2 * i + 1;
         if (child >= n)
             break;
-        if (child + 1 < n && before(&heap[child + 1], &heap[child]))
+        if (child + 1 < n && before(s, s->heap[child + 1], s->heap[child]))
             child++;
-        if (!before(&heap[child], &last))
+        if (!before(s, s->heap[child], last))
             break;
-        heap[i] = heap[child];
+        place(s, i, s->heap[child]);
         i = child;
     }
     if (n > 0)
-        heap[i] = last;
+        place(s, i, last);
     return top;
 }
 
 static int ssp_augment(int32_t n, const int32_t *head, const int32_t *adj_start,
                        const int32_t *adj, const double *cost, double *res, double *pot,
                        int32_t frm, int32_t to, double amount, double stop, int64_t push_cap,
-                       double *left, double *sent) {
-    /* a round pushes the start, then at most once per residual id scanned */
-    int64_t heap_cap = (int64_t)adj_start[n] + 1;
-    double *dist = malloc(sizeof(double) * (size_t)n);
-    int32_t *parent = malloc(sizeof(int32_t) * (size_t)n);
-    char *done = malloc((size_t)n);
-    entry *heap = malloc(sizeof(entry) * (size_t)heap_cap);
+                       double *work, double *left, double *sent) {
+    search s;
     double remaining = amount, total = 0.0;
     int64_t pushes = 0;
-    int status = 0;
 
-    if (!dist || !parent || !done || !heap) {
-        status = 2;
-        goto out;
-    }
-    while (remaining > stop) {
-        int64_t size = 0, counter = 1;
+    s.dist = work;
+    s.counter = (int64_t *)(work + n);
+    s.parent = (int32_t *)(work + 2 * (int64_t)n);
+    s.heap = s.parent + n;
+    s.slot = s.heap + n;
+    s.done = (char *)(s.slot + n);
+    while (remaining > stop && ++pushes <= push_cap) {
+        int64_t counter = 1;
         double dist_t = INFINITY, bottleneck;
         int32_t v;
 
-        if (++pushes > push_cap) {
-            status = 1;
-            goto out;
-        }
         for (v = 0; v < n; v++) {
-            dist[v] = INFINITY;
-            done[v] = 0;
-            parent[v] = -1;
+            s.dist[v] = INFINITY;
+            s.done[v] = 0;
+            s.parent[v] = -1;
         }
-        dist[frm] = 0.0;
-        push(heap, &size, (entry){0.0, 0, frm});
-        while (size > 0) {
-            entry top = pop(heap, &size);
-            int32_t u = top.v, k;
-            double pu;
-            if (done[u])
-                continue;
-            done[u] = 1;
+        s.dist[frm] = 0.0;
+        s.counter[frm] = 0;
+        s.size = 1;
+        place(&s, 0, frm);
+        while (s.size > 0) {
+            int32_t u = pop(&s), k;
+            double du = s.dist[u], pu;
+            s.done[u] = 1;
             if (u == to) {
-                dist_t = top.d;
+                dist_t = du;
                 break;
             }
             pu = pot[u];
@@ -110,13 +114,15 @@ static int ssp_augment(int32_t n, const int32_t *head, const int32_t *adj_start,
                 if (res[rid] <= 0.0)
                     continue;
                 w = head[rid];
-                if (done[w])
+                if (s.done[w])
                     continue;
-                nd = top.d + (rid & 1 ? -cost[rid >> 1] : cost[rid >> 1]) + pu - pot[w];
-                if (nd < dist[w]) {
-                    dist[w] = nd;
-                    parent[w] = rid;
-                    push(heap, &size, (entry){nd, counter++, w});
+                nd = du + (rid & 1 ? -cost[rid >> 1] : cost[rid >> 1]) + pu - pot[w];
+                if (nd < s.dist[w]) { /* unsettled with a finite distance: in the heap */
+                    int32_t at = s.dist[w] == INFINITY ? s.size++ : s.slot[w];
+                    s.dist[w] = nd;
+                    s.parent[w] = rid;
+                    s.counter[w] = counter++;
+                    sift_up(&s, at, w);
                 }
             }
         }
@@ -126,47 +132,43 @@ static int ssp_augment(int32_t n, const int32_t *head, const int32_t *adj_start,
         /* settled vertices keep their label; the rest shift by dist_t, which
            keeps every residual arc's reduced cost nonnegative */
         for (v = 0; v < n; v++)
-            pot[v] += done[v] && dist[v] < dist_t ? dist[v] : dist_t;
+            pot[v] += s.done[v] && s.dist[v] < dist_t ? s.dist[v] : dist_t;
 
         bottleneck = remaining;
-        for (v = to; v != frm; v = head[parent[v] ^ 1])
-            if (res[parent[v]] < bottleneck)
-                bottleneck = res[parent[v]];
+        for (v = to; v != frm; v = head[s.parent[v] ^ 1])
+            if (res[s.parent[v]] < bottleneck)
+                bottleneck = res[s.parent[v]];
         if (bottleneck == INFINITY) {
             total = INFINITY;
             break;
         }
-        for (v = to; v != frm; v = head[parent[v] ^ 1]) {
-            res[parent[v]] -= bottleneck;
-            res[parent[v] ^ 1] += bottleneck;
+        for (v = to; v != frm; v = head[s.parent[v] ^ 1]) {
+            res[s.parent[v]] -= bottleneck;
+            res[s.parent[v] ^ 1] += bottleneck;
         }
         remaining -= bottleneck;
         total += bottleneck;
     }
-out:
     *left = remaining;
     *sent = total;
-    free(dist);
-    free(parent);
-    free(done);
-    free(heap);
-    return status;
+    return pushes > push_cap; /* 1: more than push_cap rounds were needed */
 }
 
 /* The whole solve: residuals set to capacity, the start's arcs restored, arc
- * `changed` repaired, closed arcs zeroed, then ssp_augment. Writes the
- * carrying arcs to arcs and, to out, the amount left, their cost (summed in
- * arc order) and the amount sent; returns their number, or -1 (more than
- * push_cap rounds), -2 (out of memory) or -3 (an arc of infinite capacity to
- * saturate). The caller checks every index. */
+ * `changed` repaired, closed arcs zeroed, then ssp_augment in work (32 bytes
+ * per vertex). Writes the carrying arcs to arcs and, to out, the amount
+ * left, their cost (summed in arc order) and the amount sent; returns their
+ * number, or -1 (more than push_cap rounds) or -2 (an arc of infinite
+ * capacity to saturate). The caller checks every index and sizes every
+ * array. */
 int64_t ssp_solve(int32_t n, int64_t m, const int32_t *head, const int32_t *adj_start,
                   const int32_t *adj, const double *capacity, const double *cost,
                   const int64_t *closed, int64_t n_closed, const int64_t *start_arcs,
                   const double *start_res, int64_t n_start, int64_t changed,
                   int32_t changed_closed, int32_t frm, int32_t to, double amount, double stop,
-                  int64_t push_cap, double *res, double *pot, int64_t *arcs, double *out) {
+                  int64_t push_cap, double *res, double *pot, int64_t *arcs, double *out,
+                  double *work) {
     int64_t i, k = 0;
-    int status;
 
     memcpy(res, capacity, sizeof(double) * (size_t)(2 * m));
     for (i = 0; i < 2 * n_start; i++)
@@ -178,16 +180,15 @@ int64_t ssp_solve(int32_t n, int64_t m, const int32_t *head, const int32_t *adj_
         to = head[r ^ 1];
         amount = changed_closed || cost[changed] + pot[to] - pot[frm] < 0.0 ? res[r] : 0.0;
         if (amount == INFINITY)
-            return -3;
+            return -2;
         res[r] = res[r] - amount;
         res[r ^ 1] = res[r ^ 1] + amount;
     }
     for (i = 0; i < n_closed; i++)
         res[2 * closed[i]] = 0.0;
-    status = ssp_augment(n, head, adj_start, adj, cost, res, pot, frm, to, amount, stop,
-                         push_cap, &out[0], &out[2]);
-    if (status != 0)
-        return -status;
+    if (ssp_augment(n, head, adj_start, adj, cost, res, pot, frm, to, amount, stop, push_cap,
+                    work, &out[0], &out[2]))
+        return -1;
     for (out[1] = 0.0, i = 0; i < m; i++)
         if (res[2 * i + 1] != 0.0) {
             out[1] += res[2 * i + 1] * cost[i];

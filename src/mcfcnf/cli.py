@@ -72,7 +72,6 @@ def cmd_solve(args) -> int:
     started = time.perf_counter()
     result = ga.evolve(instance, config)
     elapsed = time.perf_counter() - started
-    bound = lp_relaxation_bound(instance)
 
     solution_path = args.solution or _default_artifact(args.instance, ".sol.csv")
     convergence_path = args.convergence or _default_artifact(args.instance, ".conv.csv")
@@ -82,7 +81,7 @@ def cmd_solve(args) -> int:
     iterations = result.history[-1].iteration
     print(f"best_cost={result.best.true_cost!r} "
           f"polished_cost={result.polished.true_cost!r} "
-          f"bound={bound!r} iterations={iterations} elapsed_s={elapsed:.3f}")
+          f"bound={result.bound!r} iterations={iterations} elapsed_s={elapsed:.3f}")
     return EXIT_OK
 
 

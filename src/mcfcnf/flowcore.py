@@ -33,6 +33,7 @@ import os
 import shlex
 import sysconfig
 import tempfile
+import threading
 import zlib
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, fields
@@ -90,11 +91,12 @@ class Organism:
 
     def __post_init__(self):
         scale = np.array(self.scale, dtype=np.float64)
-        if np.isnan(scale).any():
-            raise ValueError("scale entries must not be NaN")
-        finite = scale[np.isfinite(scale)]
-        if finite.size and finite.min() < D_MIN * (1 - 1e-12):
-            raise ValueError(f"finite scale entries must be >= {D_MIN}")
+        if not (scale.size and scale.min() >= D_MIN * (1 - 1e-12)):  # one pass when all pass
+            if np.isnan(scale).any():
+                raise ValueError("scale entries must not be NaN")
+            finite = scale[np.isfinite(scale)]
+            if finite.size and finite.min() < D_MIN * (1 - 1e-12):
+                raise ValueError(f"finite scale entries must be >= {D_MIN}")
         scale.setflags(write=False)
         object.__setattr__(self, "scale", scale)
 
@@ -313,12 +315,29 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     cost Edmonds-Karp's holds (max_flow). Before C runs, it checks every arc
     index and the dtype, contiguity and length of each array a caller
     supplies (a topology's once, when built); its own need no check.
+
+    The kernel works in arrays kept per thread, grown to the largest
+    topology that thread has solved, so threads solve at once and no call
+    allocates them. The returned res is a view of them, valid only until
+    the thread's next solve; pot and arcs are the call's own.
     """
     function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_solve
     int32, int64, pointer = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
     function.argtypes = [int32, int64, *[pointer] * 6, int64, *[pointer] * 2, int64, int64,
-                         *[int32] * 3, ctypes.c_double, ctypes.c_double, int64, *[pointer] * 4]
+                         *[int32] * 3, ctypes.c_double, ctypes.c_double, int64, *[pointer] * 5]
     function.restype = int64
+    local = threading.local()
+
+    def workspace(n: int, m: int) -> tuple[tuple, tuple]:
+        """This thread's res, carrying arcs, out and C scratch (32 bytes per
+        vertex), for at least n vertices and m arcs, and their addresses."""
+        work = getattr(local, "work", None)
+        if work is None or work[0] < n or work[1] < m:
+            if work is not None:
+                n, m = max(n, work[0]), max(m, work[1])
+            arrays = np.empty(2 * m), np.empty(m, dtype=np.int64), np.empty(3), np.empty(4 * n)
+            work = local.work = n, m, arrays, tuple(map(_pointer, arrays))
+        return work[2:]
 
     def solve(topology: Topology, cost: np.ndarray, closed: frozenset[int],
               start: FlowState | None, changed: int | None, amount: float, stop: float,
@@ -339,16 +358,17 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
                     or k and start_arcs.view(np.uint64).max() >= m):  # -1 wraps
                 raise ValueError(f"start does not fit {n} vertices and {m} arcs")
         shut = np.fromiter(closed, np.int64, len(closed))
-        res, out, carrying = np.empty(2 * m), np.empty(3), np.empty(m, dtype=np.int64)
-        count = function(n, m, head, adj_start, adj, capacity, costs, _pointer(shut),
-                         len(shut), arcs, residual, k, -1 if changed is None else int(changed),
-                         changed in closed, topology.source, topology.sink, amount, stop,
-                         push_cap, *map(_pointer, (res, pot, carrying, out)))
+        (res, carrying, out, _), (res_at, carrying_at, out_at, work_at) = workspace(n, m)
+        count = function(n, m, head, adj_start, adj, capacity, costs,
+                         _pointer(shut) if closed else None, len(shut), arcs, residual, k,
+                         -1 if changed is None else int(changed), changed in closed,
+                         topology.source, topology.sink, amount, stop, push_cap, res_at,
+                         _pointer(pot), carrying_at, out_at, work_at)
         if count < 0:
             raise (FlowIterationError(f"augmentation count exceeded {push_cap}"),
-                   MemoryError("no memory for the kernel's work arrays"),
                    ValueError(f"arc {changed}: infinite capacity, cannot saturate"))[-1 - count]
-        return float(out[0]), float(out[1]), res, pot, carrying[:count].copy(), float(out[2])
+        return (float(out[0]), float(out[1]), res[:2 * m], pot, carrying[:count].copy(),
+                float(out[2]))
 
     return solve
 

@@ -76,6 +76,7 @@ class RunResult:
     best_organism: Organism
     history: tuple[IterationRecord, ...]
     polished: ScoredSolution
+    bound: float  # the seed organism's lp_cost: lp_relaxation_bound, solved once
 
 
 def _mean_fixed_cost(instance: Instance) -> float:
@@ -142,16 +143,14 @@ def mutate(instance: Instance, organism: Organism, rng: random.Random) -> Organi
     scale = organism.scale.reshape(-1).copy()
     length = scale.size
     count = rng.randint(1, max(1, length // 10))
-    positions = rng.sample(range(length), count)
-    reset = _mean_fixed_cost(instance)
-    for pos in positions:
-        value = scale[pos]
-        if math.isinf(value):
-            value = reset
-        step = rng.uniform(0.0, 1.0)
-        if rng.random() < 0.5:
-            step = -step
-        scale[pos] = max(D_MIN, value + step)
+    positions = np.array(rng.sample(range(length), count))
+    steps = [-step if rng.random() < 0.5 else step  # per position: size, then sign
+             for step in (rng.uniform(0.0, 1.0) for _ in range(len(positions)))]
+    values = scale[positions]
+    unbounded = np.isinf(values)
+    if unbounded.any():
+        values[unbounded] = _mean_fixed_cost(instance)
+    scale[positions] = np.maximum(D_MIN, values + steps)
     return Organism(scale=scale.reshape(organism.scale.shape))
 
 
@@ -241,8 +240,8 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
     else:
         polish_budget = (time.perf_counter() - start) / 4.0
     polished = exact.polish(instance, best_scored, polish_budget)
-    return RunResult(best=best_scored, best_organism=best_organism,
-                     history=tuple(history), polished=polished)
+    return RunResult(best=best_scored, best_organism=best_organism, history=tuple(history),
+                     polished=polished, bound=scored[0].flow.lp_cost)
 
 
 def write_convergence_csv(path, history) -> None:

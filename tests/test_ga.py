@@ -203,6 +203,42 @@ class TestMutate:
             assert out.scale.min() >= D_MIN
 
 
+def reference_mutate(instance, organism, rng):
+    """mutate as a per-position loop, the reference it must match bit for bit."""
+    scale = organism.scale.reshape(-1).copy()
+    length = scale.size
+    count = rng.randint(1, max(1, length // 10))
+    positions = rng.sample(range(length), count)
+    finite = instance.fixed_cost[instance.available]
+    mean = float(finite.mean()) if finite.size else 0.0
+    reset = max(mean, D_MIN) if mean > 0 else 1.0
+    for pos in positions:
+        value = scale[pos]
+        if math.isinf(value):
+            value = reset
+        step = rng.uniform(0.0, 1.0)
+        if rng.random() < 0.5:
+            step = -step
+        scale[pos] = max(D_MIN, value + step)
+    return Organism(scale=scale.reshape(organism.scale.shape))
+
+
+class TestMutateAgainstReference:
+    @pytest.mark.parametrize("seed", range(50))
+    def test_bit_identical(self, seed):
+        # unbounded entries, entries within 1 of the floor (where the clamp
+        # bites) and larger ones; same draws in the same order on both sides
+        inst = generate_random("grid", 16, 3, seed=seed % 5, target_fraction=0.6)
+        draw = random.Random(1000 + seed)
+        entries = [draw.choice([UNBOUNDED, D_MIN + draw.random(), draw.uniform(D_MIN, 50.0)])
+                   for _ in range(inst.n_edges * inst.n_capacities)]
+        org = Organism(scale=np.array(entries).reshape(inst.n_edges, inst.n_capacities))
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        got, expected = mutate(inst, org, rng), reference_mutate(inst, org, reference_rng)
+        assert got.scale.tobytes() == expected.scale.tobytes()
+        assert rng.getstate() == reference_rng.getstate()
+
+
 class TestTheoremDivisors:
     def test_diamond_all_pairs_carry(self, fig1):
         flow = solve_exact(fig1, budget=10).best.flow
@@ -292,6 +328,19 @@ class TestEvolve:
     def test_final_cost_at_least_relaxation_bound(self, fig1):
         result = evolve(fig1, GAConfig(iteration_limit=3, seed=0))
         assert result.polished.true_cost >= lp_relaxation_bound(fig1) - 1e-9
+
+    @pytest.mark.parametrize("spec", [("geometric", 130, 3, 7, 0.6),  # desk
+                                      ("geometric", 150, 3, 81, 0.5),  # large_a
+                                      ("grid", 81, 2, 6, 0.6)],  # grid81
+                             ids=["desk", "large_a", "grid81"])
+    def test_bound_is_the_seed_decode_of_the_relaxation(self, spec):
+        # the seed organism's decode solves the slope-scaling relaxation, so
+        # the run carries its bound and no caller solves it again
+        kind, n, k, seed, fraction = spec
+        inst = generate_random(kind, n, k, seed=seed, target_fraction=fraction)
+        result = evolve(inst, GAConfig(iteration_limit=0, seed=0))
+        assert np.float64(result.bound).tobytes() == np.float64(
+            lp_relaxation_bound(inst)).tobytes()
 
     def test_vanishing_time_limit_returns_initial_best(self, fig1):
         result = evolve(fig1, GAConfig(time_limit=1e-9, seed=1))

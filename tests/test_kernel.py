@@ -18,6 +18,7 @@ import shlex
 import subprocess
 import sys
 import sysconfig
+from concurrent.futures import ThreadPoolExecutor
 from heapq import heappop, heappush
 from pathlib import Path
 
@@ -26,8 +27,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mcfcnf import (ExpandedNetwork, FlowIterationError, FlowState, Infeasible,
-                    compile_topology, generate_random, solve_exact, solve_min_cost_flow)
+from mcfcnf import (D_MIN, ExpandedNetwork, FlowIterationError, FlowState, Infeasible,
+                    Organism, compile_topology, fitness, generate_random, solve_exact,
+                    solve_min_cost_flow)
 from mcfcnf import flowcore
 from mcfcnf.flowcore import KernelBuildError, build_kernel, load_kernel, max_flow
 from conftest import make_small_instance
@@ -417,3 +419,42 @@ class TestWrapper:
             got = solve_min_cost_flow(net._replace(topology=copied))
             assert got.flow.tobytes() == expected.flow.tobytes()
             assert got.lp_cost == expected.lp_cost
+
+
+def _decode_bits(instance, organism) -> tuple:
+    scored = fitness(instance, organism)
+    state = scored.flow.state
+    return (scored.true_cost, scored.flow.lp_cost, scored.flow.flow.tobytes(),
+            _bits(state.residual), _bits(state.potential), state.arcs.tolist())
+
+
+class TestThreads:
+    def test_concurrent_decodes_match_sequential(self):
+        # each thread solves in its own work arrays, and the C call releases
+        # the GIL: two threads decoding organisms of one shared instance at
+        # once must get the bits of one thread decoding them in turn. A
+        # larger instance now and then grows a thread's arrays mid-run.
+        shared = generate_random("geometric", 40, 3, seed=5, target_fraction=0.6)
+        larger = generate_random("geometric", 70, 3, seed=6, target_fraction=0.6)
+        rng = random.Random(0)
+        jobs = []
+        for i in range(60):
+            instance = larger if i % 10 == 9 else shared
+            shape = (instance.n_edges, instance.n_capacities)
+            entries = [rng.uniform(D_MIN, 20.0) for _ in range(shape[0] * shape[1])]
+            jobs.append((instance, Organism(scale=np.array(entries).reshape(shape))))
+        expected = [_decode_bits(*job) for job in jobs]
+
+        def decode_all(part):
+            return [_decode_bits(*job) for job in part]
+
+        switch = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=2) as pool:
+                for _ in range(3):
+                    futures = [pool.submit(decode_all, jobs[half::2]) for half in (0, 1)]
+                    got = [future.result(timeout=120) for future in futures]
+                    assert got[0] == expected[0::2] and got[1] == expected[1::2]
+        finally:
+            sys.setswitchinterval(switch)
