@@ -4,7 +4,8 @@ neighborhood polishing.
 Branch-and-bound branches on the arcs of a compiled topology, one per
 offered (edge, class) pair (for polishing, only the pairs near the warm
 solution), and relaxes each undecided arc to a linearized fixed charge
-(fixed/capacity + variable per unit): a node bound is one min-cost-flow
+(fixed/capacity + variable per unit, the seed organism's cost, so the
+root is lp_relaxation_bound's solve): a node bound is one min-cost-flow
 solve, repaired from its parent's end state. Arcs forced open add their
 fixed cost as a constant and cost only their variable cost per unit. A node
 is priced in arc space from its end state, a new incumbent is also scored.
@@ -20,9 +21,9 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .evaluate import ScoredSolution, score, true_cost, verify_flow
-from .flowcore import (ExpandedNetwork, FlowState, Infeasible, Topology, compile_pairs,
-                       compile_topology, flow_tol, slope_scaled_costs,
-                       solve_min_cost_flow)
+from .flowcore import (ExpandedNetwork, FlowState, Infeasible, Topology,
+                       build_expanded_network, compile_pairs, compile_topology, flow_tol,
+                       seed_organism, solve_min_cost_flow)
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -50,7 +51,8 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
     """Best-first search over the arcs of `topology`, the instance's compiled
     topology or one of a subset of its pairs (the others stay unused)."""
     start = time.perf_counter()
-    free_cost = topology.arc_costs(slope_scaled_costs(instance))
+    # lp_relaxation_bound's arc costs, one per offered pair: slot picks this topology's
+    free_cost = build_expanded_network(instance, seed_organism(instance)).cost[topology.slot]
     var_cost = topology.variable[topology.slot]
     fixed = topology.fixed.tolist()
     capacity = topology.capacity[0::2].tolist()

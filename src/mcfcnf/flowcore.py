@@ -12,17 +12,20 @@ The network is compiled once per instance (compile_topology: arcs, their
 pair costs, residual heads and capacities, CSR adjacency, kept on the
 instance) and solved many times from a per-arc cost vector and a set of
 closed arcs: a GA decode changes the costs, a branch-and-bound node also
-closes arcs. A closed arc keeps its place in the arc order with no
-capacity, so every tie-break is the one of the instance without its pair.
-A solve returns its end state (FlowState), which is scored in arc space;
-the dense (edge, class) flow is built from it only when read, by
-verify_flow, theorem_d or output. A branch-and-bound child, one arc closed
-or cheaper, is solved by repairing its parent's end state (Ahuja, Magnanti
-& Orlin, Network Flows, 1993, ch. 9). Max flow is one call of the same
-kernel at zero cost, which makes it Edmonds-Karp, sending an unbounded
-amount: it stops at a path of infinite capacity. One rule, flow_tol, says
-what flow amount counts as zero, for every solver, validate, score and
-verify_flow.
+closes arcs. build_expanded_network holds the one relaxed-cost formula;
+under seed_organism, divisors equal to the class capacities, it is the
+slope-scaling relaxation: the GA's seed decode, the branch-and-bound root
+and lp_relaxation_bound. A closed arc keeps its place in the arc order
+with no capacity, so every tie-break is the one of the instance without
+its pair. A solve returns its end state (FlowState), which is scored in
+arc space; the dense (edge, class) flow is built from it only when read,
+by verify_flow, theorem_d or output. A branch-and-bound child, one arc
+closed or cheaper, is solved by repairing its parent's end state (Ahuja,
+Magnanti & Orlin, Network Flows, 1993, ch. 9). Max flow is one call of
+the same kernel at zero cost, which makes it Edmonds-Karp, sending an
+unbounded amount: it stops at a path of infinite capacity. One rule,
+flow_tol, says what flow amount counts as zero, for every solver,
+validate, score and verify_flow.
 """
 from __future__ import annotations
 
@@ -94,9 +97,8 @@ class Organism:
         if not (scale.size and scale.min() >= D_MIN * (1 - 1e-12)):  # one pass when all pass
             if np.isnan(scale).any():
                 raise ValueError("scale entries must not be NaN")
-            finite = scale[np.isfinite(scale)]
-            if finite.size and finite.min() < D_MIN * (1 - 1e-12):
-                raise ValueError(f"finite scale entries must be >= {D_MIN}")
+            if (scale < D_MIN * (1 - 1e-12)).any():
+                raise ValueError(f"scale entries must be >= D_MIN ({D_MIN}) or UNBOUNDED (inf)")
         scale.setflags(write=False)
         object.__setattr__(self, "scale", scale)
 
@@ -132,10 +134,6 @@ class Topology:
 
     def __reduce__(self):  # a copy's arrays live elsewhere: bind them anew
         return Topology, tuple(getattr(self, f.name) for f in fields(self))
-
-    def arc_costs(self, values: np.ndarray) -> np.ndarray:
-        """Per-arc values (unit or fixed costs) of an (edge, class) matrix."""
-        return values.reshape(-1)[self.pairs]
 
 
 class ExpandedNetwork(NamedTuple):
@@ -221,24 +219,21 @@ def check_pair_shape(instance: Instance, array: np.ndarray, what: str) -> None:
 
 
 def build_expanded_network(instance: Instance, organism: Organism) -> ExpandedNetwork:
-    """Expand an instance under an organism's fixed-cost divisors."""
+    """Expand an instance under an organism's fixed-cost divisors: each arc
+    costs fixed/scale + variable per unit, the one relaxed-cost formula."""
     check_pair_shape(instance, organism.scale, "organism")
     topology = compile_topology(instance)
     cost = instance.fixed_cost / organism.scale + instance.variable_cost
-    return ExpandedNetwork(topology, topology.arc_costs(cost))
+    return ExpandedNetwork(topology, cost.reshape(-1)[topology.pairs])
 
 
-def capacity_scale(instance: Instance) -> np.ndarray:
-    """Per-pair divisors equal to the class capacities (floored at D_MIN), a
-    read-only view: the GA's seed organism."""
-    return np.broadcast_to(np.maximum(instance.capacities, D_MIN),
-                           (instance.n_edges, instance.n_capacities))
-
-
-def slope_scaled_costs(instance: Instance) -> np.ndarray:
-    """Per-pair unit costs with the fixed charge linearized over the full
-    capacity (divisor equal to the class capacity)."""
-    return instance.fixed_cost / capacity_scale(instance) + instance.variable_cost
+def seed_organism(instance: Instance) -> Organism:
+    """Divisors equal to the class capacities (floored at D_MIN), the one
+    slope-scaling rule (Kim & Pardalos, Oper. Res. Lett. 24 (1999) 195-203):
+    the GA's seed organism, whose decode is lp_relaxation_bound and the
+    branch-and-bound root."""
+    return Organism(scale=np.broadcast_to(np.maximum(instance.capacities, D_MIN),
+                                          (instance.n_edges, instance.n_capacities)))
 
 
 #: C source of the SSP kernel, next to this module.
@@ -413,14 +408,12 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
 
 
 def lp_relaxation_bound(instance: Instance) -> float:
-    """Optimal relaxation cost with divisors equal to the class capacities.
+    """Optimal relaxation cost under seed_organism's divisors.
 
     Relaxing each use indicator to flow/capacity linearizes the fixed charge,
     so this value is a lower bound on the true optimum.
     """
-    topology = compile_topology(instance)
-    net = ExpandedNetwork(topology, topology.arc_costs(slope_scaled_costs(instance)))
-    return solve_min_cost_flow(net).lp_cost
+    return solve_min_cost_flow(build_expanded_network(instance, seed_organism(instance))).lp_cost
 
 
 def max_flow(topology: Topology, closed: frozenset[int] = frozenset()) -> float:

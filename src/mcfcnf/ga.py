@@ -21,8 +21,8 @@ import numpy as np
 from . import exact
 from .evaluate import ScoredSolution, score
 from .flowcore import (D_MIN, UNBOUNDED, FlowSolution, Infeasible, Organism,
-                       build_expanded_network, capacity_scale, check_pair_shape,
-                       flow_tol, solve_min_cost_flow)
+                       build_expanded_network, check_pair_shape, flow_tol, seed_organism,
+                       solve_min_cost_flow)
 from .instance import invariant_violations
 
 if TYPE_CHECKING:
@@ -95,7 +95,7 @@ def init_population(instance: Instance, config: GAConfig, rng: random.Random) ->
     """Seed organism (divisors equal to the class capacities) plus uniformly
     random organisms with entries in [D_MIN, mean fixed cost]."""
     shape = (instance.n_edges, instance.n_capacities)
-    population = [Organism(scale=capacity_scale(instance))]
+    population = [seed_organism(instance)]
     upper = _mean_fixed_cost(instance)
     for _ in range(config.population_size - 1):
         entries = [rng.uniform(D_MIN, upper) for _ in range(shape[0] * shape[1])]

@@ -194,7 +194,7 @@ def brute_force(instance: Instance) -> ExactResult:
     c_out = np.where(topology.head[1::2] == topology.source, capacity, 0.0).tolist()
     c_in = np.where(topology.head[0::2] == topology.sink, capacity, 0.0).tolist()
     fixed_sums = s_out = t_in = np.zeros(1)  # bit i of a subset: arc i open
-    for a, out, into in zip(topology.arc_costs(instance.fixed_cost).tolist(), c_out, c_in):
+    for a, out, into in zip(topology.fixed.tolist(), c_out, c_in):
         fixed_sums = np.concatenate([fixed_sums, fixed_sums + a])
         s_out = np.concatenate([s_out, s_out + out])
         t_in = np.concatenate([t_in, t_in + into])
@@ -207,7 +207,7 @@ def brute_force(instance: Instance) -> ExactResult:
     best_cost = math.inf
     best_flow = None
     solves = 0
-    var_cost = topology.arc_costs(instance.variable_cost)
+    var_cost = instance.variable_cost.reshape(-1)[topology.pairs]
     for mask in masks.tolist():
         fixed = fixed_sums[mask]
         if fixed >= best_cost:  # lp_cost >= 0, so no better total follows

@@ -1,6 +1,7 @@
 import pytest
 
-from mcfcnf import GAConfig, Infeasible, evolve, load_instance, save_instance, validate
+from mcfcnf import (GAConfig, Infeasible, evolve, load_instance, lp_relaxation_bound,
+                    save_instance, validate)
 from mcfcnf.cli import main
 from conftest import fig1_instance, minimal_instance, two_class_edge_instance
 
@@ -193,6 +194,9 @@ class TestCompare:
         assert float(fig1_row[2]) == pytest.approx(20.0)  # exact
         assert float(fig1_row[1]) >= float(fig1_row[4]) - 1e-6  # >= lower bound
         assert float(rows["minimal"][2]) == pytest.approx(4.0)
+        # the bound column is the GA runs' own bound, the slope-scaling relaxation
+        for name, path in (("fig1", fig1_file), ("minimal", minimal_file)):
+            assert rows[name][4] == f"{lp_relaxation_bound(load_instance(path)):.6f}"
 
     def test_unroutable_instance(self, infeasible_file, tmp_path, capsys):
         report = tmp_path / "report.csv"

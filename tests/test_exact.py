@@ -121,13 +121,22 @@ class TestSolveExact:
             assert verify_flow(inst, result.best.flow) == []
 
     def test_root_bound_equals_relaxation_bound(self):
+        # the last instance has unoffered pairs, an infinite class (its fixed
+        # cost spread to nothing) and a fractional root: 4 units on 2->3
         rng = random.Random(111)
-        for _ in range(10):
-            inst = make_small_instance(rng, n_capacities=rng.choice((1, 2)))
+        instances = [make_small_instance(rng, n_capacities=rng.choice((1, 2))) for _ in range(10)]
+        nan = math.nan
+        instances.append(Instance(
+            n_vertices=4, source=0, sink=3, edges=((0, 1), (1, 3), (0, 2), (2, 3)),
+            capacities=np.array([5.0, math.inf]),
+            fixed_cost=np.array([[1.0, nan], [1.0, nan], [nan, 1.0], [1.0, nan]]),
+            variable_cost=np.array([[1.0, nan], [1.0, nan], [nan, 1.0], [1.0, nan]]),
+            target=4.0))
+        for inst in instances:
             log = []
             solve_exact(inst, budget=30, node_log=log)
             root_bound = lp_relaxation_bound(inst)
-            if log:
+            if log or inst is instances[-1]:
                 # the first logged children hang off the root
                 assert log[0][0] == root_bound
 

@@ -11,7 +11,7 @@ from mcfcnf import (D_MIN, GAP_DEFAULT, UNBOUNDED, ExpandedNetwork, FlowState,
                     Infeasible, Instance, Organism, build_expanded_network,
                     compile_topology, flow_tol, generate_random, lp_relaxation_bound,
                     max_throughput, solve_exact, solve_min_cost_flow, verify_flow)
-from mcfcnf.flowcore import compile_pairs, max_flow, slope_scaled_costs
+from mcfcnf.flowcore import compile_pairs, max_flow, seed_organism
 from conftest import integral_flow_min_cost, make_small_instance
 
 
@@ -71,6 +71,8 @@ class TestBuildNetwork:
             Organism(scale=np.array([1e-9]))
         with pytest.raises(ValueError, match="NaN"):
             Organism(scale=np.array([math.nan]))
+        with pytest.raises(ValueError, match=">= D_MIN .* or UNBOUNDED"):
+            Organism(scale=np.array([-math.inf]))
 
 
 class TestSolve:
@@ -440,9 +442,8 @@ class TestWarmStart:
             mf = max_flow(compile_topology(inst))
             inst = dataclasses.replace(inst, target=mf - slack * flow_tol(mf))
         topology = compile_topology(inst)
-        cost = topology.arc_costs(slope_scaled_costs(inst))
-        variable = topology.arc_costs(inst.variable_cost)
-        net = ExpandedNetwork(topology, cost)
+        net = build_expanded_network(inst, seed_organism(inst))
+        cost, variable = net.cost, inst.variable_cost.reshape(-1)[topology.pairs]
         zero = FlowState([], [], np.zeros(inst.n_vertices), 0.0)
         parent = _solve_or_none(net, zero)
         assert (parent is None) == (_solve_or_none(net) is None)
@@ -494,8 +495,7 @@ class TestWarmStart:
         # opening arc 0 makes fig1's two paths cost 4 per unit each: the
         # repaired child keeps its parent's flow [1, 2, 1, 2] where a
         # from-scratch solve picks [2, 1, 2, 1]; both are optimal
-        topology = compile_topology(fig1)
-        net = ExpandedNetwork(topology, topology.arc_costs(slope_scaled_costs(fig1)))
+        net = build_expanded_network(fig1, seed_organism(fig1))
         root = solve_min_cost_flow(net, FlowState([], [], np.zeros(4), 0.0))
         cost = net.cost.copy()
         cost[0] = fig1.variable_cost[0, 0]
@@ -510,8 +510,8 @@ class TestWarmStart:
         # bit for bit, and it warm-starts every child exactly as that does
         inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
         topology = compile_topology(inst)
-        net = ExpandedNetwork(topology, topology.arc_costs(slope_scaled_costs(inst)))
-        variable = topology.arc_costs(inst.variable_cost)
+        net = build_expanded_network(inst, seed_organism(inst))
+        variable = inst.variable_cost.reshape(-1)[topology.pairs]
 
         def bits(sol):
             state = sol.state

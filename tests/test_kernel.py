@@ -286,7 +286,7 @@ class TestLoader:
         assert [p.suffix for p in directory.iterdir()] == [".so"]
         inst = generate_random("grid", 9, 2, seed=3, target_fraction=0.6)
         topology = compile_topology(inst)
-        net = ExpandedNetwork(topology, topology.arc_costs(inst.variable_cost))
+        net = ExpandedNetwork(topology, inst.variable_cost.reshape(-1)[topology.pairs])
         expected = solve_min_cost_flow(net)
         saved = flowcore._kernel
         flowcore._kernel = lambda: augment
@@ -412,7 +412,7 @@ class TestWrapper:
         # must not reuse the addresses bound for the original
         inst = generate_random("grid", 9, 2, seed=3, target_fraction=0.6)
         topology = compile_topology(inst)
-        net = ExpandedNetwork(topology, topology.arc_costs(inst.variable_cost))
+        net = ExpandedNetwork(topology, inst.variable_cost.reshape(-1)[topology.pairs])
         expected = solve_min_cost_flow(net)
         for copied in (copy.deepcopy(topology), pickle.loads(pickle.dumps(topology))):
             assert copied._kernel_args[2:] != topology._kernel_args[2:]

@@ -1,4 +1,4 @@
-"""HiGHS (scipy.optimize.milp) as an independent oracle at 100-600 pairs.
+"""HiGHS (scipy.optimize.milp) as an independent oracle at 100-3114 pairs.
 
 The model has one continuous flow f and one use indicator y per offered
 (edge, class) pair, f <= c_k * y (big M equal to the class capacity), and
@@ -85,6 +85,32 @@ def test_solvers_agree_with_highs(kind, n, classes, seed):
         assert result.true_cost >= optimum - tol, name
     for bound in (proof.bound, cut.bound):
         assert bound <= optimum + tol
+
+
+@pytest.mark.parametrize("kind, n, classes, seed, fraction, proves", [
+    ("geometric", 150, 3, 81, 0.5, True),  # bench large_a, 3114 pairs: 12 065 nodes, ~1 s
+    ("geometric", 110, 2, 82, 0.5, True),  # bench large_b, 1376 pairs: 11 nodes
+    ("geometric", 50, 3, 4, 0.6, False),   # 723 pairs: bound about 0.97 of it in 5 s
+])
+def test_bounds_and_flows_agree_with_highs_at_scale(kind, n, classes, seed, fraction, proves):
+    # HiGHS proves each optimum in under 2 s; 5 s of branch-and-bound must
+    # prove the first two, and whatever it reports must agree with HiGHS
+    inst = generate_random(kind, n, classes, seed=seed, target_fraction=fraction)
+    optimum = highs_optimum(inst, relaxed=False)
+    tol = GAP_DEFAULT * max(1.0, optimum)
+
+    assert lp_relaxation_bound(inst) == pytest.approx(
+        highs_optimum(inst, relaxed=True), rel=1e-9, abs=1e-9)
+
+    result = solve_exact(inst, budget=5)
+    assert result.proven_optimal or not proves
+    if result.proven_optimal:
+        assert result.best.true_cost == pytest.approx(optimum, abs=tol)
+    assert result.bound <= optimum + tol
+    run = evolve(inst, GAConfig(iteration_limit=5, seed=seed))
+    for name, found in (("bnb", result.best), ("ga", run.best), ("polish", run.polished)):
+        assert verify_flow(inst, found.flow) == [], name
+        assert found.true_cost >= optimum - tol, name
 
 
 def scipy_max_flow(instance, open_pairs) -> int:
