@@ -1,5 +1,11 @@
 /* Min-cost-flow solve of mcfcnf.flowcore (see load_kernel), one ctypes call
- * that allocates nothing: the caller passes every array it writes.
+ * that allocates nothing: the caller passes every array it writes. The same
+ * call is a whole branch-and-bound node of mcfcnf.exact: it patches the
+ * opened arcs' costs, sums their fixed costs, solves, and in one pass over
+ * the carrying arcs writes their residual pairs, a true-cost estimate and
+ * the arc to branch on. The estimate adds the terms of evaluate.true_cost
+ * in arc order, not numpy's pairwise order, so the caller allows for the
+ * difference (evaluate.TRUE_COST_MARGIN) before taking the exact cost.
  *
  * Residual id 2i is arc i forward, 2i+1 its reversal; head[r] is where r
  * ends, adj[adj_start[u] .. adj_start[u + 1]) the ids leaving u, ascending.
@@ -154,22 +160,64 @@ static int ssp_augment(int32_t n, const int32_t *head, const int32_t *adj_start,
     return pushes > push_cap; /* 1: more than push_cap rounds were needed */
 }
 
+/* A compiled topology (flowcore.Topology), bound once: residual heads and
+ * capacities, adjacency, each arc's variable cost per unit and fixed cost,
+ * the zero-flow tolerance, and the sizes, source and sink. */
+typedef struct {
+    const int32_t *head, *adj_start, *adj;
+    const double *capacity, *unit_cost, *fixed;
+    double tol;
+    int64_t m;
+    int32_t n, source, sink;
+} network;
+
+/* A thread's work arrays (flowcore.load_kernel): res and pairs 2m doubles,
+ * out 6, work 32 bytes per vertex, node_cost m doubles, arcs m, and is_open
+ * m bytes, all zero between calls. */
+typedef struct {
+    double *res, *pairs, *out, *work, *node_cost;
+    int64_t *arcs;
+    char *is_open;
+} workspace;
+
 /* The whole solve: residuals set to capacity, the start's arcs restored, arc
- * `changed` repaired, closed arcs zeroed, then ssp_augment in work (32 bytes
- * per vertex). Writes the carrying arcs to arcs and, to out, the amount
- * left, their cost (summed in arc order) and the amount sent; returns their
- * number, or -1 (more than push_cap rounds) or -2 (an arc of infinite
+ * `changed` repaired, closed arcs zeroed, then ssp_augment from source to
+ * sink. The arcs in opened (any order) cost unit_cost per unit instead of
+ * cost: their costs go to node_cost, and is_open marks them until the
+ * return. Writes the carrying arcs to arcs, their residual pairs to pairs
+ * and, to out, the amount left, their cost (summed in arc order), the
+ * amount sent, the opened arcs' fixed costs (in arc order), an estimate of
+ * the flow's true cost (fixed costs of the arcs carrying more than tol,
+ * then unit_cost x flow, each summed in arc order) and the arc to branch on
+ * (-1 for none: the carrying arc with the most flow strictly between tol
+ * and its capacity less tol that is not open, the first on ties). Returns
+ * their number, or -1 (more than push_cap rounds) or -2 (an arc of infinite
  * capacity to saturate). The caller checks every index and sizes every
  * array. */
-int64_t ssp_solve(int32_t n, int64_t m, const int32_t *head, const int32_t *adj_start,
-                  const int32_t *adj, const double *capacity, const double *cost,
-                  const int64_t *closed, int64_t n_closed, const int64_t *start_arcs,
-                  const double *start_res, int64_t n_start, int64_t changed,
-                  int32_t changed_closed, int32_t frm, int32_t to, double amount, double stop,
-                  int64_t push_cap, double *res, double *pot, int64_t *arcs, double *out,
-                  double *work) {
-    int64_t i, k = 0;
+int64_t ssp_solve(const network *g, const double *cost, const int64_t *opened,
+                  int64_t n_opened, const int64_t *closed, int64_t n_closed,
+                  const int64_t *start_arcs, const double *start_res, int64_t n_start,
+                  int64_t changed, int32_t changed_closed, double amount, double stop,
+                  int64_t push_cap, double *pot, const workspace *w) {
+    const int32_t *head = g->head;
+    const double *capacity = g->capacity, *c = cost, tol = g->tol;
+    double *res = w->res, *out = w->out, constant = 0.0, most = tol, fixed_sum = 0.0,
+           variable_sum = 0.0;
+    char *is_open = w->is_open;
+    int64_t i, k = -2, m = g->m;
+    int32_t frm = g->source, to = g->sink;
 
+    if (n_opened > 0) {
+        for (i = 0; i < n_opened; i++)
+            is_open[opened[i]] = 1;
+        for (i = 0; i < m; i++) {
+            w->node_cost[i] = is_open[i] ? g->unit_cost[i] : cost[i];
+            if (is_open[i])
+                constant += g->fixed[i];
+        }
+        c = w->node_cost;
+    }
+    out[3] = constant;
     memcpy(res, capacity, sizeof(double) * (size_t)(2 * m));
     for (i = 0; i < 2 * n_start; i++)
         res[2 * start_arcs[i / 2] + i % 2] = start_res[i];
@@ -178,21 +226,38 @@ int64_t ssp_solve(int32_t n, int64_t m, const int32_t *head, const int32_t *adj_
         int64_t r = changed_closed ? 2 * changed + 1 : 2 * changed;
         frm = head[r];
         to = head[r ^ 1];
-        amount = changed_closed || cost[changed] + pot[to] - pot[frm] < 0.0 ? res[r] : 0.0;
+        amount = changed_closed || c[changed] + pot[to] - pot[frm] < 0.0 ? res[r] : 0.0;
         if (amount == INFINITY)
-            return -2;
+            goto unmark;
         res[r] = res[r] - amount;
         res[r ^ 1] = res[r ^ 1] + amount;
     }
     for (i = 0; i < n_closed; i++)
         res[2 * closed[i]] = 0.0;
-    if (ssp_augment(n, head, adj_start, adj, cost, res, pot, frm, to, amount, stop, push_cap,
-                    work, &out[0], &out[2]))
-        return -1;
-    for (out[1] = 0.0, i = 0; i < m; i++)
-        if (res[2 * i + 1] != 0.0) {
-            out[1] += res[2 * i + 1] * cost[i];
-            arcs[k++] = i;
+    k = -1;
+    if (ssp_augment(g->n, head, g->adj_start, g->adj, c, res, pot, frm, to, amount, stop,
+                    push_cap, w->work, &out[0], &out[2]))
+        goto unmark;
+    out[5] = -1.0;
+    for (k = 0, out[1] = 0.0, i = 0; i < m; i++) {
+        double x = res[2 * i + 1];
+        if (x == 0.0)
+            continue;
+        out[1] += x * c[i];
+        if (x > tol)
+            fixed_sum += g->fixed[i];
+        variable_sum += g->unit_cost[i] * x;
+        if (most < x && x < capacity[2 * i] - tol && !is_open[i]) {
+            most = x;
+            out[5] = (double)i;
         }
+        w->pairs[2 * k] = res[2 * i];
+        w->pairs[2 * k + 1] = x;
+        w->arcs[k++] = i;
+    }
+    out[4] = fixed_sum + variable_sum;
+unmark:
+    for (i = 0; i < n_opened; i++)
+        is_open[opened[i]] = 0;
     return k;
 }

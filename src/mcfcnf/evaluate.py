@@ -22,6 +22,15 @@ if TYPE_CHECKING:
 #: Floating-point allowance of verify_flow on each constraint, absolute.
 VERIFY_TOL = 1e-7
 
+#: Relative bound on |estimate - true_cost| for the kernel's estimate (see
+#: flowcore.solve_min_cost_flow). Both add the same nonnegative terms, the
+#: used arcs' fixed costs and variable cost x flow, in different orders, and
+#: any order of adding n such terms is within (n - 1) u / (1 - (n - 1) u) of
+#: their exact sum, u = 2**-53 (Higham, Accuracy and Stability of Numerical
+#: Algorithms, 2002, sec. 4.2). With both parts and their sum, the two are
+#: within 2.3e-10 of each other, relative, for fewer than a million offered pairs.
+TRUE_COST_MARGIN = 1e-9
+
 
 @dataclass(frozen=True, eq=False)
 class ScoredSolution:

@@ -7,8 +7,13 @@ solution), and relaxes each undecided arc to a linearized fixed charge
 (fixed/capacity + variable per unit, the seed organism's cost, so the
 root is lp_relaxation_bound's solve): a node bound is one min-cost-flow
 solve, repaired from its parent's end state. Arcs forced open add their
-fixed cost as a constant and cost only their variable cost per unit. A node
-is priced in arc space from its end state, a new incumbent is also scored.
+fixed cost as a constant and cost only their variable cost per unit. A
+node is one kernel call (solve_min_cost_flow with the node's opened
+arcs): the cost patch, the constant, the bound, an estimate of the flow's
+true cost and the arc to branch on all come from C. The exact arc-space
+true cost, and score for a new incumbent, run only where the estimate is
+within evaluate.TRUE_COST_MARGIN of beating the incumbent, so every
+incumbent is the one a per-node exact pricing would pick.
 """
 from __future__ import annotations
 
@@ -20,9 +25,9 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .evaluate import ScoredSolution, score, true_cost, verify_flow
+from .evaluate import TRUE_COST_MARGIN, ScoredSolution, score, true_cost, verify_flow
 from .flowcore import (ExpandedNetwork, FlowState, Infeasible, Topology,
-                       build_expanded_network, compile_pairs, compile_topology, flow_tol,
+                       build_expanded_network, compile_pairs, compile_topology,
                        seed_organism, solve_min_cost_flow)
 
 if TYPE_CHECKING:
@@ -53,10 +58,6 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
     start = time.perf_counter()
     # lp_relaxation_bound's arc costs, one per offered pair: slot picks this topology's
     free_cost = build_expanded_network(instance, seed_organism(instance)).cost[topology.slot]
-    var_cost = topology.variable[topology.slot]
-    fixed = topology.fixed.tolist()
-    capacity = topology.capacity[0::2].tolist()
-    tol = flow_tol(instance.target)
 
     incumbent = warm
     best_cost = warm.true_cost if warm is not None else math.inf
@@ -87,28 +88,21 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
         unless pruned or integral. Returns its bound; raises Infeasible."""
         nonlocal incumbent, best_cost, nodes
         nodes += 1
-        ordered = sorted(opened)
-        cost = free_cost.copy()
-        cost[ordered] = var_cost[ordered]
-        constant = 0.0
-        for a in ordered:
-            constant += fixed[a]
-        sol = solve_min_cost_flow(ExpandedNetwork(topology, cost, closed),
+        sol = solve_min_cost_flow(ExpandedNetwork(topology, free_cost, closed, opened),
                                   parent_state, changed)
+        constant, estimate, branch = sol.node
         bound, state = constant + sol.lp_cost, sol.state
-        if incumbent is None or true_cost(topology, state.arcs, state.residual[1::2]) < best_cost:
+        # the exact true cost only where the estimate may be below best_cost
+        if incumbent is None or (estimate <= best_cost * (1.0 + TRUE_COST_MARGIN) and
+                                 true_cost(topology, state.arcs, state.residual[1::2]) < best_cost):
             incumbent = score(instance, sol)  # a ScoredSolution, for a new incumbent only
             best_cost = incumbent.true_cost
         if pruned(bound):
             return bound
-        # split on the unopened arc with the most fractional flow, the first
-        # on ties; closed arcs carry none, saturated ones pay their full
-        # fixed charge already. No such arc: integral, nothing below remains
-        branch, most = None, tol
-        for a, amount in zip(state.arcs.tolist(), state.residual[1::2].tolist()):
-            if most < amount < capacity[a] - tol and a not in opened:
-                branch, most = a, amount
-        if branch is not None:
+        # branch: the unopened arc with the most fractional flow, the first on
+        # ties; closed arcs carry none, saturated ones pay their full fixed
+        # charge already. None (-1): integral, nothing below remains
+        if branch >= 0:
             heappush(heap, (bound, -depth, nodes, opened, closed, branch, state))
         return bound
 

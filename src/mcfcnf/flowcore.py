@@ -5,8 +5,10 @@ and unit cost fixed/scale + variable, so the relaxation reduces to a plain
 min-cost flow of the target amount from source to sink, solved by successive
 shortest augmenting paths with vertex potentials: exact and deterministic
 (ties resolved by lowest arc index). A solve is one call of a C kernel
-(_ssp.c: residual setup, warm-start repair, augmentation and cost), built by
-the system's C compiler on first use and loaded through ctypes (load_kernel).
+(_ssp.c: residual setup, warm-start repair, augmentation and cost, and for
+a branch-and-bound node also the cost patch of its opened arcs, their fixed
+costs, a true-cost estimate and the branch arc), built by the system's C
+compiler on first use and loaded through ctypes (load_kernel).
 
 The network is compiled once per instance (compile_topology: arcs, their
 pair costs, residual heads and capacities, CSR adjacency, kept on the
@@ -126,24 +128,47 @@ class Topology:
 
     def __post_init__(self):  # checks the kernel's arrays and binds them once
         n, m = self.n_vertices, len(self.pairs)
-        object.__setattr__(self, "_kernel_args", (
-            n, m, _address(self.head, np.int32, 2 * m, "head"),
+        # an opened arc's cost per unit in a branch-and-bound node: its variable cost
+        unit_cost = np.ascontiguousarray(self.variable[self.slot], dtype=np.float64)
+        network = _Network(
+            _address(self.head, np.int32, 2 * m, "head"),
             _address(self.adj_start, np.int32, n + 1, "adj_start"),
             _address(self.adj, np.int32, 2 * m, "adj"),
-            _address(self.capacity, np.float64, 2 * m, "capacity")))
+            _address(self.capacity, np.float64, 2 * m, "capacity"), _pointer(unit_cost),
+            _address(self.fixed, np.float64, m, "fixed"), flow_tol(self.target), m, n,
+            self.source, self.sink)
+        object.__setattr__(self, "_unit_cost", unit_cost)
+        object.__setattr__(self, "_network", network)
+        object.__setattr__(self, "_kernel_args", (n, m, ctypes.addressof(network)))
 
     def __reduce__(self):  # a copy's arrays live elsewhere: bind them anew
         return Topology, tuple(getattr(self, f.name) for f in fields(self))
 
 
+class _Network(ctypes.Structure):
+    """_ssp.c's network: a topology's arrays, bound once."""
+    _fields_ = [*((name, ctypes.c_void_p) for name in
+                  ("head", "adj_start", "adj", "capacity", "unit_cost", "fixed")),
+                ("tol", ctypes.c_double), ("m", ctypes.c_int64), ("n", ctypes.c_int32),
+                ("source", ctypes.c_int32), ("sink", ctypes.c_int32)]
+
+
+class _Workspace(ctypes.Structure):
+    """_ssp.c's workspace: the arrays a thread's solves write."""
+    _fields_ = [(name, ctypes.c_void_p) for name in
+                ("res", "pairs", "out", "work", "node_cost", "arcs", "is_open")]
+
+
 class ExpandedNetwork(NamedTuple):
     """A compiled topology under one per-arc cost vector. Closed arcs carry
     no flow; they keep their place in the arc order, so the solve equals
-    the one on the instance without their pairs."""
+    the one on the instance without their pairs. Opened arcs, a
+    branch-and-bound node's, cost their variable cost per unit instead."""
 
     topology: Topology
     cost: np.ndarray                # or any sequence of floats, one per arc
     closed: frozenset[int] = frozenset()
+    opened: frozenset[int] = frozenset()
 
 
 class FlowState(NamedTuple):
@@ -159,12 +184,14 @@ class FlowState(NamedTuple):
 
 class FlowSolution:
     """Flow per (edge, class) pair and relaxation objective. A solve's holds its
-    end state and topology, and builds the read-only dense flow when first read."""
+    end state, topology and node (see solve_min_cost_flow), and builds the
+    read-only dense flow when first read."""
 
     def __init__(self, flow: np.ndarray | None, lp_cost: float,
-                 state: FlowState | None = None, topology: Topology | None = None):
+                 state: FlowState | None = None, topology: Topology | None = None,
+                 node: tuple[float, float, int] | None = None):
         self._flow = None if flow is None else np.array(flow, dtype=np.float64)
-        self.lp_cost, self.state, self.topology = lp_cost, state, topology
+        self.lp_cost, self.state, self.topology, self.node = lp_cost, state, topology, node
 
     @property
     def flow(self) -> np.ndarray:
@@ -299,49 +326,61 @@ def _pointer(array: np.ndarray) -> int:
 
 def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]:
     """Load the kernel built by build_kernel(directory, command) as solve(
-    topology, cost, closed, start, changed, amount, stop, push_cap) -> (left,
-    lp_cost, res, pot, arcs, sent): one C call for the whole solve of
-    solve_min_cost_flow, or of max_flow at zero cost, sending amount one
-    shortest path at a time (Dijkstra stopped at the sink, ties to the first
-    vertex pushed) until at most stop is left, no path is left, or a path's
-    bottleneck is infinite (sent is then infinite). More than push_cap paths
-    raise FlowIterationError: no bound is proven for a costed solve
+    topology, cost, closed, opened, start, changed, amount, stop, push_cap)
+    -> (left, lp_cost, res, pot, arcs, sent, residual, constant, estimate,
+    branch): one C call for the whole solve of solve_min_cost_flow, or of
+    max_flow at zero cost, sending amount one shortest path at a time
+    (Dijkstra stopped at the sink, ties to the first vertex pushed) until at
+    most stop is left, no path is left, or a path's bottleneck is infinite
+    (sent is then infinite). More than push_cap paths raise
+    FlowIterationError: no bound is proven for a costed solve
     (test_push_cap_never_reached checks solve_min_cost_flow's cap); at zero
     cost Edmonds-Karp's holds (max_flow). Before C runs, it checks every arc
-    index and the dtype, contiguity and length of each array a caller
-    supplies (a topology's once, when built); its own need no check.
+    index, that every opened arc's variable cost is >= 0, and the dtype,
+    contiguity and length of each array a caller supplies (a topology's
+    once, when built); its own need no check.
+
+    The same call is a whole branch-and-bound node: the opened arcs cost
+    their variable cost per unit, and constant, estimate and branch are
+    _ssp.c's out[3:6]; residual holds the carrying arcs' residual pairs.
 
     The kernel works in arrays kept per thread, grown to the largest
     topology that thread has solved, so threads solve at once and no call
     allocates them. The returned res is a view of them, valid only until
-    the thread's next solve; pot and arcs are the call's own.
+    the thread's next solve; the other arrays are the call's own.
     """
     function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_solve
-    int32, int64, pointer = ctypes.c_int32, ctypes.c_int64, ctypes.c_void_p
-    function.argtypes = [int32, int64, *[pointer] * 6, int64, *[pointer] * 2, int64, int64,
-                         *[int32] * 3, ctypes.c_double, ctypes.c_double, int64, *[pointer] * 5]
+    int64, pointer, double = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    function.argtypes = [pointer, pointer, pointer, int64, pointer, int64, pointer, pointer,
+                         int64, int64, ctypes.c_int32, double, double, int64, pointer, pointer]
     function.restype = int64
     local = threading.local()
 
-    def workspace(n: int, m: int) -> tuple[tuple, tuple]:
-        """This thread's res, carrying arcs, out and C scratch (32 bytes per
-        vertex), for at least n vertices and m arcs, and their addresses."""
+    def workspace(n: int, m: int) -> tuple:
+        """This thread's (res, pairs, out, arcs) arrays and the address of its
+        workspace, for at least n vertices and m arcs."""
         work = getattr(local, "work", None)
         if work is None or work[0] < n or work[1] < m:
             if work is not None:
                 n, m = max(n, work[0]), max(m, work[1])
-            arrays = np.empty(2 * m), np.empty(m, dtype=np.int64), np.empty(3), np.empty(4 * n)
-            work = local.work = n, m, arrays, tuple(map(_pointer, arrays))
-        return work[2:]
+            arrays = (np.empty(2 * m), np.empty(2 * m), np.empty(6), np.empty(4 * n),
+                      np.empty(m), np.empty(m, dtype=np.int64), np.zeros(m, dtype=np.int8))
+            struct = _Workspace(*map(_pointer, arrays))  # kept, with arrays, as long as work
+            res, pairs, out, _, _, arcs, _ = arrays
+            work = local.work = (n, m, (res, pairs, out, arcs, ctypes.addressof(struct)),
+                                 arrays, struct)
+        return work[2]
 
     def solve(topology: Topology, cost: np.ndarray, closed: frozenset[int],
-              start: FlowState | None, changed: int | None, amount: float, stop: float,
-              push_cap: int) -> tuple:
-        n, m, head, adj_start, adj, capacity = topology._kernel_args
+              opened: frozenset[int], start: FlowState | None, changed: int | None,
+              amount: float, stop: float, push_cap: int) -> tuple:
+        n, m, network = topology._kernel_args
         costs = _address(cost, np.float64, m, "cost")
         if (closed and not 0 <= min(closed) <= max(closed) < m
+                or opened and not 0 <= min(opened) <= max(opened) < m
                 or changed is not None and not 0 <= changed < m):
-            raise ValueError(f"closed {sorted(closed)} or changed {changed} not in 0..{m - 1}")
+            raise ValueError(f"closed {sorted(closed)}, opened {sorted(opened)} or changed "
+                             f"{changed} not in 0..{m - 1}")
         pot, k, arcs, residual = np.zeros(n), 0, None, None
         if start is not None:  # arcs and residuals may come as lists
             start_arcs, start_res = (np.asarray(start.arcs, dtype=np.int64),
@@ -353,17 +392,21 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
                     or k and start_arcs.view(np.uint64).max() >= m):  # -1 wraps
                 raise ValueError(f"start does not fit {n} vertices and {m} arcs")
         shut = np.fromiter(closed, np.int64, len(closed))
-        (res, carrying, out, _), (res_at, carrying_at, out_at, work_at) = workspace(n, m)
-        count = function(n, m, head, adj_start, adj, capacity, costs,
+        opens = np.fromiter(opened, np.int64, len(opened))
+        if opened and not topology._unit_cost[opens].min() >= 0.0:  # negative or NaN
+            bad = opens[~(topology._unit_cost[opens] >= 0.0)].min()
+            raise ValueError(f"arc {bad} has unit cost {topology._unit_cost[bad]}, not >= 0")
+        res, pairs, out, carrying, work = workspace(n, m)
+        count = function(network, costs, _pointer(opens) if opened else None, len(opens),
                          _pointer(shut) if closed else None, len(shut), arcs, residual, k,
-                         -1 if changed is None else int(changed), changed in closed,
-                         topology.source, topology.sink, amount, stop, push_cap, res_at,
-                         _pointer(pot), carrying_at, out_at, work_at)
+                         -1 if changed is None else int(changed), changed in closed, amount,
+                         stop, push_cap, _pointer(pot), work)
         if count < 0:
             raise (FlowIterationError(f"augmentation count exceeded {push_cap}"),
                    ValueError(f"arc {changed}: infinite capacity, cannot saturate"))[-1 - count]
         return (float(out[0]), float(out[1]), res[:2 * m], pot, carrying[:count].copy(),
-                float(out[2]))
+                float(out[2]), pairs[:2 * count].copy(), float(out[3]), float(out[4]),
+                int(out[5]))
 
     return solve
 
@@ -387,8 +430,13 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
     or made cheaper (saturated if that pays, the surplus sent back; ValueError
     if infinite); without `changed` the target goes on top. Returns the end
     state too: a cold solve's equals that of one started from zero.
+
+    lp_cost prices the flow with net's opened arcs at their variable cost.
+    node is (constant, estimate, branch): the opened arcs' fixed costs, the
+    flow's true cost within evaluate.TRUE_COST_MARGIN, and the arc to
+    branch on, -1 if none (see _ssp.c).
     """
-    topology, arc_cost, closed = net
+    topology, arc_cost, closed, opened = net
     target = topology.target
     cost = np.ascontiguousarray(arc_cost, dtype=np.float64)
     m = len(cost)
@@ -397,14 +445,14 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
         raise ValueError(f"arc {bad} has unit cost {cost[bad]}, not >= 0")
     shortfall = 0.0 if start is None else start.shortfall
     stop = flow_tol(target) - shortfall
-    left, lp_cost, res, pot, arcs, _ = _kernel()(topology, cost, closed, start, changed,
-                                                 target, stop, 4 * (m - len(closed)) + 16)
+    left, lp_cost, _, pot, arcs, _, residual, *node = _kernel()(
+        topology, cost, closed, opened, start, changed, target, stop, 4 * (m - len(closed)) + 16)
     if left > stop:
         achieved = target - shortfall - left
         raise Infeasible(unroutable(target, achieved), max_flow=achieved)
 
-    state = FlowState(arcs, res.reshape(-1, 2)[arcs].reshape(-1), pot, shortfall + left)
-    return FlowSolution(None, lp_cost, state, topology)
+    state = FlowState(arcs, residual, pot, shortfall + left)
+    return FlowSolution(None, lp_cost, state, topology, tuple(node))
 
 
 def lp_relaxation_bound(instance: Instance) -> float:
@@ -427,7 +475,8 @@ def max_flow(topology: Topology, closed: frozenset[int] = frozenset()) -> float:
     most n/2 times (Edmonds & Karp, J. ACM 19 (1972) 248-264), so the push
     cap of m * n + 1 searches is never reached."""
     n, m = topology.n_vertices, len(topology.pairs)
-    return _kernel()(topology, np.zeros(m), closed, None, None, math.inf, 0.0, m * n + 1)[5]
+    return _kernel()(topology, np.zeros(m), closed, frozenset(), None, None, math.inf, 0.0,
+                     m * n + 1)[5]
 
 
 def max_throughput(instance: Instance) -> float:

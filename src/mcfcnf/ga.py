@@ -49,10 +49,10 @@ class GAConfig:
     def __post_init__(self):
         if self.population_size < 2:
             raise ValueError("population_size must be at least 2")
-        for name in ("crossover_probability", "mutation_probability"):
-            p = getattr(self, name)
-            if not 0 <= p <= 1:
-                raise ValueError(f"{name} must be in [0, 1]")
+        if not 0 < self.crossover_probability <= 1:  # at 0 a generation makes no child
+            raise ValueError("crossover_probability must be in (0, 1]")
+        if not 0 <= self.mutation_probability <= 1:
+            raise ValueError("mutation_probability must be in [0, 1]")
         if self.time_limit is None and self.iteration_limit is None:
             raise ValueError("set time_limit and/or iteration_limit")
         if self.time_limit is not None and not 0 < self.time_limit < math.inf:
@@ -217,7 +217,7 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
     history = [record(0)]
     n_children = math.ceil(config.crossover_probability * config.population_size)
     iteration = 0
-    while iteration < iteration_limit and n_children > 0:
+    while iteration < iteration_limit:
         if time.perf_counter() - start >= evolution_budget:
             break
         iteration += 1

@@ -243,6 +243,7 @@ class TestUsage:
         "solve --instance {f}",
         "solve --instance {f} --iterations 3 --population 1",
         "solve --instance {f} --iterations -1",
+        "solve --instance {f} --iterations 3 --crossover 0",
         "exact --instance {f} --budget 0",
         "compare --instances {f} --budget 0 -o {out}",
         "compare --instances {f} --budget 1 --repeats 0 -o {out}",

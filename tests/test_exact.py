@@ -14,7 +14,7 @@ from mcfcnf import exact
 from mcfcnf import (GAP_DEFAULT, FlowSolution, Infeasible, Instance, Organism,
                     build_expanded_network, generate_random, lp_relaxation_bound,
                     polish, score, solve_exact, solve_min_cost_flow, verify_flow)
-from mcfcnf.evaluate import true_cost
+from mcfcnf.evaluate import TRUE_COST_MARGIN, true_cost
 from conftest import brute_force, integral_score_optimum, make_small_instance
 
 
@@ -337,6 +337,30 @@ class TestArcSpaceCost:
         assert [s.true_cost for s in scored] == improvements
         assert scored[-1] is result.best
         assert len(scored) < result.nodes_explored // 20
+
+
+class TestTrueCostEstimate:
+    @pytest.mark.parametrize("kind, n, k, seed, search", [
+        ("grid", 16, 2, 3, "prove"),
+        ("geometric", 30, 3, 1, "prove"),
+        ("grid", 16, 2, 3, "polish"),
+        ("geometric", 30, 3, 1, "polish"),
+    ])
+    def test_estimate_within_margin(self, monkeypatch, kind, n, k, seed, search):
+        # a node's exact true cost is taken only where the kernel's estimate
+        # allows a new incumbent; that is exact only while the estimate is
+        # within TRUE_COST_MARGIN of the true cost at every node
+        inst = generate_random(kind, n, k, seed=seed, target_fraction=0.6)
+        solutions = _record_solves(monkeypatch)
+        if search == "prove":
+            solve_exact(inst, budget=600)
+        else:
+            warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
+            polish(inst, warm, budget=600)
+        assert len(solutions) > 100
+        for sol in solutions:
+            cost = true_cost(sol.topology, sol.state.arcs, sol.state.residual[1::2])
+            assert abs(sol.node[1] - cost) <= TRUE_COST_MARGIN * cost
 
 
 def test_exact_runtime_stays_small_on_diamond(fig1):

@@ -281,6 +281,7 @@ class TestConfig:
         {"mutation_probability": -0.1, "iteration_limit": 1},
         {"time_limit": 0.0},
         {"iteration_limit": -1},
+        {"crossover_probability": 0.0, "iteration_limit": 1},
     ])
     def test_rejects_bad_values(self, kwargs):
         with pytest.raises(ValueError):

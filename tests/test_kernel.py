@@ -2,10 +2,12 @@
 loader.
 
 reference_solve is the solve the C kernel (src/mcfcnf/_ssp.c) replaces:
-residual setup, warm-start repair and the augmenting loop reference_augment,
-kept here unchanged in what they compute. Every kernel call a solve or
-max_flow makes is run through both, and the residuals, potentials, amount
-left, cost, carrying arcs, amount sent and errors must agree bit for bit.
+a branch-and-bound node's cost patch and constant, residual setup,
+warm-start repair, the augmenting loop reference_augment, and the node's
+true-cost estimate and branch arc, kept here unchanged in what they
+compute. Every kernel call a solve or max_flow makes is run through both,
+and the residuals, potentials, amount left, cost, carrying arcs, amount
+sent, node facts and errors must agree bit for bit.
 """
 import contextlib
 import copy
@@ -28,10 +30,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfcnf import (D_MIN, ExpandedNetwork, FlowIterationError, FlowState, Infeasible,
-                    Organism, compile_topology, fitness, generate_random, solve_exact,
-                    solve_min_cost_flow)
+                    Instance, Organism, compile_topology, fitness, generate_random, polish,
+                    solve_exact, solve_min_cost_flow)
 from mcfcnf import flowcore
-from mcfcnf.flowcore import KernelBuildError, build_kernel, load_kernel, max_flow
+from mcfcnf.flowcore import (KernelBuildError, build_kernel, flow_tol, load_kernel, max_flow,
+                             seed_organism)
 from conftest import make_small_instance
 
 SRC = Path(flowcore.__file__).resolve().parents[1]
@@ -111,11 +114,20 @@ def reference_augment(n: int, head: list[int], adjacency: list[list[int]],
     return remaining, sent
 
 
-def reference_solve(topology, cost, closed, start, changed, amount, stop, push_cap):
+def reference_solve(topology, cost, closed, opened, start, changed, amount, stop, push_cap):
     """The kernel's solve (see flowcore.load_kernel) on numpy arrays around
-    reference_augment: returns (left, lp_cost, res, pot, arcs, sent)."""
+    reference_augment: returns (left, lp_cost, res, pot, arcs, sent,
+    residual, constant, estimate, branch)."""
     head = topology.head
     m = len(cost)
+    # a node: opened arcs at their variable cost, their fixed costs summed in arc order
+    ordered = sorted(opened)
+    unit_cost, fixed = topology.variable[topology.slot], topology.fixed.tolist()
+    cost = cost.copy()
+    cost[ordered] = unit_cost[ordered]
+    constant = 0.0
+    for a in ordered:
+        constant += fixed[a]
     rcost = np.empty(2 * m)
     rcost[0::2] = cost
     rcost[1::2] = -cost
@@ -151,7 +163,18 @@ def reference_solve(topology, cost, closed, start, changed, amount, stop, push_c
     lp_cost = 0.0
     for amount, unit in zip(amounts[arcs].tolist(), cost[arcs].tolist()):
         lp_cost += amount * unit
-    return left, lp_cost, res, pot, arcs, sent
+    # the estimate of the true cost and the branch arc, in one pass in arc order
+    tol, capacity = flow_tol(topology.target), topology.capacity[0::2].tolist()
+    fixed_sum, variable_sum, branch, most = 0.0, 0.0, -1, tol
+    for a, amount in zip(arcs.tolist(), amounts[arcs].tolist()):
+        if amount > tol:
+            fixed_sum += fixed[a]
+        variable_sum += float(unit_cost[a]) * amount
+        if most < amount < capacity[a] - tol and a not in opened:
+            branch, most = a, amount
+    residual = res.reshape(-1, 2)[arcs].reshape(-1)
+    return (left, lp_cost, res, pot, arcs, sent, residual, constant, fixed_sum + variable_sum,
+            branch)
 
 
 def _bits(values) -> bytes:
@@ -166,8 +189,8 @@ def checked_kernel(cap: int | None = None):
     kernel = flowcore._kernel()
     calls = []
 
-    def solve(topology, cost, closed, start, changed, amount, stop, push_cap):
-        args = (topology, cost, closed, start, changed, amount, stop,
+    def solve(topology, cost, closed, opened, start, changed, amount, stop, push_cap):
+        args = (topology, cost, closed, opened, start, changed, amount, stop,
                 push_cap if cap is None else cap)
         outcomes = []
         for run in (reference_solve, kernel):
@@ -187,6 +210,9 @@ def checked_kernel(cap: int | None = None):
         assert _bits(got[3][:n]) == _bits(expected[3][:n])  # pot
         assert got[4].tolist() == expected[4].tolist()  # carrying arcs
         assert _bits(got[5]) == _bits(expected[5])  # amount sent
+        assert _bits(got[6]) == _bits(expected[6])  # the carrying arcs' residual pairs
+        assert _bits(got[7:9]) == _bits(expected[7:9])  # constant, estimate
+        assert got[9] == expected[9]  # branch arc
         return got
 
     saved = flowcore._kernel
@@ -207,13 +233,15 @@ def _solve(net, *start):
 class TestAgainstReference:
     @settings(max_examples=150, deadline=None)
     @given(seed=st.integers(0, 10_000), full=st.booleans(), infinite=st.booleans(),
-           closed_share=st.sampled_from([0.0, 0.3]), cap=st.sampled_from([None, None, 0, 1, 2]),
-           steps=st.lists(st.tuples(st.booleans(), st.integers(0, 1000)), max_size=5))
-    def test_bit_identical(self, seed, full, infinite, closed_share, cap, steps):
-        """Cold solves at or below the max flow, warm children (an arc closed
-        or made cheaper), max flow at zero cost, infinite capacities, closed
-        arcs and a push cap that runs out: every kernel call matches the
-        reference."""
+           closed_share=st.sampled_from([0.0, 0.3]), open_share=st.sampled_from([0.0, 0.3]),
+           cap=st.sampled_from([None, None, 0, 1, 2]),
+           steps=st.lists(st.tuples(st.sampled_from(["close", "cheaper", "open"]),
+                                    st.integers(0, 1000)), max_size=5))
+    def test_bit_identical(self, seed, full, infinite, closed_share, open_share, cap, steps):
+        """Cold solves at or below the max flow, warm children (an arc closed,
+        made cheaper or opened), max flow at zero cost, infinite capacities,
+        closed and opened arcs and a push cap that runs out: every kernel
+        call matches the reference."""
         rng = random.Random(seed)
         inst = make_small_instance(rng, max_vertices=12, max_edges=30,
                                    n_capacities=rng.randint(1, 3), cap_choices=(1, 2, 3, 4, 5))
@@ -226,20 +254,24 @@ class TestAgainstReference:
         topology = compile_topology(inst)
         m = len(topology.pairs)
         closed = frozenset(i for i in range(m) if rng.random() < closed_share)
+        opened = frozenset(i for i in range(m) if i not in closed and rng.random() < open_share)
         cost = np.array([rng.choice([0.0, 0.5, rng.uniform(0.0, 10.0)]) for _ in range(m)])
         with checked_kernel(cap) as calls:
             with contextlib.suppress(FlowIterationError):
                 max_flow(topology, closed)
-            net = ExpandedNetwork(topology, cost, closed)
+            net = ExpandedNetwork(topology, cost, closed, opened)
             _solve(net)
             parent = _solve(net, FlowState([], [], np.zeros(topology.n_vertices), 0.0))
-            free = sorted(set(range(m)) - closed)
-            for close, pick in steps:
+            free = sorted(set(range(m)) - closed - opened)
+            for step, pick in steps:
                 if parent is None or not free:
                     break
                 arc = free.pop(pick % len(free))
+                close = step == "close"
                 if close:
                     net = net._replace(closed=net.closed | {arc})
+                elif step == "open":
+                    net = net._replace(opened=net.opened | {arc})
                 else:
                     cheaper = net.cost.copy()
                     cheaper[arc] *= rng.choice([0.0, 0.5])
@@ -272,11 +304,20 @@ class TestAgainstReference:
         assert len(calls) == 2 + 2 * len(root.state.arcs)
 
     def test_branch_and_bound_proof(self):
+        # every node's cost patch, bound, estimate and branch arc
         inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
         with checked_kernel() as calls:
             result = solve_exact(inst, budget=60)
         assert result.proven_optimal
         assert len(calls) == result.nodes_explored
+
+    def test_polish_search(self):
+        # the nodes of a polish, on its neighbourhood's own topology
+        inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+        warm = fitness(inst, seed_organism(inst))
+        with checked_kernel() as calls:
+            assert polish(inst, warm, budget=600).true_cost == 573.4276663730062
+        assert len(calls) == 481
 
 
 class TestLoader:
@@ -347,6 +388,47 @@ class TestLoader:
         assert done.returncode == 0, done.stderr
 
 
+#: Run in a process with the sanitizer runtime preloaded: the kernel built
+#: with AddressSanitizer and UBSan in argv[1] by the command argv[2:] proves
+#: grid 16, polishes, decodes an organism and takes a max flow.
+_SANITIZED_RUN = """
+import sys
+from pathlib import Path
+import numpy as np
+from mcfcnf import Organism, fitness, flowcore, generate_random, polish, solve_exact
+from mcfcnf.flowcore import compile_topology, max_flow, seed_organism
+kernel = flowcore.load_kernel(Path(sys.argv[1]), sys.argv[2:])
+flowcore._kernel = lambda: kernel
+inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+assert solve_exact(inst, budget=600).nodes_explored == 891
+assert polish(inst, fitness(inst, seed_organism(inst)), 600).true_cost == 573.4276663730062
+scale = np.random.default_rng(0).uniform(1.0, 20.0, inst.fixed_cost.shape)
+assert fitness(inst, Organism(scale=scale)).true_cost > 0.0
+assert max_flow(compile_topology(inst)) > inst.target
+print("clean")
+"""
+
+
+class TestSanitizers:
+    def test_kernel_clean_under_asan_and_ubsan(self, tmp_path):
+        # any out-of-bounds access or undefined behaviour in the kernel ends
+        # the run with the sanitizer's report; the C compiler's libasan is
+        # preloaded, since the Python executable is not built with it
+        found = subprocess.run([*CC, "-print-file-name=libasan.so"], capture_output=True,
+                               text=True, check=False).stdout.strip()
+        if not os.path.isabs(found) or not os.path.isfile(found):
+            pytest.skip("the C compiler has no libasan")
+        command = [*CC, "-fsanitize=address,undefined", "-fno-omit-frame-pointer",
+                   "-fno-sanitize-recover=all"]
+        build_kernel(tmp_path, command)  # loaded only where the runtime is preloaded
+        env = {**os.environ, "PYTHONPATH": str(SRC), "LD_PRELOAD": found,
+               "ASAN_OPTIONS": "detect_leaks=0"}
+        done = subprocess.run([sys.executable, "-c", _SANITIZED_RUN, str(tmp_path), *command],
+                              capture_output=True, text=True, env=env, timeout=600, check=False)
+        assert done.returncode == 0, done.stderr[-4000:]
+        assert done.stdout.split() == ["clean"]
+
+
 class TestWrapper:
     """load_kernel's wrapper checks what it hands to C, before any C runs."""
 
@@ -367,8 +449,9 @@ class TestWrapper:
         topology = compile_topology(inst)
         m = len(topology.pairs)
         state = FlowState(np.array([0, m - 1]), np.zeros(4), np.zeros(topology.n_vertices), 0.0)
-        args = dict(topology=topology, cost=np.ones(m), closed=frozenset({1}), start=state,
-                    changed=0, amount=1.0, stop=0.0, push_cap=10)
+        args = dict(topology=topology, cost=np.ones(m), closed=frozenset({1}),
+                    opened=frozenset({2}), start=state, changed=0, amount=1.0, stop=0.0,
+                    push_cap=10)
         return load_kernel(Path(flowcore.__file__).with_name("__pycache__"), CC), args, calls
 
     def test_valid_call_reaches_c(self, wrapper):
@@ -384,19 +467,56 @@ class TestWrapper:
         (lambda a: {"closed": frozenset({len(a["cost"])})}, ValueError),
         (lambda a: {"closed": frozenset({-1})}, ValueError),
         (lambda a: {"changed": len(a["cost"])}, ValueError),
+        (lambda a: {"opened": frozenset({len(a["cost"])})}, ValueError),
+        (lambda a: {"opened": frozenset({-1})}, ValueError),
+        (lambda a: {"topology": dataclasses.replace(
+            a["topology"], variable=a["topology"].variable - 100.0)}, ValueError),
         (lambda a: {"start": a["start"]._replace(arcs=np.array([0, len(a["cost"])]))},
          ValueError),
         (lambda a: {"start": a["start"]._replace(arcs=np.array([-1, 0]))}, ValueError),
         (lambda a: {"start": a["start"]._replace(residual=np.zeros(3))}, ValueError),
         (lambda a: {"start": a["start"]._replace(potential=np.zeros(1))}, ValueError),
     ], ids=["float32-cost", "strided-cost", "short-cost", "list-cost", "closed-m",
-            "closed-negative", "changed-m", "start-arc-m", "start-arc-negative",
+            "closed-negative", "changed-m", "opened-m", "opened-negative",
+            "opened-negative-unit-cost", "start-arc-m", "start-arc-negative",
             "short-start-residual", "short-potential"])
     def test_rejected_before_c(self, wrapper, bad, error):
         solve, args, calls = wrapper
         with pytest.raises(error):
             solve(**{**args, **bad(args)})
         assert calls == []
+
+    def test_failed_node_leaves_no_opened_mark(self):
+        # the kernel marks a node's opened arcs in per-thread scratch; a node
+        # ending in the infinite-capacity ValueError or the push cap must
+        # leave it clean, so the thread's next node gets a fresh solve's bits.
+        # Paths 0->1->3 and 0->2->3; arc 2 (0->2) has infinite capacity
+        nan, inf = math.nan, math.inf
+        inst = Instance(
+            n_vertices=4, source=0, sink=3, edges=((0, 1), (1, 3), (0, 2), (2, 3)),
+            capacities=np.array([5.0, inf]),
+            fixed_cost=np.array([[1.0, nan], [1.0, nan], [nan, 1.0], [1.0, nan]]),
+            variable_cost=np.array([[1.0, nan], [1.0, nan], [nan, 1.0], [1.0, nan]]),
+            target=4.0)
+        topology = compile_topology(inst)
+        net = ExpandedNetwork(topology, np.array([1.5, 1.5, 5.0, 1.5]))
+        root = solve_min_cost_flow(net)
+        node = net._replace(opened=frozenset({0}))
+
+        def bits():
+            sol = solve_min_cost_flow(node, root.state, 0)
+            return (_bits(sol.state.residual), _bits(sol.state.potential),
+                    sol.state.arcs.tolist(), _bits([sol.lp_cost, *sol.node[:2]]), sol.node[2])
+
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh thread's new scratch
+            fresh = pool.submit(bits).result(timeout=60)
+        with pytest.raises(ValueError, match="arc 2: infinite capacity"):
+            solve_min_cost_flow(net._replace(opened=frozenset({2})), root.state, 2)
+        assert bits() == fresh
+        with pytest.raises(FlowIterationError):
+            flowcore._kernel()(topology, net.cost, frozenset(), frozenset({2, 3}), None, None,
+                               4.0, 0.0, 0)
+        assert bits() == fresh
 
     def test_topology_checked_when_built(self, wrapper):
         topology = wrapper[1]["topology"]
