@@ -128,7 +128,8 @@ class Topology:
 
     def __post_init__(self):  # checks the kernel's arrays and binds them once
         n, m = self.n_vertices, len(self.pairs)
-        # an opened arc's cost per unit in a branch-and-bound node: its variable cost
+        # each arc's variable cost: a decode's cost per unit beside the scaled fixed
+        # cost, and an opened arc's in a branch-and-bound node
         unit_cost = np.ascontiguousarray(self.variable[self.slot], dtype=np.float64)
         network = _Network(
             _address(self.head, np.int32, 2 * m, "head"),
@@ -250,8 +251,8 @@ def build_expanded_network(instance: Instance, organism: Organism) -> ExpandedNe
     costs fixed/scale + variable per unit, the one relaxed-cost formula."""
     check_pair_shape(instance, organism.scale, "organism")
     topology = compile_topology(instance)
-    cost = instance.fixed_cost / organism.scale + instance.variable_cost
-    return ExpandedNetwork(topology, cost.reshape(-1)[topology.pairs])
+    scale = organism.scale.reshape(-1)[topology.pairs]
+    return ExpandedNetwork(topology, topology.fixed / scale + topology._unit_cost)
 
 
 def seed_organism(instance: Instance) -> Organism:

@@ -1,4 +1,4 @@
-"""Problem instances: data model, text file format, validation, translation
+"""Problem instances: data model, text file formats, validation, translation
 from facility form, and random generators.
 
 An instance is a directed graph with a designated source and sink, a shared
@@ -191,18 +191,18 @@ class _Reader:
     """Section reader shared by both text formats: a header line, then
     keyword sections in a fixed order, the EDGES section last."""
 
-    def __init__(self, text: str, header: str):
+    def __init__(self, text: str):
         self.lines = _significant_lines(text)
-        if not self.lines or " ".join(self.lines[0][1]) != header:
-            raise ParseError(f"missing header line {header!r}")
+        self.header = " ".join(self.lines[0][1]) if self.lines else None
         self.i = 1
 
-    def section(self, keyword: str, n_fields: int) -> tuple[int, list[str]]:
-        """The next line, which must be keyword with n_fields - 1 fields or more."""
+    def section(self, keyword: str, n_fields: int, exact: bool = True) -> tuple[int, list[str]]:
+        """The next line, which must be keyword with n_fields - 1 fields (or
+        more, unless exact)."""
         if self.i >= len(self.lines):
             raise ParseError(f"unexpected end of file, expected {keyword} section")
         ln, toks = self.lines[self.i]
-        if toks[0] != keyword or len(toks) < n_fields:
+        if toks[0] != keyword or len(toks) < n_fields or exact and len(toks) > n_fields:
             raise ParseError(f"line {ln}: expected '{keyword}' with {n_fields - 1} fields")
         self.i += 1
         return ln, toks
@@ -222,7 +222,7 @@ class _Reader:
     def target_and_capacities(self) -> tuple[float, list[float]]:
         ln, toks = self.section("TARGET", 2)
         target = _parse_float(toks[1], ln, "target")
-        ln, toks = self.section("CAPACITIES", 2)
+        ln, toks = self.section("CAPACITIES", 2, exact=False)
         n_caps = _parse_int(toks[1], ln, "capacity count")
         if len(toks) != 2 + n_caps:
             raise ParseError(f"line {ln}: expected {n_caps} capacity values")
@@ -246,28 +246,17 @@ class _Reader:
                 np.array(b_rows).reshape(m, n_caps))
 
 
-def _format_text(header: str, vertices: str, data, sections: list[str]) -> str:
-    """Text of either format (Instance and FacilityInstance share the field
-    names read here): header, VERTICES, TARGET, CAPACITIES, the format's own
-    sections, then EDGES, with NA NA for a class an edge does not offer."""
-    caps = data.capacities.tolist()
-    out = [header, vertices, f"TARGET {_fmt(data.target)}",
-           "CAPACITIES " + " ".join([str(len(caps))] + [_fmt(c) for c in caps]),
-           *sections, f"EDGES {len(data.edges)}"]
-    for (u, w), a_row, b_row in zip(data.edges, data.fixed_cost.tolist(),
-                                    data.variable_cost.tolist()):
-        fields = [str(u), str(w)]
-        for a, b in zip(a_row, b_row):
-            fields += ("NA", "NA") if math.isnan(a) else (_fmt(a), _fmt(b))
-        out.append(" ".join(fields))
-    return "\n".join(out) + "\n"
-
-
 def parse_instance(text: str) -> Instance:
-    """Parse the canonical instance text format. Raises ParseError on
-    malformed input; the result is not invariant-checked (see load_instance).
+    """Parse either text format: the canonical one, or the facility one,
+    translated by from_facility_form. Raises ParseError on malformed input
+    and ValidationError when a facility file does not translate; the result
+    is not invariant-checked (see load_instance).
     """
-    reader = _Reader(text, _HEADER)
+    reader = _Reader(text)
+    if reader.header == _FACILITY_HEADER:
+        return _parse_facility(reader)
+    if reader.header != _HEADER:
+        raise ParseError(f"missing header line {_HEADER!r} or {_FACILITY_HEADER!r}")
     ln, toks = reader.section("VERTICES", 6)
     if toks[2] != "SOURCE" or toks[4] != "SINK":
         raise ParseError(f"line {ln}: expected 'VERTICES <n> SOURCE <s> SINK <t>'")
@@ -283,17 +272,30 @@ def parse_instance(text: str) -> Instance:
 
 
 def format_instance(instance: Instance) -> str:
-    """Render the canonical text form (stable byte-for-byte)."""
-    vertices = f"VERTICES {instance.n_vertices} SOURCE {instance.source} SINK {instance.sink}"
-    return _format_text(_HEADER, vertices, instance, [])
+    """Render the canonical text form (stable byte-for-byte), with NA NA for
+    a class an edge does not offer."""
+    caps = instance.capacities.tolist()
+    out = [_HEADER,
+           f"VERTICES {instance.n_vertices} SOURCE {instance.source} SINK {instance.sink}",
+           f"TARGET {_fmt(instance.target)}",
+           "CAPACITIES " + " ".join([str(len(caps))] + [_fmt(c) for c in caps]),
+           f"EDGES {instance.n_edges}"]
+    for (u, w), a_row, b_row in zip(instance.edges, instance.fixed_cost.tolist(),
+                                    instance.variable_cost.tolist()):
+        fields = [str(u), str(w)]
+        for a, b in zip(a_row, b_row):
+            fields += ("NA", "NA") if math.isnan(a) else (_fmt(a), _fmt(b))
+        out.append(" ".join(fields))
+    return "\n".join(out) + "\n"
 
 
 def load_instance(path) -> Instance:
-    """Load and invariant-check an instance file.
+    """Load and invariant-check an instance file of either format.
 
     Raises ParseError for malformed files and ValidationError when a
-    structural invariant fails. Target routability is not checked here;
-    use validate() for the full check.
+    facility file does not translate or a structural invariant fails.
+    Target routability is not checked here; use validate() for the full
+    check.
     """
     text = Path(path).read_text(encoding="utf-8")
     instance = parse_instance(text)
@@ -345,7 +347,8 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
     super-sink. Transport edges keep their full cost table. The capacity list
     becomes the sorted union of transport capacities and terminal limits.
 
-    Raises ValueError when a terminal names a vertex outside the transport
+    Raises ValueError when two transport capacities are equal (one class's
+    costs would be lost), or a terminal names a vertex outside the transport
     graph or has a nonpositive limit or a NaN open cost. The result is not
     feasibility-checked: a facility instance whose terminals cannot carry the
     target translates into an instance that validate() flags.
@@ -361,6 +364,8 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
                 raise ValueError(f"{role} at vertex {t.vertex}: open cost must not be NaN")
 
     old_caps = [float(c) for c in facility.capacities]
+    if len(set(old_caps)) < len(old_caps):
+        raise ValueError(f"transport capacities must be distinct (got {old_caps})")
     limits = [float(t.limit) for t in facility.sources + facility.sinks]
     new_caps = sorted(set(old_caps) | set(limits))
     col = {c: k for k, c in enumerate(new_caps)}
@@ -396,11 +401,11 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
     )
 
 
-def parse_facility_instance(text: str) -> FacilityInstance:
-    """Parse the facility text format: the canonical sections with a bare
-    vertex count, plus SOURCES and SINKS sections of terminal lines
-    (vertex, open cost, unit cost, limit) before EDGES."""
-    reader = _Reader(text, _FACILITY_HEADER)
+def _parse_facility(reader: _Reader) -> Instance:
+    """The facility text format after its header: the canonical sections
+    with a bare vertex count, plus SOURCES and SINKS sections of terminal
+    lines (vertex, open cost, unit cost, limit) before EDGES, translated by
+    from_facility_form."""
     ln, toks = reader.section("VERTICES", 2)
     n = _parse_int(toks[1], ln, "vertex count")
     target, caps = reader.target_and_capacities()
@@ -418,27 +423,13 @@ def parse_facility_instance(text: str) -> FacilityInstance:
             ))
         terminals.append(tuple(terms))
     edges, fixed, var = reader.edges(len(caps))
-    return FacilityInstance(
-        n_vertices=n, edges=edges, capacities=np.array(caps), fixed_cost=fixed,
-        variable_cost=var, sources=terminals[0], sinks=terminals[1], target=target,
-    )
-
-
-def load_facility_instance(path) -> FacilityInstance:
-    return parse_facility_instance(Path(path).read_text(encoding="utf-8"))
-
-
-def format_facility_instance(facility: FacilityInstance) -> str:
-    sections = []
-    for keyword, terms in (("SOURCES", facility.sources), ("SINKS", facility.sinks)):
-        sections.append(f"{keyword} {len(terms)}")
-        sections += [f"{t.vertex} {_fmt(t.open_cost)} {_fmt(t.unit_cost)} {_fmt(t.limit)}"
-                     for t in terms]
-    return _format_text(_FACILITY_HEADER, f"VERTICES {facility.n_vertices}", facility, sections)
-
-
-def save_facility_instance(facility: FacilityInstance, path) -> None:
-    Path(path).write_text(format_facility_instance(facility), encoding="utf-8", newline="\n")
+    try:
+        return from_facility_form(FacilityInstance(
+            n_vertices=n, edges=edges, capacities=np.array(caps), fixed_cost=fixed,
+            variable_cost=var, sources=terminals[0], sinks=terminals[1], target=target,
+        ))
+    except ValueError as err:
+        raise ValidationError(str(err)) from None
 
 
 # ---------------------------------------------------------------------------

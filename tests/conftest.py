@@ -56,6 +56,24 @@ def two_class_edge_instance() -> Instance:
     )
 
 
+#: A small facility file: two costed sources, one sink, two transport edges.
+#: Its optimum, 34.4, routes all 4 units from the vertex-2 source.
+FACILITY_TEXT = """\
+MCFCNF-FACILITY 1
+VERTICES 3
+TARGET 4.0
+CAPACITIES 2 2.0 5.0
+SOURCES 2
+0 10.0 1.0 5.0
+2 1.0 0.1 9.0
+SINKS 1
+1 20.0 2.0 5.0
+EDGES 2
+0 1 3.0 0.5 NA NA
+2 1 NA NA 4.0 0.25
+"""
+
+
 @pytest.fixture
 def fig1() -> Instance:
     return fig1_instance()

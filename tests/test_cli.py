@@ -1,9 +1,11 @@
+import numpy as np
 import pytest
 
-from mcfcnf import (GAConfig, Infeasible, evolve, load_instance, lp_relaxation_bound,
-                    save_instance, validate)
+from mcfcnf import (FlowSolution, GAConfig, Infeasible, evolve, load_instance,
+                    lp_relaxation_bound, save_instance, validate, verify_flow)
 from mcfcnf.cli import main
-from conftest import fig1_instance, minimal_instance, two_class_edge_instance
+from conftest import (FACILITY_TEXT, brute_force, fig1_instance, minimal_instance,
+                      two_class_edge_instance)
 
 
 @pytest.fixture
@@ -287,12 +289,42 @@ def test_two_class_edge_solves(tmp_path, capsys):
     assert _summary_fields(capsys.readouterr().out.strip())["polished_cost"] == "6.5"
 
 
+def test_facility_file_runs_every_solver(tmp_path, capsys):
+    path = tmp_path / "ccs.mcfcnf"
+    path.write_text(FACILITY_TEXT)
+    instance = load_instance(path)
+    solutions = [tmp_path / f"{name}.sol.csv" for name in ("solve", "exact")]
+    assert main(["solve", "--instance", str(path), "--iterations", "5",
+                 "--solution", str(solutions[0])]) == 0
+    assert main(["exact", "--instance", str(path), "--budget", "10",
+                 "--solution", str(solutions[1])]) == 0
+    fields = _summary_fields(capsys.readouterr().out.strip().splitlines()[-1])
+    assert fields["proven"] == "true"
+    assert float(fields["cost"]) == brute_force(instance).best.true_cost == pytest.approx(34.4)
+    report = tmp_path / "report.csv"
+    assert main(["compare", "--instances", str(path), "--budget", "5", "--repeats", "1",
+                 "--iterations", "5", "-o", str(report)]) == 0
+    header, row = report.read_text().splitlines()
+    assert float(dict(zip(header.split(","), row.split(",")))["exact_cost"]) == \
+        pytest.approx(34.4)
+    # solution rows index the translated instance's edges and classes
+    for solution in solutions:
+        flow = np.zeros(instance.fixed_cost.shape)
+        for line in solution.read_text().splitlines()[1:-1]:
+            e, k, amount, _ = line.split(",")
+            flow[int(e), int(k)] = float(amount)
+        assert verify_flow(instance, FlowSolution(flow=flow, lp_cost=0.0)) == []
+
+
 _HEAD = b"MCFCNF 1\nVERTICES 3 SOURCE 0 SINK 2\nTARGET 1\n"
 _DEGENERATE = {
     "no-edges": _HEAD + b"CAPACITIES 1 5\nEDGES 0\n",
     "no-capacities": _HEAD + b"CAPACITIES 0\nEDGES 2\n0 1\n1 2\n",
     "zero-costs": _HEAD + b"CAPACITIES 1 5\nEDGES 2\n0 1 0 0\n1 2 0 0\n",
     "not-utf8": _HEAD + b"CAPACITIES 1 5\nEDGES 2\n0 1 0 0\n1 2 0 0 # caf\xe9\n",
+    # facility files whose translation fails
+    "facility-bad-terminal": FACILITY_TEXT.replace("SINKS 1\n1 ", "SINKS 1\n3 ").encode(),
+    "facility-duplicate-capacities": FACILITY_TEXT.replace("2 2.0 5.0", "2 5.0 5.0").encode(),
     # an id below the vertex count but beyond int64, which numbers the network
     "id-beyond-int64": (b"MCFCNF 1\nVERTICES " + b"1" + b"0" * 23 + b" SOURCE 0 SINK 1\n"
                         b"TARGET 1\nCAPACITIES 1 5\nEDGES 2\n0 " + b"1" + b"0" * 20
@@ -314,5 +346,5 @@ def test_degenerate_file_exits_cleanly(tmp_path, capsys, name, command):
     err = capsys.readouterr().err
     assert status in (0, 1, 2)
     assert "Traceback" not in err
-    if name in ("not-utf8", "id-beyond-int64"):
+    if name in ("not-utf8", "id-beyond-int64") or name.startswith("facility"):
         assert status == 1 and err.startswith(f"error: {path}: ")

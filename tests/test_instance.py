@@ -13,9 +13,7 @@ from mcfcnf import (FacilityInstance, GAConfig, Infeasible, Instance, ParseError
                     from_facility_form, generate_random, invariant_violations, load_instance,
                     max_throughput, parse_instance, save_instance, solve_exact,
                     validate)
-from mcfcnf.instance import (format_facility_instance, load_facility_instance,
-                             parse_facility_instance, save_facility_instance)
-from conftest import (brute_force, fig1_instance, make_small_instance,
+from conftest import (FACILITY_TEXT, brute_force, fig1_instance, make_small_instance,
                       two_class_edge_instance)
 
 MINIMAL_TEXT = """\
@@ -124,6 +122,15 @@ class TestParsing:
         # drop the class and its variable cost without a word
         with pytest.raises(ParseError, match="line 6: expected a number for fixed cost 0"):
             parse_instance(MINIMAL_TEXT.replace("0 1 1.0 1.0", "0 1 " + pair))
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("SINK 1", "SINK 1 whatever", "line 2: expected 'VERTICES' with 5 fields"),
+        ("TARGET 3.0", "TARGET 3.0 99", "line 3: expected 'TARGET' with 1 fields"),
+        ("EDGES 1", "EDGES 1 extra", "line 5: expected 'EDGES' with 1 fields"),
+    ])
+    def test_extra_section_fields_rejected(self, old, new, match):
+        with pytest.raises(ParseError, match=match):
+            parse_instance(MINIMAL_TEXT.replace(old, new))
 
     def test_negative_variable_cost_rejected(self, tmp_path):
         path = tmp_path / "bad.mcfcnf"
@@ -297,6 +304,14 @@ class TestFacilityForm:
         with pytest.raises(ValueError, match="open cost must not be NaN"):
             from_facility_form(dataclasses.replace(fac, **{role: (nan,)}))
 
+    def test_duplicate_capacities_rejected(self):
+        # both classes would map to one column of the union, losing one's costs
+        fac = dataclasses.replace(
+            _small_facility(), capacities=np.array([5.0, 5.0]),
+            fixed_cost=np.array([[3.0, 7.0]]), variable_cost=np.array([[0.5, 0.25]]))
+        with pytest.raises(ValueError, match="transport capacities must be distinct"):
+            from_facility_form(fac)
+
     def test_feasibility_preserved(self):
         # translated max flow equals what the terminals and transport allow
         inst = from_facility_form(_small_facility())
@@ -395,42 +410,49 @@ class TestFeasibilityAgreement:
         assert (validate(inst) == []) == solvable
 
 
-FACILITY_TEXT = """\
-MCFCNF-FACILITY 1
-VERTICES 3
-TARGET 4.0
-CAPACITIES 2 2.0 5.0
-SOURCES 2
-0 10.0 1.0 5.0
-2 1.0 0.1 9.0
-SINKS 1
-1 20.0 2.0 5.0
-EDGES 2
-0 1 3.0 0.5 NA NA
-2 1 NA NA 4.0 0.25
-"""
-
-
 class TestFacilityFile:
     def test_round_trip(self, tmp_path):
-        fac = parse_facility_instance(FACILITY_TEXT)
-        assert [t.vertex for t in fac.sources] == [0, 2]
-        assert fac.sinks[0].limit == 5.0
-        assert np.isnan(fac.fixed_cost[0, 1]) and fac.variable_cost[1, 1] == 0.25
-        assert format_facility_instance(fac) == FACILITY_TEXT
+        # a facility file reads as its translation, which saves and reloads
+        # as the same canonical bytes
         path = tmp_path / "x.facility"
-        save_facility_instance(fac, path)
-        again = load_facility_instance(path)
-        assert format_instance(from_facility_form(again)) == format_instance(from_facility_form(fac))
+        path.write_text(FACILITY_TEXT)
+        inst = load_instance(path)
+        assert format_instance(parse_instance(FACILITY_TEXT)) == format_instance(inst)
+        fac = FacilityInstance(
+            n_vertices=3, edges=((0, 1), (2, 1)), capacities=np.array([2.0, 5.0]),
+            fixed_cost=np.array([[3.0, math.nan], [math.nan, 4.0]]),
+            variable_cost=np.array([[0.5, math.nan], [math.nan, 0.25]]),
+            sources=(Terminal(0, 10.0, 1.0, 5.0), Terminal(2, 1.0, 0.1, 9.0)),
+            sinks=(Terminal(1, 20.0, 2.0, 5.0),), target=4.0,
+        )
+        assert format_instance(inst) == format_instance(from_facility_form(fac))
+        assert inst.edges == ((0, 1), (2, 1), (3, 0), (3, 2), (1, 4))
+        assert inst.capacities.tolist() == [2.0, 5.0, 9.0]
+        save_instance(inst, path)
+        assert format_instance(load_instance(path)) == format_instance(inst)
 
     @pytest.mark.parametrize("old, new, match", [
         ("VERTICES 3", "VERTICES", "VERTICES"),
         ("SOURCES 2", "SOURCES", "SOURCES"),
         ("2 1 NA NA 4.0 0.25\n", "2 1 NA NA 4.0 0.25\n0 2 1.0 1.0 NA NA\n", "trailing content"),
+        ("VERTICES 3", "VERTICES 3 whatever", "line 2: expected 'VERTICES' with 1 fields"),
+        ("TARGET 4.0", "TARGET 4.0 99", "line 3: expected 'TARGET' with 1 fields"),
+        ("SOURCES 2", "SOURCES 2 extra", "line 5: expected 'SOURCES' with 1 fields"),
+        ("SINKS 1", "SINKS 1 extra", "line 8: expected 'SINKS' with 1 fields"),
+        ("EDGES 2", "EDGES 2 extra", "line 10: expected 'EDGES' with 1 fields"),
     ])
     def test_malformed_raises_parse_error(self, old, new, match):
         with pytest.raises(ParseError, match=match):
-            parse_facility_instance(FACILITY_TEXT.replace(old, new))
+            parse_instance(FACILITY_TEXT.replace(old, new))
+
+    @pytest.mark.parametrize("old, new, match", [
+        ("0 10.0 1.0 5.0", "3 10.0 1.0 5.0", "source vertex 3 not in transport graph"),
+        ("1 20.0 2.0 5.0", "1 20.0 2.0 0.0", "sink at vertex 1: limit must be positive"),
+        ("CAPACITIES 2 2.0 5.0", "CAPACITIES 2 5.0 5.0", "capacities must be distinct"),
+    ])
+    def test_translation_error_is_validation_error(self, old, new, match):
+        with pytest.raises(ValidationError, match=match):
+            parse_instance(FACILITY_TEXT.replace(old, new))
 
 
 @pytest.mark.parametrize("kind, n, k, seed, fraction, digest", [
