@@ -1,11 +1,13 @@
 /* Min-cost-flow solve of mcfcnf.flowcore (see load_kernel), one ctypes call
- * that allocates nothing: the caller passes every array it writes. The same
- * call is a whole branch-and-bound node of mcfcnf.exact: it patches the
- * opened arcs' costs, sums their fixed costs, solves, and in one pass over
- * the carrying arcs writes their residual pairs, a true-cost estimate and
- * the arc to branch on. The estimate adds the terms of evaluate.true_cost
- * in arc order, not numpy's pairwise order, so the caller allows for the
- * difference (evaluate.TRUE_COST_MARGIN) before taking the exact cost.
+ * that allocates nothing: the caller passes every array it writes, and the
+ * kernel checks the costs and arc indices it is given before it writes
+ * anything. The same call is a whole branch-and-bound node of mcfcnf.exact:
+ * it patches the opened arcs' costs, sums their fixed costs, solves, and in
+ * one pass over the carrying arcs writes their residual pairs, a true-cost
+ * estimate and the arc to branch on. The estimate adds the terms of
+ * evaluate.true_cost in arc order, not numpy's pairwise order, so the caller
+ * allows for the difference (evaluate.TRUE_COST_MARGIN) before taking the
+ * exact cost.
  *
  * Residual id 2i is arc i forward, 2i+1 its reversal; head[r] is where r
  * ends, adj[adj_start[u] .. adj_start[u + 1]) the ids leaving u, ascending.
@@ -182,34 +184,56 @@ typedef struct {
 
 /* The whole solve: residuals set to capacity, the start's arcs restored, arc
  * `changed` repaired, closed arcs zeroed, then ssp_augment from source to
- * sink. The arcs in opened (any order) cost unit_cost per unit instead of
- * cost: their costs go to node_cost, and is_open marks them until the
- * return. Writes the carrying arcs to arcs, their residual pairs to pairs
- * and, to out, the amount left, their cost (summed in arc order), the
- * amount sent, the opened arcs' fixed costs (in arc order), an estimate of
- * the flow's true cost (fixed costs of the arcs carrying more than tol,
- * then unit_cost x flow, each summed in arc order) and the arc to branch on
- * (-1 for none: the carrying arc with the most flow strictly between tol
- * and its capacity less tol that is not open, the first on ties). Returns
- * their number, or -1 (more than push_cap rounds) or -2 (an arc of infinite
- * capacity to saturate). The caller checks every index and sizes every
- * array. */
-int64_t ssp_solve(const network *g, const double *cost, const int64_t *opened,
-                  int64_t n_opened, const int64_t *closed, int64_t n_closed,
-                  const int64_t *start_arcs, const double *start_res, int64_t n_start,
-                  int64_t changed, int32_t changed_closed, double amount, double stop,
-                  int64_t push_cap, double *pot, const workspace *w) {
+ * sink. node_arcs holds the opened arcs, then the closed ones (each in any
+ * order). The opened arcs cost unit_cost per unit instead of cost: their
+ * costs go to node_cost, and is_open marks them until the return. Writes
+ * the carrying arcs to arcs, their residual pairs to pairs and, to out, the
+ * amount left, their cost (summed in arc order), the amount sent, the
+ * opened arcs' fixed costs (in arc order), an estimate of the flow's true
+ * cost (fixed costs of the arcs carrying more than tol, then unit_cost x
+ * flow, each summed in arc order) and the arc to branch on (-1 for none:
+ * the carrying arc with the most flow strictly between tol and its capacity
+ * less tol that is not open, the first on ties). Returns their number, or
+ * -1 (more than push_cap rounds) or -2 (an arc of infinite capacity to
+ * saturate). Before any write it returns -3 for an opened or closed arc
+ * and -4 for a start arc outside 0..m-1, -5 for a cost not >= 0 (NaN too;
+ * the first such arc in out[5]) and -6 for an opened arc whose unit_cost is
+ * not >= 0 (the lowest in out[5]). The caller checks `changed` and sizes
+ * every array. */
+int64_t ssp_solve(const network *g, const double *cost, const int64_t *node_arcs,
+                  int64_t n_opened, int64_t n_closed, const int64_t *start_arcs,
+                  const double *start_res, int64_t n_start, int64_t changed,
+                  int32_t changed_closed, double amount, double stop, int64_t push_cap,
+                  double *pot, const workspace *w) {
     const int32_t *head = g->head;
     const double *capacity = g->capacity, *c = cost, tol = g->tol;
     double *res = w->res, *out = w->out, constant = 0.0, most = tol, fixed_sum = 0.0,
            variable_sum = 0.0;
     char *is_open = w->is_open;
-    int64_t i, k = -2, m = g->m;
+    int64_t i, k = -2, m = g->m, bad = m;
     int32_t frm = g->source, to = g->sink;
 
+    for (i = 0; i < m; i++)
+        if (!(cost[i] >= 0.0)) {
+            out[5] = (double)i;
+            return -5;
+        }
+    for (i = 0; i < n_opened + n_closed; i++)
+        if (node_arcs[i] < 0 || node_arcs[i] >= m)
+            return -3;
+    for (i = 0; i < n_start; i++)
+        if (start_arcs[i] < 0 || start_arcs[i] >= m)
+            return -4;
+    for (i = 0; i < n_opened; i++)
+        if (!(g->unit_cost[node_arcs[i]] >= 0.0) && node_arcs[i] < bad)
+            bad = node_arcs[i];
+    if (bad < m) {
+        out[5] = (double)bad;
+        return -6;
+    }
     if (n_opened > 0) {
         for (i = 0; i < n_opened; i++)
-            is_open[opened[i]] = 1;
+            is_open[node_arcs[i]] = 1;
         for (i = 0; i < m; i++) {
             w->node_cost[i] = is_open[i] ? g->unit_cost[i] : cost[i];
             if (is_open[i])
@@ -233,7 +257,7 @@ int64_t ssp_solve(const network *g, const double *cost, const int64_t *opened,
         res[r ^ 1] = res[r ^ 1] + amount;
     }
     for (i = 0; i < n_closed; i++)
-        res[2 * closed[i]] = 0.0;
+        res[2 * node_arcs[n_opened + i]] = 0.0;
     k = -1;
     if (ssp_augment(g->n, head, g->adj_start, g->adj, c, res, pot, frm, to, amount, stop,
                     push_cap, w->work, &out[0], &out[2]))
@@ -258,6 +282,6 @@ int64_t ssp_solve(const network *g, const double *cost, const int64_t *opened,
     out[4] = fixed_sum + variable_sum;
 unmark:
     for (i = 0; i < n_opened; i++)
-        is_open[opened[i]] = 0;
+        is_open[node_arcs[i]] = 0;
     return k;
 }

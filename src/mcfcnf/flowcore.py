@@ -320,9 +320,10 @@ def _address(array: np.ndarray, dtype: type, length: int, what: str) -> int:
 
 def _pointer(array: np.ndarray) -> int:
     """Address of a C-contiguous 1-D array's data, unchecked."""
-    if len(array) and array.flags.writeable:  # faster than array.ctypes
+    try:  # faster than array.ctypes, which read-only and empty arrays need
         return ctypes.addressof(ctypes.c_char.from_buffer(array))
-    return array.ctypes.data
+    except (TypeError, ValueError):
+        return array.ctypes.data
 
 
 def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]:
@@ -336,10 +337,10 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     (sent is then infinite). More than push_cap paths raise
     FlowIterationError: no bound is proven for a costed solve
     (test_push_cap_never_reached checks solve_min_cost_flow's cap); at zero
-    cost Edmonds-Karp's holds (max_flow). Before C runs, it checks every arc
-    index, that every opened arc's variable cost is >= 0, and the dtype,
-    contiguity and length of each array a caller supplies (a topology's
-    once, when built); its own need no check.
+    cost Edmonds-Karp's holds (max_flow). Before C runs, it checks `changed`
+    and the dtype, contiguity and length of each array a caller supplies (a
+    topology's once, when built); C checks, before it writes, that each cost
+    and opened arc's variable cost is >= 0 and each arc index in 0..m-1.
 
     The same call is a whole branch-and-bound node: the opened arcs cost
     their variable cost per unit, and constant, estimate and branch are
@@ -352,8 +353,8 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     """
     function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_solve
     int64, pointer, double = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
-    function.argtypes = [pointer, pointer, pointer, int64, pointer, int64, pointer, pointer,
-                         int64, int64, ctypes.c_int32, double, double, int64, pointer, pointer]
+    function.argtypes = [pointer, pointer, pointer, int64, int64, pointer, pointer, int64,
+                         int64, ctypes.c_int32, double, double, int64, pointer, pointer]
     function.restype = int64
     local = threading.local()
 
@@ -377,11 +378,6 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
               amount: float, stop: float, push_cap: int) -> tuple:
         n, m, network = topology._kernel_args
         costs = _address(cost, np.float64, m, "cost")
-        if (closed and not 0 <= min(closed) <= max(closed) < m
-                or opened and not 0 <= min(opened) <= max(opened) < m
-                or changed is not None and not 0 <= changed < m):
-            raise ValueError(f"closed {sorted(closed)}, opened {sorted(opened)} or changed "
-                             f"{changed} not in 0..{m - 1}")
         pot, k, arcs, residual = np.zeros(n), 0, None, None
         if start is not None:  # arcs and residuals may come as lists
             start_arcs, start_res = (np.asarray(start.arcs, dtype=np.int64),
@@ -389,25 +385,29 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
             pot, k = np.array(start.potential, dtype=np.float64), len(start_arcs)
             arcs = _address(start_arcs, np.int64, k, "start.arcs")
             residual = _address(start_res, np.float64, 2 * k, "start.residual")
-            if (pot.ndim != 1 or len(pot) < n
-                    or k and start_arcs.view(np.uint64).max() >= m):  # -1 wraps
+            if pot.ndim != 1 or len(pot) < n:
                 raise ValueError(f"start does not fit {n} vertices and {m} arcs")
-        shut = np.fromiter(closed, np.int64, len(closed))
-        opens = np.fromiter(opened, np.int64, len(opened))
-        if opened and not topology._unit_cost[opens].min() >= 0.0:  # negative or NaN
-            bad = opens[~(topology._unit_cost[opens] >= 0.0)].min()
-            raise ValueError(f"arc {bad} has unit cost {topology._unit_cost[bad]}, not >= 0")
+        try:  # the opened arcs, then the closed ones; an index past int64 is outside 0..m-1
+            node = np.fromiter((*opened, *closed), np.int64, len(opened) + len(closed))
+        except OverflowError:
+            node = None
         res, pairs, out, carrying, work = workspace(n, m)
-        count = function(network, costs, _pointer(opens) if opened else None, len(opens),
-                         _pointer(shut) if closed else None, len(shut), arcs, residual, k,
-                         -1 if changed is None else int(changed), changed in closed, amount,
-                         stop, push_cap, _pointer(pot), work)
+        count = -3 if node is None or changed is not None and not 0 <= changed < m else function(
+            network, costs, _pointer(node) if len(node) else None, len(opened), len(closed),
+            arcs, residual, k, -1 if changed is None else int(changed), changed in closed,
+            amount, stop, push_cap, _pointer(pot), work)
+        left, lp_cost, sent, constant, estimate, branch = out.tolist()
+        if count <= -5:  # branch is the arc whose cost (-5) or unit cost (-6) is not >= 0
+            unit, bad = (cost, topology._unit_cost)[-5 - count], int(branch)
+            raise ValueError(f"arc {bad} has unit cost {unit[bad]}, not >= 0")
         if count < 0:
             raise (FlowIterationError(f"augmentation count exceeded {push_cap}"),
-                   ValueError(f"arc {changed}: infinite capacity, cannot saturate"))[-1 - count]
-        return (float(out[0]), float(out[1]), res[:2 * m], pot, carrying[:count].copy(),
-                float(out[2]), pairs[:2 * count].copy(), float(out[3]), float(out[4]),
-                int(out[5]))
+                   ValueError(f"arc {changed}: infinite capacity, cannot saturate"),
+                   ValueError(f"closed {sorted(closed)}, opened {sorted(opened)} or changed "
+                              f"{changed} not in 0..{m - 1}"),
+                   ValueError(f"start does not fit {n} vertices and {m} arcs"))[-1 - count]
+        return (left, lp_cost, res[:2 * m], pot, carrying[:count].copy(), sent,
+                pairs[:2 * count].copy(), constant, estimate, int(branch))
 
     return solve
 
@@ -439,11 +439,8 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
     """
     topology, arc_cost, closed, opened = net
     target = topology.target
-    cost = np.ascontiguousarray(arc_cost, dtype=np.float64)
+    cost = np.ascontiguousarray(arc_cost, dtype=np.float64)  # the kernel checks its values
     m = len(cost)
-    if m and not cost.min() >= 0.0:  # negative or NaN
-        bad = np.flatnonzero(~(cost >= 0.0))[0]
-        raise ValueError(f"arc {bad} has unit cost {cost[bad]}, not >= 0")
     shortfall = 0.0 if start is None else start.shortfall
     stop = flow_tol(target) - shortfall
     left, lp_cost, _, pot, arcs, _, residual, *node = _kernel()(

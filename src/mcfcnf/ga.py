@@ -163,15 +163,22 @@ def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
     return Organism(scale=scale)
 
 
+def _key(organism: Organism) -> bytes:
+    """Its divisor bytes, made and hashed once: kept on the (immutable) organism."""
+    if "_key" not in vars(organism):
+        object.__setattr__(organism, "_key", organism.scale.tobytes())
+    return organism._key
+
+
 def _evaluate_all(instance: Instance, organisms: list[Organism],
                   population: list[_Member]) -> list[ScoredSolution]:
     """Fitness of each organism. An organism whose divisors equal those of a
     population member or an earlier organism reuses that decode, which is
     the same by purity of fitness."""
-    known = {member.scale.tobytes(): scored for member, scored in population}
+    known = {_key(member): scored for member, scored in population}
     scored = []
     for organism in organisms:
-        key = organism.scale.tobytes()
+        key = _key(organism)
         if key not in known:
             known[key] = fitness(instance, organism)
         scored.append(known[key])

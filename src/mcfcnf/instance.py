@@ -347,9 +347,10 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
     super-sink. Transport edges keep their full cost table. The capacity list
     becomes the sorted union of transport capacities and terminal limits.
 
-    Raises ValueError when two transport capacities are equal (one class's
-    costs would be lost), or a terminal names a vertex outside the transport
-    graph or has a nonpositive limit or a NaN open cost. The result is not
+    Raises ValueError when a cost table is not (edges, transport capacities)
+    in shape, two transport capacities are equal (one class's costs would be
+    lost), or a terminal names a vertex outside the transport graph or has a
+    nonpositive limit or a NaN open cost. The result is not
     feasibility-checked: a facility instance whose terminals cannot carry the
     target translates into an instance that validate() flags.
     """
@@ -363,7 +364,13 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
             if math.isnan(t.open_cost):  # a NaN fixed cost would drop the terminal
                 raise ValueError(f"{role} at vertex {t.vertex}: open cost must not be NaN")
 
-    old_caps = [float(c) for c in facility.capacities]
+    old_caps = np.asarray(facility.capacities, dtype=np.float64).tolist()
+    old_fixed, old_var = (np.asarray(t, dtype=np.float64)
+                          for t in (facility.fixed_cost, facility.variable_cost))
+    for what, table in (("fixed_cost", old_fixed), ("variable_cost", old_var)):
+        if table.shape != (len(facility.edges), len(old_caps)):
+            raise ValueError(f"{what} shape {table.shape} is not (edges, transport "
+                             f"capacities) {(len(facility.edges), len(old_caps))}")
     if len(set(old_caps)) < len(old_caps):
         raise ValueError(f"transport capacities must be distinct (got {old_caps})")
     limits = [float(t.limit) for t in facility.sources + facility.sinks]
@@ -379,8 +386,7 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
     for e, (u, w) in enumerate(facility.edges):
         edges.append((u, w))
         for k, c in enumerate(old_caps):
-            fixed[e, col[c]] = facility.fixed_cost[e, k]
-            var[e, col[c]] = facility.variable_cost[e, k]
+            fixed[e, col[c]], var[e, col[c]] = old_fixed[e, k], old_var[e, k]
 
     super_source, super_sink = n, n + 1
     for t in facility.sources:

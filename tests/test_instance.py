@@ -312,6 +312,28 @@ class TestFacilityForm:
         with pytest.raises(ValueError, match="transport capacities must be distinct"):
             from_facility_form(fac)
 
+    def test_lists_translate_like_arrays(self):
+        fac = _small_facility()
+        as_lists = dataclasses.replace(fac, capacities=[5.0], fixed_cost=[[3.0]],
+                                       variable_cost=[[0.5]])
+        assert format_instance(from_facility_form(as_lists)) == \
+            format_instance(from_facility_form(fac))
+
+    @pytest.mark.parametrize("capacities, table", [
+        ([5.0], [[3.0, 4.0]]),   # a second column under one capacity: not dropped
+        ([5.0, 6.0], [[3.0]]),  # too few columns: not an IndexError
+    ])
+    @pytest.mark.parametrize("which", ["fixed_cost", "variable_cost"])
+    def test_table_shape_checked(self, capacities, table, which):
+        fitting = np.ones((1, len(capacities)))  # both tables fit, then one is replaced
+        fac = dataclasses.replace(_small_facility(), capacities=np.array(capacities),
+                                  **{"fixed_cost": fitting, "variable_cost": fitting,
+                                     which: np.array(table)})
+        shape = np.shape(table)
+        with pytest.raises(ValueError, match=rf"{which} shape \({shape[0]}, {shape[1]}\) is "
+                                             rf"not \(edges, transport capacities\)"):
+            from_facility_form(fac)
+
     def test_feasibility_preserved(self):
         # translated max flow equals what the terminals and transport allow
         inst = from_facility_form(_small_facility())

@@ -30,8 +30,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mcfcnf import (D_MIN, ExpandedNetwork, FlowIterationError, FlowState, Infeasible,
-                    Instance, Organism, compile_topology, fitness, generate_random, polish,
-                    solve_exact, solve_min_cost_flow)
+                    Instance, Organism, build_expanded_network, compile_topology, fitness,
+                    generate_random, polish, solve_exact, solve_min_cost_flow)
 from mcfcnf import flowcore
 from mcfcnf.flowcore import (KernelBuildError, build_kernel, flow_tol, load_kernel, max_flow,
                              seed_organism)
@@ -390,13 +390,17 @@ class TestLoader:
 
 #: Run in a process with the sanitizer runtime preloaded: the kernel built
 #: with AddressSanitizer and UBSan in argv[1] by the command argv[2:] proves
-#: grid 16, polishes, decodes an organism and takes a max flow.
+#: grid 16, polishes, decodes an organism and takes a max flow; then each
+#: input the kernel rejects (a NaN cost, an opened arc's negative unit cost,
+#: closed, opened and start arcs outside 0..m-1) ends in ValueError before
+#: the kernel touches an array at it.
 _SANITIZED_RUN = """
-import sys
+import dataclasses, math, sys
 from pathlib import Path
 import numpy as np
-from mcfcnf import Organism, fitness, flowcore, generate_random, polish, solve_exact
-from mcfcnf.flowcore import compile_topology, max_flow, seed_organism
+from mcfcnf import (ExpandedNetwork, Organism, fitness, flowcore, generate_random, polish,
+                    solve_exact)
+from mcfcnf.flowcore import compile_topology, max_flow, seed_organism, solve_min_cost_flow
 kernel = flowcore.load_kernel(Path(sys.argv[1]), sys.argv[2:])
 flowcore._kernel = lambda: kernel
 inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
@@ -404,7 +408,25 @@ assert solve_exact(inst, budget=600).nodes_explored == 891
 assert polish(inst, fitness(inst, seed_organism(inst)), 600).true_cost == 573.4276663730062
 scale = np.random.default_rng(0).uniform(1.0, 20.0, inst.fixed_cost.shape)
 assert fitness(inst, Organism(scale=scale)).true_cost > 0.0
-assert max_flow(compile_topology(inst)) > inst.target
+topology = compile_topology(inst)
+assert max_flow(topology) > inst.target
+m = len(topology.pairs)
+net = ExpandedNetwork(topology, np.ones(m))
+root = solve_min_cost_flow(net)
+negative = dataclasses.replace(topology, variable=topology.variable - 100.0)
+for bad in ({"cost": np.append(np.ones(m - 1), math.nan)},
+            {"topology": negative, "opened": frozenset({0})},
+            {"closed": frozenset({m})}, {"closed": frozenset({-1})},
+            {"opened": frozenset({m})}, {"opened": frozenset({-1})},
+            {"start": root.state._replace(arcs=np.append(root.state.arcs[:-1], m))},
+            {"start": root.state._replace(arcs=np.append(-1, root.state.arcs[1:]))}):
+    args = dict(topology=topology, cost=net.cost, closed=frozenset(), opened=frozenset(),
+                start=root.state, changed=None, amount=inst.target, stop=0.0, push_cap=4 * m)
+    try:
+        kernel(**{**args, **bad})
+    except ValueError:
+        continue
+    raise AssertionError(f"not rejected: {bad}")
 print("clean")
 """
 
@@ -429,8 +451,20 @@ class TestSanitizers:
         assert done.stdout.split() == ["clean"]
 
 
+def _outside(a) -> str:
+    """The message for an arc index outside 0..m-1 in the kernel arguments a."""
+    return (f"closed {sorted(a['closed'])}, opened {sorted(a['opened'])} or changed "
+            f"{a['changed']} not in 0..{len(a['cost']) - 1}")
+
+
+def _misfit(a) -> str:
+    """The message for a start state that does not fit the arguments a."""
+    return f"start does not fit {a['topology'].n_vertices} vertices and {len(a['cost'])} arcs"
+
+
 class TestWrapper:
-    """load_kernel's wrapper checks what it hands to C, before any C runs."""
+    """load_kernel's wrapper checks the types and lengths of what it hands to
+    C before any C runs; the kernel checks the values before it writes."""
 
     @pytest.fixture
     def wrapper(self, monkeypatch):
@@ -464,27 +498,82 @@ class TestWrapper:
         (lambda a: {"cost": np.repeat(a["cost"], 2)[::2]}, TypeError),
         (lambda a: {"cost": a["cost"][:-1]}, ValueError),
         (lambda a: {"cost": a["cost"].tolist()}, TypeError),
-        (lambda a: {"closed": frozenset({len(a["cost"])})}, ValueError),
-        (lambda a: {"closed": frozenset({-1})}, ValueError),
         (lambda a: {"changed": len(a["cost"])}, ValueError),
-        (lambda a: {"opened": frozenset({len(a["cost"])})}, ValueError),
-        (lambda a: {"opened": frozenset({-1})}, ValueError),
-        (lambda a: {"topology": dataclasses.replace(
-            a["topology"], variable=a["topology"].variable - 100.0)}, ValueError),
-        (lambda a: {"start": a["start"]._replace(arcs=np.array([0, len(a["cost"])]))},
-         ValueError),
-        (lambda a: {"start": a["start"]._replace(arcs=np.array([-1, 0]))}, ValueError),
+        (lambda a: {"closed": frozenset({2**64})}, ValueError),
         (lambda a: {"start": a["start"]._replace(residual=np.zeros(3))}, ValueError),
         (lambda a: {"start": a["start"]._replace(potential=np.zeros(1))}, ValueError),
-    ], ids=["float32-cost", "strided-cost", "short-cost", "list-cost", "closed-m",
-            "closed-negative", "changed-m", "opened-m", "opened-negative",
-            "opened-negative-unit-cost", "start-arc-m", "start-arc-negative",
-            "short-start-residual", "short-potential"])
+    ], ids=["float32-cost", "strided-cost", "short-cost", "list-cost", "changed-m",
+            "closed-past-int64", "short-start-residual", "short-potential"])
     def test_rejected_before_c(self, wrapper, bad, error):
         solve, args, calls = wrapper
         with pytest.raises(error):
             solve(**{**args, **bad(args)})
         assert calls == []
+
+    @pytest.fixture
+    def root(self):
+        """A grid's root node as the kernel's arguments, with its branch arc
+        opened, and a function giving the bits of the root's own solve."""
+        inst = generate_random("grid", 9, 2, seed=3, target_fraction=0.6)
+        net = build_expanded_network(inst, seed_organism(inst))
+        root = solve_min_cost_flow(net)
+        arc = root.node[2]
+        assert arc >= 0
+
+        def bits():
+            sol = solve_min_cost_flow(net)
+            return (_bits(sol.state.residual), _bits(sol.state.potential),
+                    sol.state.arcs.tolist(), _bits([sol.lp_cost, *sol.node[:2]]), sol.node[2])
+
+        args = dict(topology=net.topology, cost=net.cost, closed=frozenset(),
+                    opened=frozenset({arc}), start=root.state, changed=arc, amount=inst.target,
+                    stop=flow_tol(inst.target), push_cap=4 * len(net.cost) + 16)
+        return args, bits
+
+    @pytest.mark.parametrize("bad, message", [
+        (lambda a: {"closed": frozenset({len(a["cost"])})}, _outside),
+        (lambda a: {"closed": frozenset({-1})}, _outside),
+        (lambda a: {"opened": a["opened"] | {len(a["cost"])}}, _outside),
+        (lambda a: {"opened": a["opened"] | {-1}}, _outside),
+        (lambda a: {"topology": dataclasses.replace(
+            a["topology"], variable=a["topology"].variable - 100.0)},
+         lambda a: (f"arc {min(a['opened'])} has unit cost "
+                    f"{a['topology']._unit_cost[min(a['opened'])]}, not >= 0")),
+        (lambda a: {"start": a["start"]._replace(
+            arcs=np.append(a["start"].arcs[:-1], len(a["cost"])))}, _misfit),
+        (lambda a: {"start": a["start"]._replace(
+            arcs=np.append(-1, a["start"].arcs[1:]))}, _misfit),
+    ], ids=["closed-m", "closed-negative", "opened-m", "opened-negative",
+            "opened-negative-unit-cost", "start-arc-m", "start-arc-negative"])
+    def test_rejected_by_c(self, root, bad, message):
+        # the kernel checks these values itself, before it writes anything:
+        # each raises its ValueError, and the root's branch arc, opened in the
+        # rejected call, is not left marked, so the thread's next solve gets
+        # a fresh thread's bits (its branch arc among them)
+        args, bits = root
+        with ThreadPoolExecutor(max_workers=1) as pool:  # a fresh thread's new scratch
+            fresh = pool.submit(bits).result(timeout=60)
+        args = {**args, **bad(args)}
+        with pytest.raises(ValueError) as err:
+            flowcore._kernel()(**args)
+        assert str(err.value) == message(args)
+        assert bits() == fresh
+
+    def test_read_only_arrays_solve_alike(self, root):
+        # a read-only cost vector and start state take _pointer's other path
+        args = root[0]
+        start = FlowState(*map(np.array, args["start"][:3]), args["start"].shortfall)
+        writable = list(flowcore._kernel()(**{**args, "cost": args["cost"].copy(),
+                                              "start": start}))
+        writable[2] = writable[2].copy()  # res: a view of the thread's work arrays
+        frozen = []
+        for array in (args["cost"].copy(), *map(np.array, args["start"][:3])):
+            array.setflags(write=False)
+            frozen.append(array)
+        got = flowcore._kernel()(**{**args, "cost": frozen[0],
+                                    "start": FlowState(*frozen[1:], args["start"].shortfall)})
+        for a, b in zip(got, writable):
+            assert _bits(a) == _bits(b)
 
     def test_failed_node_leaves_no_opened_mark(self):
         # the kernel marks a node's opened arcs in per-thread scratch; a node
