@@ -14,20 +14,20 @@ The network is compiled once per instance (compile_topology: arcs, their
 pair costs, residual heads and capacities, CSR adjacency, kept on the
 instance) and solved many times from a per-arc cost vector and a set of
 closed arcs: a GA decode changes the costs, a branch-and-bound node also
-closes arcs. build_expanded_network holds the one relaxed-cost formula;
-under seed_organism, divisors equal to the class capacities, it is the
-slope-scaling relaxation: the GA's seed decode, the branch-and-bound root
-and lp_relaxation_bound. A closed arc keeps its place in the arc order
-with no capacity, so every tie-break is the one of the instance without
-its pair. A solve returns its end state (FlowState), which is scored in
-arc space; the dense (edge, class) flow is built from it only when read,
-by verify_flow, theorem_d or output. A branch-and-bound child, one arc
-closed or cheaper, is solved by repairing its parent's end state (Ahuja,
-Magnanti & Orlin, Network Flows, 1993, ch. 9). Max flow is one call of
-the same kernel at zero cost, which makes it Edmonds-Karp, sending an
-unbounded amount: it stops at a path of infinite capacity. One rule,
-flow_tol, says what flow amount counts as zero, for every solver,
-validate, score and verify_flow.
+closes arcs. An organism holds one divisor per arc; build_expanded_network
+holds the one relaxed-cost formula; under seed_organism, divisors equal to
+the class capacities, it is the slope-scaling relaxation: the GA's seed
+decode, the branch-and-bound root and lp_relaxation_bound. A closed arc
+keeps its place in the arc order with no capacity, so every tie-break is
+the one of the instance without its pair. A solve returns its end state
+(FlowState), which is scored in arc space; the dense (edge, class) flow is
+built from it only when read, by verify_flow, theorem_d or output. A
+branch-and-bound child, one arc closed or cheaper, is solved by repairing
+its parent's end state (Ahuja, Magnanti & Orlin, Network Flows, 1993,
+ch. 9). Max flow is one call of the same kernel at zero cost, which makes
+it Edmonds-Karp, sending an unbounded amount: it stops at a path of
+infinite capacity. One rule, flow_tol, says what flow amount counts as
+zero, for every solver, validate, score and verify_flow.
 """
 from __future__ import annotations
 
@@ -86,7 +86,8 @@ class FlowIterationError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class Organism:
-    """Array of fixed-cost divisors, one per (edge, capacity class) pair.
+    """Fixed-cost divisors, one per arc of compile_topology(instance): the
+    offered (edge, capacity class) pairs, in ascending flat order.
 
     Finite entries must respect the global D_MIN floor; UNBOUNDED entries
     zero out the fixed cost entirely.
@@ -205,9 +206,14 @@ class FlowSolution:
 
 def compile_topology(instance: Instance) -> Topology:
     """The instance's topology, compiled on first use and kept on the
-    (immutable) instance for every later solve."""
+    (immutable) instance for every later solve. The first use raises
+    Infeasible for an instance that breaks a structural invariant."""
     topology = getattr(instance, "_topology", None)
     if topology is None:
+        from .instance import invariant_violations  # instance imports this module
+        problems = invariant_violations(instance)
+        if problems:
+            raise Infeasible("; ".join(problems))
         topology = compile_pairs(instance, np.flatnonzero(instance.available.reshape(-1)))
         object.__setattr__(instance, "_topology", topology)
     return topology
@@ -249,19 +255,20 @@ def check_pair_shape(instance: Instance, array: np.ndarray, what: str) -> None:
 def build_expanded_network(instance: Instance, organism: Organism) -> ExpandedNetwork:
     """Expand an instance under an organism's fixed-cost divisors: each arc
     costs fixed/scale + variable per unit, the one relaxed-cost formula."""
-    check_pair_shape(instance, organism.scale, "organism")
     topology = compile_topology(instance)
-    scale = organism.scale.reshape(-1)[topology.pairs]
-    return ExpandedNetwork(topology, topology.fixed / scale + topology._unit_cost)
+    if organism.scale.shape != topology.pairs.shape:
+        raise ValueError(f"organism shape {organism.scale.shape} does not match "
+                         f"the instance's {len(topology.pairs)} offered pairs")
+    return ExpandedNetwork(topology, topology.fixed / organism.scale + topology._unit_cost)
 
 
 def seed_organism(instance: Instance) -> Organism:
-    """Divisors equal to the class capacities (floored at D_MIN), the one
-    slope-scaling rule (Kim & Pardalos, Oper. Res. Lett. 24 (1999) 195-203):
-    the GA's seed organism, whose decode is lp_relaxation_bound and the
-    branch-and-bound root."""
-    return Organism(scale=np.broadcast_to(np.maximum(instance.capacities, D_MIN),
-                                          (instance.n_edges, instance.n_capacities)))
+    """Divisors equal to each offered pair's class capacity (floored at
+    D_MIN), the one slope-scaling rule (Kim & Pardalos, Oper. Res. Lett. 24
+    (1999) 195-203): the GA's seed organism, whose decode is
+    lp_relaxation_bound and the branch-and-bound root."""
+    pairs = compile_topology(instance).pairs
+    return Organism(scale=np.maximum(instance.capacities, D_MIN)[pairs % instance.n_capacities])
 
 
 #: C source of the SSP kernel, next to this module.

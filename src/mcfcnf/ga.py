@@ -1,4 +1,4 @@
-"""Genetic search over fixed-cost divisor arrays.
+"""Genetic search over fixed-cost divisor arrays, one per offered pair (arc).
 
 Each organism decodes to a flow by solving the scaled relaxation exactly, so
 every candidate is a valid flow by construction and no repair step exists.
@@ -20,10 +20,9 @@ import numpy as np
 
 from . import exact
 from .evaluate import ScoredSolution, score
-from .flowcore import (D_MIN, UNBOUNDED, FlowSolution, Infeasible, Organism,
-                       build_expanded_network, check_pair_shape, flow_tol, seed_organism,
+from .flowcore import (D_MIN, UNBOUNDED, FlowSolution, Organism, build_expanded_network,
+                       check_pair_shape, compile_topology, flow_tol, seed_organism,
                        solve_min_cost_flow)
-from .instance import invariant_violations
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -73,15 +72,14 @@ class IterationRecord:
 @dataclass(frozen=True, eq=False)
 class RunResult:
     best: ScoredSolution
-    best_organism: Organism
     history: tuple[IterationRecord, ...]
     polished: ScoredSolution
     bound: float  # the seed organism's lp_cost: lp_relaxation_bound, solved once
 
 
 def _mean_fixed_cost(instance: Instance) -> float:
-    finite = instance.fixed_cost[instance.available]
-    mean = float(finite.mean()) if finite.size else 0.0
+    fixed = compile_topology(instance).fixed
+    mean = float(fixed.mean()) if fixed.size else 0.0
     return max(mean, D_MIN) if mean > 0 else 1.0
 
 
@@ -94,12 +92,10 @@ def fitness(instance: Instance, organism: Organism) -> ScoredSolution:
 def init_population(instance: Instance, config: GAConfig, rng: random.Random) -> list[Organism]:
     """Seed organism (divisors equal to the class capacities) plus uniformly
     random organisms with entries in [D_MIN, mean fixed cost]."""
-    shape = (instance.n_edges, instance.n_capacities)
     population = [seed_organism(instance)]
-    upper = _mean_fixed_cost(instance)
+    length, upper = population[0].scale.size, _mean_fixed_cost(instance)
     for _ in range(config.population_size - 1):
-        entries = [rng.uniform(D_MIN, upper) for _ in range(shape[0] * shape[1])]
-        population.append(Organism(scale=np.array(entries).reshape(shape)))
+        population.append(Organism(scale=[rng.uniform(D_MIN, upper) for _ in range(length)]))
     return population
 
 
@@ -125,22 +121,22 @@ def _duel(pool: list[_Member], rng: random.Random) -> tuple[int, int]:
 
 def crossover(parent_a: Organism, parent_b: Organism, rng: random.Random) -> Organism:
     """Child takes a random interval [lo, hi) from the first parent and the
-    rest from the second (both drawn over the flattened array)."""
+    rest from the second."""
     if parent_a.scale.shape != parent_b.scale.shape:
         raise ValueError(f"parent shapes differ: {parent_a.scale.shape} "
                          f"vs {parent_b.scale.shape}")
     length = parent_a.scale.size
     lo, hi = sorted((rng.randint(0, length), rng.randint(0, length)))
-    child = parent_b.scale.reshape(-1).copy()
-    child[lo:hi] = parent_a.scale.reshape(-1)[lo:hi]
-    return Organism(scale=child.reshape(parent_a.scale.shape))
+    child = parent_b.scale.copy()
+    child[lo:hi] = parent_a.scale[lo:hi]
+    return Organism(scale=child)
 
 
 def mutate(instance: Instance, organism: Organism, rng: random.Random) -> Organism:
     """Nudge a few entries (between 1 and a tenth of the array) up or down
     by a uniform amount below one, clamped to the D_MIN floor. Unbounded
     entries are reset to the mean fixed cost before the nudge."""
-    scale = organism.scale.reshape(-1).copy()
+    scale = organism.scale.copy()
     length = scale.size
     count = rng.randint(1, max(1, length // 10))
     positions = np.array(rng.sample(range(length), count))
@@ -151,7 +147,7 @@ def mutate(instance: Instance, organism: Organism, rng: random.Random) -> Organi
     if unbounded.any():
         values[unbounded] = _mean_fixed_cost(instance)
     scale[positions] = np.maximum(D_MIN, values + steps)
-    return Organism(scale=scale.reshape(organism.scale.shape))
+    return Organism(scale=scale)
 
 
 def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
@@ -159,8 +155,8 @@ def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
     unbounded on carrying pairs (fixed cost vanishes), floor elsewhere
     (fixed cost prohibitive)."""
     check_pair_shape(instance, optimal_flow.flow, "flow")
-    scale = np.where(optimal_flow.flow > flow_tol(instance.target), UNBOUNDED, D_MIN)
-    return Organism(scale=scale)
+    flow = optimal_flow.flow.reshape(-1)[compile_topology(instance).pairs]
+    return Organism(scale=np.where(flow > flow_tol(instance.target), UNBOUNDED, D_MIN))
 
 
 def _key(organism: Organism) -> bytes:
@@ -188,8 +184,8 @@ def _evaluate_all(instance: Instance, organisms: list[Organism],
 def evolve(instance: Instance, config: GAConfig) -> RunResult:
     """Run the full search: seeded initialization, tournament-driven
     crossover and mutation under elitist selection, then exact polishing of
-    the best flow on the remaining time share. The seed's decode, the first
-    solve, raises Infeasible when the target cannot be routed.
+    the best flow on the remaining time share. Raises Infeasible on the first
+    compile (a broken invariant) or the seed's decode (an unroutable target).
 
     Randomness is consumed in a fixed documented order (initial entries,
     then per child: two parent tournaments, the crossover interval, the
@@ -197,10 +193,6 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
     iteration_limit the evolution (best, history) replays bit-identically per
     seed; polish gets a wall-clock share, so its result may vary with speed.
     """
-    problems = invariant_violations(instance)
-    if problems:
-        raise Infeasible("; ".join(problems))
-
     rng = random.Random(config.seed)
     start = time.perf_counter()
     evolution_budget = 0.8 * config.time_limit if config.time_limit is not None else math.inf
@@ -241,14 +233,14 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
         population = tournament_select(population, config.population_size, rng)
         history.append(record(iteration))
 
-    best_organism, best_scored = min(population, key=lambda member: member[1].true_cost)
+    best_scored = min(population, key=lambda member: member[1].true_cost)[1]
     if config.time_limit is not None:
         polish_budget = 0.2 * config.time_limit
     else:
         polish_budget = (time.perf_counter() - start) / 4.0
     polished = exact.polish(instance, best_scored, polish_budget)
-    return RunResult(best=best_scored, best_organism=best_organism, history=tuple(history),
-                     polished=polished, bound=scored[0].flow.lp_cost)
+    return RunResult(best=best_scored, history=tuple(history), polished=polished,
+                     bound=scored[0].flow.lp_cost)
 
 
 def write_convergence_csv(path, history) -> None:

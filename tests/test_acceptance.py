@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from mcfcnf import (D_MIN, UNBOUNDED, GAConfig, Organism,
-                    build_expanded_network, evolve, fitness, generate_random,
+                    build_expanded_network, compile_topology, evolve, fitness, generate_random,
                     init_population, lp_relaxation_bound, polish, save_instance,
                     score, solve_exact, solve_min_cost_flow, theorem_d,
                     verify_flow)
@@ -46,7 +46,7 @@ def test_criterion_1_diamond_regression(capsys):
     if abs(exact_result.best.true_cost - 20.0) > 1e-9 or not exact_result.proven_optimal:
         failures.append(f"exact optimum {exact_result.best.true_cost} != 20")
 
-    flow_values = Organism(scale=np.array([[2.0], [1.0], [2.0], [1.0]]))
+    flow_values = Organism(scale=np.array([2.0, 1.0, 2.0, 1.0]))
     decoded = solve_min_cost_flow(build_expanded_network(fig1, flow_values))
     scored = score(fig1, decoded)
     if abs(scored.true_cost - 21.0) > 1e-9:
@@ -108,10 +108,11 @@ def test_criterion_3_flow_solver_oracle(capsys):
         entries = np.array([rng.uniform(D_MIN, 6.0) for _ in range(shape[0] * shape[1])])
         scale = entries.reshape(shape)
         unbounded = np.array([rng.random() < 0.1 for _ in range(scale.size)]).reshape(shape)
-        organism = Organism(scale=np.where(unbounded, UNBOUNDED, scale))
+        dense = np.where(unbounded, UNBOUNDED, scale)
+        organism = Organism(scale=dense.reshape(-1)[compile_topology(instance).pairs])
         unit_cost = np.where(
             instance.available,
-            instance.fixed_cost / organism.scale + instance.variable_cost, 0.0)
+            instance.fixed_cost / dense + instance.variable_cost, 0.0)
         expected = integral_flow_min_cost(instance, unit_cost)
         solved = solve_min_cost_flow(build_expanded_network(instance, organism))
         if expected is None or abs(solved.lp_cost - expected) > 1e-9:
@@ -252,7 +253,7 @@ def test_criterion_6_polish_no_regression(capsys, ga_suite):
                                 f"{result.best.true_cost} -> {result.polished.true_cost}")
 
     fig1 = fig1_instance()
-    suboptimal = Organism(scale=np.array([[2.0], [1.0], [2.0], [1.0]]))
+    suboptimal = Organism(scale=np.array([2.0, 1.0, 2.0, 1.0]))
     warm = score(fig1, solve_min_cost_flow(build_expanded_network(fig1, suboptimal)))
     started = time.perf_counter()
     improved = polish(fig1, warm, budget=1.0)

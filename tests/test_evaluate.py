@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from mcfcnf import (FlowSolution, Organism, build_expanded_network, flow_tol,
-                    generate_random, lp_relaxation_bound, score, solve_min_cost_flow,
+from mcfcnf import (FlowSolution, Organism, build_expanded_network, compile_topology,
+                    flow_tol, generate_random, lp_relaxation_bound, score, solve_min_cost_flow,
                     verify_flow, write_solution_csv)
 from conftest import make_small_instance
 
@@ -17,7 +17,7 @@ def _flow(instance, values):
 
 
 def _lp_solution(instance, scale_value=1.0):
-    org = Organism(scale=np.full((instance.n_edges, instance.n_capacities), scale_value))
+    org = Organism(scale=np.full(len(compile_topology(instance).pairs), scale_value))
     return solve_min_cost_flow(build_expanded_network(instance, org))
 
 
@@ -33,7 +33,7 @@ class TestScore:
         assert scored.true_cost == 4.0  # fixed 1 + 3 units at 1
 
     def test_diamond_relaxation_solution(self, fig1):
-        org = Organism(scale=np.array([[2.0], [1.0], [2.0], [1.0]]))
+        org = Organism(scale=np.array([2.0, 1.0, 2.0, 1.0]))
         sol = solve_min_cost_flow(build_expanded_network(fig1, org))
         scored = score(fig1, sol)
         assert scored.used.ravel().tolist() == [1, 1, 1, 1]
@@ -135,7 +135,7 @@ class TestDominance:
         for _ in range(15):
             inst = make_small_instance(rng, n_capacities=rng.choice((1, 2)))
             caps_org = Organism(
-                scale=np.broadcast_to(inst.capacities, (inst.n_edges, inst.n_capacities)).copy())
+                scale=inst.capacities[compile_topology(inst).pairs % inst.n_capacities])
             sol = solve_min_cost_flow(build_expanded_network(inst, caps_org))
             scored = score(inst, sol)
             assert scored.true_cost >= sol.lp_cost - 1e-9

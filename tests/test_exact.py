@@ -12,14 +12,16 @@ import pytest
 
 from mcfcnf import exact
 from mcfcnf import (GAP_DEFAULT, FlowSolution, Infeasible, Instance, Organism,
-                    build_expanded_network, generate_random, lp_relaxation_bound,
+                    build_expanded_network, compile_topology, generate_random, lp_relaxation_bound,
                     polish, score, solve_exact, solve_min_cost_flow, verify_flow)
 from mcfcnf.evaluate import TRUE_COST_MARGIN, true_cost
 from conftest import brute_force, integral_score_optimum, make_small_instance
 
 
 def _scored_relaxation(instance, scale):
-    org = Organism(scale=np.asarray(scale, dtype=float))
+    """Score of the decode of dense (edge, class) divisors, taken on the arcs."""
+    pairs = compile_topology(instance).pairs
+    org = Organism(scale=np.asarray(scale, dtype=float).reshape(-1)[pairs])
     return score(instance, solve_min_cost_flow(build_expanded_network(instance, org)))
 
 
@@ -74,18 +76,16 @@ class TestSolveExact:
         assert result.proven_optimal
 
     def test_every_flow_costs_inf(self):
-        # finite costs whose sum overflows (load_instance rejects them): no
-        # flow scores below inf, so the search keeps its first scored flow
-        # instead of failing an assertion
+        # finite costs whose sum overflows: rejected on the first compile, as
+        # load_instance and evolve reject them, since no flow could have a
+        # finite cost
         inst = Instance(
             n_vertices=3, source=0, sink=2, edges=((0, 1), (1, 2)),
             capacities=np.array([5.0]), fixed_cost=np.array([[1e308], [1.0]]),
             variable_cost=np.array([[1e308], [1.0]]), target=1.0,
         )
-        result = solve_exact(inst, budget=10)
-        assert result.best.true_cost == np.inf
-        assert not result.proven_optimal
-        assert verify_flow(inst, result.best.flow) == []
+        with pytest.raises(Infeasible, match="finite total"):
+            solve_exact(inst, budget=10)
 
     def test_budget_must_be_positive(self, minimal):
         with pytest.raises(ValueError, match="budget"):

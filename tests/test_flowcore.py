@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -10,13 +11,14 @@ from hypothesis import strategies as st
 from mcfcnf import (D_MIN, GAP_DEFAULT, UNBOUNDED, ExpandedNetwork, FlowState,
                     Infeasible, Instance, Organism, build_expanded_network,
                     compile_topology, flow_tol, generate_random, lp_relaxation_bound,
-                    max_throughput, solve_exact, solve_min_cost_flow, verify_flow)
+                    max_throughput, parse_instance, solve_exact, solve_min_cost_flow,
+                    verify_flow)
 from mcfcnf.flowcore import compile_pairs, max_flow, seed_organism
-from conftest import integral_flow_min_cost, make_small_instance
+from conftest import FACILITY_TEXT, integral_flow_min_cost, make_small_instance
 
 
 def _ones_organism(instance, value=1.0):
-    return Organism(scale=np.full((instance.n_edges, instance.n_capacities), value))
+    return Organism(scale=np.full(len(compile_topology(instance).pairs), value))
 
 
 def _random_organism(instance, rng):
@@ -25,7 +27,12 @@ def _random_organism(instance, rng):
     flat = entries.reshape(shape)
     # sprinkle a few unbounded entries for coverage of the zero-fixed-cost path
     mask = np.array([[rng.random() < 0.15 for _ in range(shape[1])] for _ in range(shape[0])])
-    return Organism(scale=np.where(mask, UNBOUNDED, flat))
+    return Organism(scale=_dense_scale(np.where(mask, UNBOUNDED, flat), instance))
+
+
+def _dense_scale(dense, instance):
+    """An (edge, class) array's entries on the instance's arcs, in arc order."""
+    return dense.reshape(-1)[compile_topology(instance).pairs]
 
 
 class TestBuildNetwork:
@@ -40,7 +47,7 @@ class TestBuildNetwork:
         assert net.cost[0] == 1.0  # exactly the variable cost
 
     def test_diamond_scaled_costs(self, fig1):
-        org = Organism(scale=np.array([[2.0], [1.0], [2.0], [1.0]]))
+        org = Organism(scale=np.array([2.0, 1.0, 2.0, 1.0]))
         net = build_expanded_network(fig1, org)
         assert net.cost.tolist() == [3.5, 3.0, 3.5, 3.0]
 
@@ -59,6 +66,18 @@ class TestBuildNetwork:
     def test_shape_mismatch(self, fig1):
         with pytest.raises(ValueError, match="shape"):
             build_expanded_network(fig1, Organism(scale=np.ones((2, 1))))
+
+    def test_dense_organism_rejected(self):
+        # one divisor per offered pair, in arc order: a dense (edge, class)
+        # organism is refused, not converted
+        inst = parse_instance(FACILITY_TEXT)
+        offered = int(inst.available.sum())
+        assert offered < inst.available.size
+        for shape in (inst.available.shape, (1,)):
+            message = f"organism shape {shape} does not match the instance's {offered} offered pairs"
+            with pytest.raises(ValueError, match=re.escape(message)):
+                build_expanded_network(inst, Organism(scale=np.ones(shape)))
+        assert len(build_expanded_network(inst, _ones_organism(inst)).cost) == offered
 
     def test_topology_compiled_once_per_instance(self, fig1):
         topo = compile_topology(fig1)
@@ -106,7 +125,7 @@ class TestSolve:
         assert sol.flow.tolist() == [[2.0, 1.0]]
 
     def test_diamond_flow_and_cost(self, fig1):
-        org = Organism(scale=np.array([[2.0], [1.0], [2.0], [1.0]]))
+        org = Organism(scale=np.array([2.0, 1.0, 2.0, 1.0]))
         sol = solve_min_cost_flow(build_expanded_network(fig1, org))
         assert sol.flow.ravel().tolist() == [1.0, 2.0, 1.0, 2.0]
         assert sol.lp_cost == pytest.approx(19.0, abs=1e-9)
@@ -143,7 +162,8 @@ class TestSolve:
         fixed[e, k] = math.nan
         without = dataclasses.replace(inst, fixed_cost=fixed)
         try:
-            expected = solve_min_cost_flow(build_expanded_network(without, org))
+            expected = solve_min_cost_flow(build_expanded_network(
+                without, Organism(scale=np.delete(org.scale, arc))))
         except Infeasible:
             with pytest.raises(Infeasible):
                 solve_min_cost_flow(net._replace(closed=frozenset({arc})))
@@ -171,8 +191,10 @@ class TestAgainstEnumeration:
                 cap_choices=(1, 2, 3), target_cap=4)
             org = _random_organism(inst, rng)
             net = build_expanded_network(inst, org)
+            scale = np.ones(inst.available.shape)
+            scale.reshape(-1)[net.topology.pairs] = org.scale
             unit_cost = np.where(inst.available,
-                                 inst.fixed_cost / org.scale + inst.variable_cost, 0.0)
+                                 inst.fixed_cost / scale + inst.variable_cost, 0.0)
             expected = integral_flow_min_cost(inst, unit_cost)
             assert expected is not None
             sol = solve_min_cost_flow(net)
@@ -223,13 +245,13 @@ class TestProperties:
             base = np.array([[rng.uniform(0.5, 4.0) for _ in range(shape[1])]
                              for _ in range(shape[0])])
             before = solve_min_cost_flow(
-                build_expanded_network(inst, Organism(scale=base))).lp_cost
+                build_expanded_network(inst, Organism(scale=_dense_scale(base, inst)))).lp_cost
             bumped = base.copy()
             e = rng.randrange(shape[0])
             k = rng.randrange(shape[1])
             bumped[e, k] *= 10.0
             after = solve_min_cost_flow(
-                build_expanded_network(inst, Organism(scale=bumped))).lp_cost
+                build_expanded_network(inst, Organism(scale=_dense_scale(bumped, inst)))).lp_cost
             assert after <= before + 1e-9
 
     @settings(max_examples=20, deadline=None)

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 import random
 
@@ -9,18 +10,26 @@ from hypothesis import strategies as st
 
 from mcfcnf import (D_MIN, UNBOUNDED, GAConfig, Infeasible, Organism,
                     crossover, evolve, fitness, generate_random, init_population,
-                    lp_relaxation_bound, mutate, solve_exact, theorem_d,
+                    lp_relaxation_bound, mutate, parse_instance, solve_exact, theorem_d,
                     tournament_select, verify_flow, write_convergence_csv,
                     write_solution_csv)
 from mcfcnf import FlowSolution, ScoredSolution
-from conftest import make_small_instance
+from conftest import FACILITY_TEXT, brute_force, make_small_instance
+
+
+def _unoffered_instances():
+    """Instances that leave (edge, class) pairs unoffered: the facility
+    file's translation, and a small NA instance."""
+    return [parse_instance(FACILITY_TEXT), parse_instance(
+        "MCFCNF 1\nVERTICES 4 SOURCE 0 SINK 3\nTARGET 4\nCAPACITIES 2 2.0 5.0\nEDGES 4\n"
+        "0 1 3.0 1.0 NA NA\n0 2 NA NA 7.0 0.5\n1 3 2.0 1.0 6.0 1.0\n2 3 NA NA 4.0 1.5\n")]
 
 
 def _member(cost: float):
     flow = FlowSolution(flow=np.zeros((1, 1)), lp_cost=0.0)
     scored = ScoredSolution(flow=flow, used=np.zeros((1, 1), dtype=np.int8),
                             true_cost=float(cost))
-    return (Organism(scale=np.full((1, 1), 1.0)), scored)
+    return (Organism(scale=np.full(1, 1.0)), scored)
 
 
 class ScriptedRng:
@@ -78,18 +87,18 @@ class TestInitPopulation:
 
 class TestFitness:
     def test_diamond_suboptimal_divisors(self, fig1):
-        org = Organism(scale=np.array([[2.0], [1.0], [2.0], [1.0]]))
+        org = Organism(scale=np.array([2.0, 1.0, 2.0, 1.0]))
         assert fitness(fig1, org).true_cost == pytest.approx(21.0, abs=1e-9)
 
     def test_diamond_unbounded_divisors_reach_optimum(self, fig1):
-        org = Organism(scale=np.full((4, 1), UNBOUNDED))
+        org = Organism(scale=np.full(4, UNBOUNDED))
         scored = fitness(fig1, org)
         assert scored.true_cost == pytest.approx(20.0, abs=1e-9)
         assert scored.flow.flow.ravel().tolist() == [2.0, 1.0, 2.0, 1.0]
 
     def test_minimal_forced_path(self, minimal):
         for value in (D_MIN, 1.0, 123.0, UNBOUNDED):
-            org = Organism(scale=np.full((1, 1), value))
+            org = Organism(scale=np.full(1, value))
             assert fitness(minimal, org).true_cost == pytest.approx(4.0, abs=1e-12)
 
 
@@ -120,26 +129,25 @@ class TestTournamentSelect:
 
 class TestCrossover:
     def test_identical_parents(self):
-        a = Organism(scale=np.full((2, 2), 3.0))
+        a = Organism(scale=np.full(4, 3.0))
         child = crossover(a, a, random.Random(0))
         assert (child.scale == a.scale).all()
 
     def test_full_interval_copies_first_parent(self):
-        a = Organism(scale=np.array([[1.0, 2.0], [3.0, 4.0]]))
-        b = Organism(scale=np.full((2, 2), 9.0))
+        a = Organism(scale=np.array([1.0, 2.0, 3.0, 4.0]))
+        b = Organism(scale=np.full(4, 9.0))
         child = crossover(a, b, ScriptedRng(randints=[0, 4]))
         assert (child.scale == a.scale).all()
 
     def test_unrolled_interval(self):
-        a = Organism(scale=np.full((4, 1), 1.0))
-        b = Organism(scale=np.full((4, 1), 9.0))
+        a = Organism(scale=np.full(4, 1.0))
+        b = Organism(scale=np.full(4, 9.0))
         child = crossover(a, b, ScriptedRng(randints=[1, 3]))
-        assert child.scale.ravel().tolist() == [9.0, 1.0, 1.0, 9.0]
+        assert child.scale.tolist() == [9.0, 1.0, 1.0, 9.0]
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError, match="shapes"):
-            crossover(Organism(scale=np.ones((2, 1))),
-                      Organism(scale=np.ones((3, 1))), random.Random(0))
+            crossover(Organism(scale=np.ones(2)), Organism(scale=np.ones(3)), random.Random(0))
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10_000), length=st.integers(1, 30))
@@ -158,10 +166,10 @@ class TestCrossover:
 
 class TestMutate:
     def test_clamped_to_floor(self, minimal):
-        org = Organism(scale=np.array([[0.5]]))
+        org = Organism(scale=np.array([0.5]))
         rng = ScriptedRng(randints=[1], samples=[[0]], uniforms=[0.7], randoms=[0.3])
         out = mutate(minimal, org, rng)
-        assert out.scale[0, 0] == D_MIN
+        assert out.scale[0] == D_MIN
 
     def test_between_one_and_tenth_entries_change(self):
         # 100-entry organism: mutation touches 1..10 positions
@@ -174,30 +182,30 @@ class TestMutate:
             variable_cost=np.ones((10, 10)),
             target=1.0,
         )
-        big = Organism(scale=np.full((10, 10), 5.0))
+        big = Organism(scale=np.full(100, 5.0))
         for seed in range(10):
             out = mutate(inst_big, big, random.Random(seed))
             changed = int((out.scale != big.scale).sum())
             assert 1 <= changed <= 10
 
     def test_deterministic(self, fig1):
-        org = Organism(scale=np.full((4, 1), 2.0))
+        org = Organism(scale=np.full(4, 2.0))
         a = mutate(fig1, org, random.Random(4))
         b = mutate(fig1, org, random.Random(4))
         assert (a.scale == b.scale).all()
 
     def test_unbounded_resets_to_mean_fixed_cost(self, fig1):
-        org = Organism(scale=np.full((4, 1), UNBOUNDED))
+        org = Organism(scale=np.full(4, UNBOUNDED))
         rng = ScriptedRng(randints=[1], samples=[[2]], uniforms=[0.25], randoms=[0.9])
         out = mutate(fig1, org, rng)
         # mean fixed cost 4.0, nudged up by 0.25
-        assert out.scale[2, 0] == pytest.approx(4.25)
-        assert math.isinf(out.scale[0, 0])
+        assert out.scale[2] == pytest.approx(4.25)
+        assert math.isinf(out.scale[0])
 
     def test_never_below_floor(self):
         rng = random.Random(0)
         inst = make_small_instance(rng, n_capacities=2)
-        org = Organism(scale=np.full((inst.n_edges, inst.n_capacities), 2 * D_MIN))
+        org = Organism(scale=np.full(int(inst.available.sum()), 2 * D_MIN))
         for seed in range(20):
             out = mutate(inst, org, random.Random(seed))
             assert out.scale.min() >= D_MIN
@@ -205,7 +213,7 @@ class TestMutate:
 
 def reference_mutate(instance, organism, rng):
     """mutate as a per-position loop, the reference it must match bit for bit."""
-    scale = organism.scale.reshape(-1).copy()
+    scale = organism.scale.copy()
     length = scale.size
     count = rng.randint(1, max(1, length // 10))
     positions = rng.sample(range(length), count)
@@ -220,7 +228,7 @@ def reference_mutate(instance, organism, rng):
         if rng.random() < 0.5:
             step = -step
         scale[pos] = max(D_MIN, value + step)
-    return Organism(scale=scale.reshape(organism.scale.shape))
+    return Organism(scale=scale)
 
 
 class TestMutateAgainstReference:
@@ -232,7 +240,7 @@ class TestMutateAgainstReference:
         draw = random.Random(1000 + seed)
         entries = [draw.choice([UNBOUNDED, D_MIN + draw.random(), draw.uniform(D_MIN, 50.0)])
                    for _ in range(inst.n_edges * inst.n_capacities)]
-        org = Organism(scale=np.array(entries).reshape(inst.n_edges, inst.n_capacities))
+        org = Organism(scale=np.array(entries))
         rng, reference_rng = random.Random(seed), random.Random(seed)
         got, expected = mutate(inst, org, rng), reference_mutate(inst, org, reference_rng)
         assert got.scale.tobytes() == expected.scale.tobytes()
@@ -248,7 +256,7 @@ class TestTheoremDivisors:
     def test_minimal(self, minimal):
         flow = solve_exact(minimal, budget=10).best.flow
         org = theorem_d(minimal, flow)
-        assert math.isinf(org.scale[0, 0])
+        assert math.isinf(org.scale[0])
 
     def test_unused_parallel_edge_floored(self):
         inst = dataclasses.replace(
@@ -262,12 +270,20 @@ class TestTheoremDivisors:
         )
         flow = solve_exact(inst, budget=10).best.flow
         org = theorem_d(inst, flow)
-        assert math.isinf(org.scale[0, 0])
-        assert org.scale[1, 0] == D_MIN
+        assert math.isinf(org.scale[0])
+        assert org.scale[1] == D_MIN
 
     def test_shape_mismatch(self, fig1):
         with pytest.raises(ValueError, match="shape"):
             theorem_d(fig1, FlowSolution(flow=np.zeros((1, 1)), lp_cost=0.0))
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["facility", "na"])
+    def test_unoffered_pairs_decode_to_the_optimum(self, which):
+        inst = _unoffered_instances()[which]
+        optimum = brute_force(inst).best
+        org = theorem_d(inst, optimum.flow)
+        assert org.scale.shape == (inst.available.sum(),)
+        assert fitness(inst, org).true_cost == pytest.approx(optimum.true_cost, rel=1e-12)
 
 
 class TestConfig:
@@ -362,6 +378,36 @@ class TestEvolve:
         result = evolve(fig1, GAConfig(iteration_limit=8, seed=6, mutation_probability=0.1))
         assert result.history[-1].lp_solves == 10 + 8 * 5
         assert len(decodes) < result.history[-1].lp_solves
+
+    @pytest.mark.parametrize("which", [0, 1], ids=["facility", "na"])
+    def test_one_divisor_per_offered_pair(self, which, monkeypatch):
+        # every organism of a run passes through _key: the seed, the random
+        # ones and every child, decoded or not
+        import mcfcnf.ga
+        inst = _unoffered_instances()[which]
+        offered = int(inst.available.sum())
+        assert offered < inst.available.size
+        shapes, real = set(), mcfcnf.ga._key
+        monkeypatch.setattr(mcfcnf.ga, "_key",
+                            lambda org: shapes.add(org.scale.shape) or real(org))
+        result = evolve(inst, GAConfig(iteration_limit=20, seed=0))
+        assert shapes == {(offered,)} and result.history[-1].lp_solves == 10 + 20 * 5
+        pop = init_population(inst, GAConfig(iteration_limit=1), random.Random(0))
+        assert {org.scale.shape for org in pop} == {(offered,)}
+
+    @pytest.mark.parametrize("seed, best_cost, digest", [
+        (0, 429.58605088170725, "0277faf8c568ec089d6c849289279e3fa20e19676383247d451a2353085cc81e"),
+        (1, 442.8836495964807, "1906a35ad6d4d71cd4bcc9b2567a81fdf2fecea27a37422cc9365e2d904736b6"),
+        (2, 438.38652625976476, "f9475a9e3b733aa116f38f62b0574605558e57a11303a9d617f9b910f5abb240"),
+    ])
+    def test_replay_pinned(self, seed, best_cost, digest):
+        # the GA's RNG stream, bit for bit: initial entries, tournaments,
+        # crossover intervals and mutation draws all feed the history
+        inst = generate_random("geometric", 30, 3, seed=1)
+        result = evolve(inst, GAConfig(iteration_limit=100, seed=seed))
+        history = [(rec.best_cost, rec.mean_cost, rec.lp_solves) for rec in result.history]
+        assert result.best.true_cost == best_cost
+        assert hashlib.sha256(repr(history).encode()).hexdigest() == digest
 
     def test_decodes_build_no_dense_flow(self, monkeypatch, tmp_path):
         # each decode is scored from its end state: the dense flow matrix is

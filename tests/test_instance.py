@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import strategies as st
 from mcfcnf import (FacilityInstance, GAConfig, Infeasible, Instance, ParseError,
                     Terminal, ValidationError, evolve, format_instance,
                     from_facility_form, generate_random, invariant_violations, load_instance,
-                    max_throughput, parse_instance, save_instance, solve_exact,
-                    validate)
+                    lp_relaxation_bound, max_throughput, parse_instance, save_instance,
+                    solve_exact, validate)
 from conftest import (FACILITY_TEXT, brute_force, fig1_instance, make_small_instance,
                       two_class_edge_instance)
 
@@ -227,6 +228,30 @@ class TestValidate:
             fixed_cost=np.ones((1, 1)), variable_cost=np.ones((1, 1)), target=1.0,
         )
         assert any("differ" in p for p in validate(inst))
+
+    @pytest.mark.parametrize("solver", [
+        lambda inst: evolve(inst, GAConfig(iteration_limit=1)),
+        lambda inst: solve_exact(inst, budget=10),
+        lp_relaxation_bound,
+    ], ids=["evolve", "solve_exact", "lp_relaxation_bound"])
+    @pytest.mark.parametrize("change, message", [
+        ("sink", "source and sink must differ"),
+        ("target", "target must be positive and finite"),
+        ("capacity", r"capacity 0 must be positive \(got -1.0\)"),
+    ], ids=["sink", "target", "capacity"])
+    def test_solvers_reject_what_validate_rejects(self, solver, change, message):
+        # every solver compiles the instance first, and the first compile
+        # checks the invariants: no cost or bound for an instance validate
+        # rejects (solve_exact and the bound used to return numbers here)
+        inst = generate_random("grid", 9, 2, seed=3)
+        bad = dataclasses.replace(inst, **{
+            "sink": {"sink": inst.source},
+            "target": {"target": math.inf},
+            "capacity": {"capacities": np.array([-1.0, inst.capacities[1]])}}[change])
+        assert any(re.search(message, p) for p in validate(bad))
+        for _ in range(2):  # a rejected instance keeps no compiled topology
+            with pytest.raises(Infeasible, match=message):
+                solver(bad)
 
     def test_arrays_are_immutable(self, fig1):
         with pytest.raises(ValueError):

@@ -406,7 +406,7 @@ flowcore._kernel = lambda: kernel
 inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
 assert solve_exact(inst, budget=600).nodes_explored == 891
 assert polish(inst, fitness(inst, seed_organism(inst)), 600).true_cost == 573.4276663730062
-scale = np.random.default_rng(0).uniform(1.0, 20.0, inst.fixed_cost.shape)
+scale = np.random.default_rng(0).uniform(1.0, 20.0, inst.fixed_cost.size)
 assert fitness(inst, Organism(scale=scale)).true_cost > 0.0
 topology = compile_topology(inst)
 assert max_flow(topology) > inst.target
@@ -651,7 +651,7 @@ class TestThreads:
             instance = larger if i % 10 == 9 else shared
             shape = (instance.n_edges, instance.n_capacities)
             entries = [rng.uniform(D_MIN, 20.0) for _ in range(shape[0] * shape[1])]
-            jobs.append((instance, Organism(scale=np.array(entries).reshape(shape))))
+            jobs.append((instance, Organism(scale=np.array(entries))))
         expected = [_decode_bits(*job) for job in jobs]
 
         def decode_all(part):

@@ -82,7 +82,7 @@ class TestSliverPaysFixedCharge:
 
     def test_fitness_routes_the_sliver(self):
         inst = sliver_instance()
-        scored = fitness(inst, Organism(scale=np.full((2, 2), UNBOUNDED)))
+        scored = fitness(inst, Organism(scale=np.full(2, UNBOUNDED)))  # the offered pairs
         assert scored.flow.flow[1, 1] == pytest.approx(5e-10, rel=1e-6)
         assert scored.used.tolist() == [[1, 0], [0, 1]]
 
@@ -111,7 +111,7 @@ class TestToleranceBoundary:
         floor = bound - GAP_DEFAULT * max(1.0, bound)
         shape = (inst.n_edges, inst.n_capacities)
         organism = Organism(scale=np.array(
-            [rng.uniform(1e-3, 20.0) for _ in range(shape[0] * shape[1])]).reshape(shape))
+            [rng.uniform(1e-3, 20.0) for _ in range(shape[0] * shape[1])]))
         decoded = fitness(inst, organism)
         exact = solve_exact(inst, budget=5)
         for scored in (decoded, exact.best, polish(inst, decoded, budget=1.0)):
