@@ -16,8 +16,8 @@ from .ga import (GAConfig, IterationRecord, RunResult, crossover, evolve,
                  tournament_select, write_convergence_csv)
 from .instance import (CostParams, FacilityInstance, Instance, ParseError,
                        Terminal, ValidationError, from_facility_form,
-                       format_instance, generate_random, invariant_violations,
-                       load_instance, parse_instance, save_instance, validate)
+                       format_instance, generate_random, load_instance,
+                       parse_instance, save_instance, validate)
 
 __all__ = [
     "CostParams", "D_MIN", "ExactResult", "ExpandedNetwork", "FLOW_TOL",
@@ -26,9 +26,8 @@ __all__ = [
     "ParseError", "RunResult", "ScoredSolution", "Terminal", "UNBOUNDED", "VERIFY_TOL",
     "ValidationError", "build_expanded_network", "compile_topology", "crossover",
     "evolve", "fitness", "flow_tol", "format_instance", "from_facility_form",
-    "generate_random", "init_population", "invariant_violations", "load_instance",
-    "lp_relaxation_bound", "max_throughput", "mutate", "parse_instance", "polish",
-    "save_instance", "score", "solve_exact", "solve_min_cost_flow", "theorem_d",
-    "tournament_select", "validate", "verify_flow", "write_convergence_csv",
-    "write_solution_csv",
+    "generate_random", "init_population", "load_instance", "lp_relaxation_bound",
+    "max_throughput", "mutate", "parse_instance", "polish", "save_instance", "score",
+    "solve_exact", "solve_min_cost_flow", "theorem_d", "tournament_select", "validate",
+    "verify_flow", "write_convergence_csv", "write_solution_csv",
 ]

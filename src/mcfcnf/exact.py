@@ -92,9 +92,10 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
                                   parent_state, changed)
         constant, estimate, branch = sol.node
         bound, state = constant + sol.lp_cost, sol.state
-        # the exact true cost only where the estimate may be below best_cost
-        if incumbent is None or (estimate <= best_cost * (1.0 + TRUE_COST_MARGIN) and
-                                 true_cost(topology, state.arcs, state.residual[1::2]) < best_cost):
+        # the exact true cost only where the estimate may be below best_cost;
+        # an Instance's costs have a finite total, so the root's beats inf
+        if (estimate <= best_cost * (1.0 + TRUE_COST_MARGIN) and
+                true_cost(topology, state.arcs, state.residual[1::2]) < best_cost):
             incumbent = score(instance, sol)  # a ScoredSolution, for a new incumbent only
             best_cost = incumbent.true_cost
         if pruned(bound):

@@ -73,9 +73,9 @@ def unroutable(target: float, max_flow: float) -> str:
 
 
 class Infeasible(Exception):
-    """The network cannot carry the target flow amount."""
+    """The network cannot carry the target flow amount; it carries max_flow."""
 
-    def __init__(self, message: str, max_flow: float = 0.0):
+    def __init__(self, message: str, max_flow: float):
         super().__init__(message)
         self.max_flow = max_flow
 
@@ -206,14 +206,10 @@ class FlowSolution:
 
 def compile_topology(instance: Instance) -> Topology:
     """The instance's topology, compiled on first use and kept on the
-    (immutable) instance for every later solve. The first use raises
-    Infeasible for an instance that breaks a structural invariant."""
+    (immutable) instance for every later solve. It checks nothing: every
+    Instance holds its structural invariants from construction."""
     topology = getattr(instance, "_topology", None)
     if topology is None:
-        from .instance import invariant_violations  # instance imports this module
-        problems = invariant_violations(instance)
-        if problems:
-            raise Infeasible("; ".join(problems))
         topology = compile_pairs(instance, np.flatnonzero(instance.available.reshape(-1)))
         object.__setattr__(instance, "_topology", topology)
     return topology

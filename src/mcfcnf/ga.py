@@ -184,8 +184,8 @@ def _evaluate_all(instance: Instance, organisms: list[Organism],
 def evolve(instance: Instance, config: GAConfig) -> RunResult:
     """Run the full search: seeded initialization, tournament-driven
     crossover and mutation under elitist selection, then exact polishing of
-    the best flow on the remaining time share. Raises Infeasible on the first
-    compile (a broken invariant) or the seed's decode (an unroutable target).
+    the best flow on the remaining time share. Raises Infeasible on the
+    seed's decode when the target does not route.
 
     Randomness is consumed in a fixed documented order (initial entries,
     then per child: two parent tournaments, the crossover interval, the

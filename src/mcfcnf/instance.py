@@ -24,7 +24,7 @@ class ParseError(ValueError):
 
 
 class ValidationError(ValueError):
-    """Instance violates a structural invariant."""
+    """An instance that breaks a structural invariant cannot be built."""
 
 
 _HEADER = "MCFCNF 1"
@@ -40,9 +40,11 @@ def _fmt(x: float) -> str:
 class Instance:
     """Single-source single-sink multi-capacity fixed-charge flow instance.
 
-    Cost matrices are indexed (edge, capacity class). Instances are immutable
-    after construction (arrays are read-only) and safe to share across
-    threads.
+    Cost matrices are indexed (edge, capacity class). Construction (and so
+    dataclasses.replace) checks the structural invariants and raises
+    ValidationError, with one message per broken one, so every Instance
+    holds them. Instances are immutable after construction (arrays are
+    read-only) and safe to share across threads.
     """
 
     n_vertices: int
@@ -61,9 +63,9 @@ class Instance:
         var = np.array(self.variable_cost, dtype=np.float64)
         shape = (len(edges), caps.size)
         if fixed.shape != shape:
-            raise ValueError(f"fixed_cost shape {fixed.shape} != (edges, capacities) {shape}")
+            raise ValidationError(f"fixed_cost shape {fixed.shape} != (edges, capacities) {shape}")
         if var.shape != shape:
-            raise ValueError(f"variable_cost shape {var.shape} != (edges, capacities) {shape}")
+            raise ValidationError(f"variable_cost shape {var.shape} != (edges, capacities) {shape}")
         avail = ~np.isnan(fixed)
         for arr in (caps, fixed, var, avail):
             arr.setflags(write=False)
@@ -76,6 +78,9 @@ class Instance:
         object.__setattr__(self, "sink", int(self.sink))
         object.__setattr__(self, "target", float(self.target))
         object.__setattr__(self, "_available", avail)
+        problems = _broken_invariants(self)
+        if problems:
+            raise ValidationError("; ".join(problems))
 
     @property
     def n_edges(self) -> int:
@@ -91,8 +96,9 @@ class Instance:
         return self._available
 
 
-def invariant_violations(instance: Instance) -> list[str]:
-    """Structural invariant check; returns one message per violation."""
+def _broken_invariants(instance: Instance) -> list[str]:
+    """The structural invariants, checked once per Instance when it is
+    built; one message per violation."""
     v: list[str] = []
     n = min(instance.n_vertices, 2**63)  # the compiled network numbers vertices in int64
     if not 0 <= instance.source < n:
@@ -127,20 +133,17 @@ def invariant_violations(instance: Instance) -> list[str]:
 
 
 def validate(instance: Instance) -> list[str]:
-    """Full validation: structural invariants plus routability of the target.
+    """Routability of the target, the one check an Instance does not make
+    when it is built: [] or the message the solvers' Infeasible carries.
 
-    The routability check runs a max flow on the capacity-expanded network
-    with every offered (edge, class) pair open, so one edge may use several
-    classes, and allows the solvers' shortfall (flowcore.flow_tol); it is
-    skipped when structural violations exist.
+    A max flow on the capacity-expanded network with every offered (edge,
+    class) pair open, so one edge may use several classes, allowing the
+    solvers' shortfall (flowcore.flow_tol).
     """
-    v = invariant_violations(instance)
-    if v:
-        return v
     mf = max_flow(compile_topology(instance))
     if instance.target - mf > flow_tol(instance.target):
-        v.append(unroutable(instance.target, mf))
-    return v
+        return [unroutable(instance.target, mf)]
+    return []
 
 
 # ---------------------------------------------------------------------------
@@ -249,8 +252,9 @@ class _Reader:
 def parse_instance(text: str) -> Instance:
     """Parse either text format: the canonical one, or the facility one,
     translated by from_facility_form. Raises ParseError on malformed input
-    and ValidationError when a facility file does not translate; the result
-    is not invariant-checked (see load_instance).
+    and ValidationError when the instance breaks a structural invariant or
+    a facility file does not translate. Target routability is not checked
+    here; validate() checks it.
     """
     reader = _Reader(text)
     if reader.header == _FACILITY_HEADER:
@@ -290,19 +294,9 @@ def format_instance(instance: Instance) -> str:
 
 
 def load_instance(path) -> Instance:
-    """Load and invariant-check an instance file of either format.
-
-    Raises ParseError for malformed files and ValidationError when a
-    facility file does not translate or a structural invariant fails.
-    Target routability is not checked here; use validate() for the full
-    check.
-    """
-    text = Path(path).read_text(encoding="utf-8")
-    instance = parse_instance(text)
-    violations = invariant_violations(instance)
-    if violations:
-        raise ValidationError("; ".join(violations))
-    return instance
+    """parse_instance of the UTF-8 text of an instance file of either
+    format, with its errors."""
+    return parse_instance(Path(path).read_text(encoding="utf-8"))
 
 
 def save_instance(instance: Instance, path) -> None:
@@ -350,9 +344,11 @@ def from_facility_form(facility: FacilityInstance) -> Instance:
     Raises ValueError when a cost table is not (edges, transport capacities)
     in shape, two transport capacities are equal (one class's costs would be
     lost), or a terminal names a vertex outside the transport graph or has a
-    nonpositive limit or a NaN open cost. The result is not
-    feasibility-checked: a facility instance whose terminals cannot carry the
-    target translates into an instance that validate() flags.
+    nonpositive limit or a NaN open cost, and ValidationError when the
+    translation breaks a structural invariant, as every Instance does. The
+    target's routability is not checked: a facility instance whose
+    terminals cannot carry the target translates into an instance that
+    validate() flags.
     """
     n = facility.n_vertices
     for role, terms in (("source", facility.sources), ("sink", facility.sinks)):
@@ -549,7 +545,9 @@ def generate_random(kind: str, n_vertices: int, n_capacities: int,
     kind is "grid" or "geometric". For grids, n_vertices counts the lattice
     cells; the attached source and sink add two more. Capacities and the
     target are integers so integral-flow reasoning applies; the target is
-    target_fraction of the instance's max flow (at least 1).
+    target_fraction of the instance's max flow (at least 1). Raises
+    ValueError for a bad argument and ValidationError for drawn costs that
+    overflow.
     """
     if kind not in ("grid", "geometric"):
         raise ValueError(f"unknown kind {kind!r}, expected 'grid' or 'geometric'")

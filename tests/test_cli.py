@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mcfcnf.instance
 from mcfcnf import (FlowSolution, GAConfig, Infeasible, evolve, load_instance,
                     lp_relaxation_bound, save_instance, validate, verify_flow)
 from mcfcnf.cli import main
@@ -178,6 +179,38 @@ class TestGen:
         assert code == 1
         assert err.startswith("error: ") and "overflows a float" in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("capacities, message", [
+        ("2", "edge 0 capacity 1: fixed cost must be finite"),
+        ("1", "must have a finite total"),
+    ])
+    def test_overflowing_costs_exit_one(self, tmp_path, capsys, capacities, message):
+        # drawn costs that overflow break an invariant: a usage error, not
+        # the infeasible exit, which means a target above the max flow
+        out = tmp_path / "x.mcfcnf"
+        code = main(["gen", "--kind", "grid", "--vertices", "9", "--capacities", capacities,
+                     "--fixed-min", "1e308", "--fixed-max", "1.7e308", "-o", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+
+@pytest.mark.parametrize("run", [
+    lambda path, tmp: validate(load_instance(path)),
+    lambda path, tmp: main(["exact", "--instance", str(path), "--budget", "10",
+                            "--solution", str(tmp / "sol.csv")]),
+    lambda path, tmp: main(["solve", "--iterations", "2", "--instance", str(path),
+                            "--solution", str(tmp / "sol.csv"),
+                            "--convergence", str(tmp / "conv.csv")]),
+], ids=["load-validate", "exact", "solve"])
+def test_invariants_are_checked_once(fig1_file, tmp_path, monkeypatch, capsys, run):
+    check = mcfcnf.instance._broken_invariants
+    calls = []
+    monkeypatch.setattr(mcfcnf.instance, "_broken_invariants",
+                        lambda instance: calls.append(1) or check(instance))
+    run(fig1_file, tmp_path)
+    assert len(calls) == 1
 
 
 class TestCompare:

@@ -12,8 +12,9 @@ import pytest
 
 from mcfcnf import exact
 from mcfcnf import (GAP_DEFAULT, FlowSolution, Infeasible, Instance, Organism,
-                    build_expanded_network, compile_topology, generate_random, lp_relaxation_bound,
-                    polish, score, solve_exact, solve_min_cost_flow, verify_flow)
+                    ValidationError, build_expanded_network, compile_topology,
+                    generate_random, lp_relaxation_bound, polish, score, solve_exact,
+                    solve_min_cost_flow, verify_flow)
 from mcfcnf.evaluate import TRUE_COST_MARGIN, true_cost
 from conftest import brute_force, integral_score_optimum, make_small_instance
 
@@ -76,16 +77,24 @@ class TestSolveExact:
         assert result.proven_optimal
 
     def test_every_flow_costs_inf(self):
-        # finite costs whose sum overflows: rejected on the first compile, as
-        # load_instance and evolve reject them, since no flow could have a
-        # finite cost
-        inst = Instance(
-            n_vertices=3, source=0, sink=2, edges=((0, 1), (1, 2)),
-            capacities=np.array([5.0]), fixed_cost=np.array([[1e308], [1.0]]),
-            variable_cost=np.array([[1e308], [1.0]]), target=1.0,
-        )
-        with pytest.raises(Infeasible, match="finite total"):
-            solve_exact(inst, budget=10)
+        # finite costs whose sum overflows: such an instance cannot be built,
+        # since no flow could have a finite cost
+        with pytest.raises(ValidationError, match="finite total"):
+            solve_exact(Instance(
+                n_vertices=3, source=0, sink=2, edges=((0, 1), (1, 2)),
+                capacities=np.array([5.0]), fixed_cost=np.array([[1e308], [1.0]]),
+                variable_cost=np.array([[1e308], [1.0]]), target=1.0,
+            ), budget=10)
+
+    def test_largest_finite_total_is_proven(self):
+        # the finite total every Instance holds is all the root needs to
+        # become the first incumbent, however close to overflow its cost is
+        inst = Instance(n_vertices=2, source=0, sink=1, edges=((0, 1),),
+                        capacities=np.array([5.0]), fixed_cost=np.array([[1.7e308]]),
+                        variable_cost=np.array([[0.0]]), target=3.0)
+        result = solve_exact(inst, budget=10)
+        assert result.best.true_cost == 1.7e308
+        assert result.proven_optimal and result.nodes_explored == 3
 
     def test_budget_must_be_positive(self, minimal):
         with pytest.raises(ValueError, match="budget"):

@@ -2,7 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
-import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mcfcnf import (FacilityInstance, GAConfig, Infeasible, Instance, ParseError,
                     Terminal, ValidationError, evolve, format_instance,
-                    from_facility_form, generate_random, invariant_violations, load_instance,
+                    from_facility_form, generate_random, load_instance,
                     lp_relaxation_bound, max_throughput, parse_instance, save_instance,
                     solve_exact, validate)
 from conftest import (FACILITY_TEXT, brute_force, fig1_instance, make_small_instance,
@@ -162,6 +162,33 @@ class TestRoundTrip:
         assert format_instance(again) == format_instance(inst)
 
 
+# A valid path 0 -> 1 -> 2 with two capacity classes, and one change per
+# structural invariant clause with the exact message of its ValidationError
+_PATH = dict(n_vertices=3, source=0, sink=2, edges=((0, 1), (1, 2)),
+             capacities=np.array([2.0, 5.0]), fixed_cost=np.ones((2, 2)),
+             variable_cost=np.ones((2, 2)), target=1.0)
+_BIG = 2**63
+_BROKEN = {
+    "source-range": ({"source": 3}, "source id 3 out of range [0, 3)"),
+    "sink-range": ({"sink": -1}, "sink id -1 out of range [0, 3)"),
+    "source-is-sink": ({"sink": 0}, "source and sink must differ"),
+    "endpoint-range": ({"edges": ((0, 1), (1, 3))}, "edge 1: endpoint (1, 3) out of range [0, 3)"),
+    "beyond-int64": ({"n_vertices": 10**23, "sink": _BIG, "edges": ((0, 1), (1, _BIG))},
+                     f"sink id {_BIG} out of range [0, {_BIG}); "
+                     f"edge 1: endpoint (1, {_BIG}) out of range [0, {_BIG})"),
+    "self-loop": ({"edges": ((0, 1), (1, 1))}, "edge 1: self-loops are not allowed"),
+    "capacity": ({"capacities": np.array([-1.0, 5.0])}, "capacity 0 must be positive (got -1.0)"),
+    "increasing": ({"capacities": np.array([5.0, 2.0])}, "capacities must be strictly increasing"),
+    "target": ({"target": math.inf}, "target must be positive and finite"),
+    "fixed-cost": ({"fixed_cost": np.array([[1.0, math.inf], [1.0, 1.0]])},
+                   "edge 0 capacity 1: fixed cost must be finite and nonnegative"),
+    "variable-cost": ({"variable_cost": np.array([[1.0, 1.0], [-1.0, 1.0]])},
+                      "edge 1 capacity 0: variable cost must be finite and nonnegative"),
+    "finite-total": ({"fixed_cost": np.array([[1e308, 1e308], [1.0, 1.0]])},
+                     "offered fixed costs plus target x variable costs must have a finite total"),
+}
+
+
 class TestValidate:
     def test_valid_minimal(self, minimal):
         assert validate(minimal) == []
@@ -188,46 +215,35 @@ class TestValidate:
                 evolve(inst, GAConfig(iteration_limit=1))
 
     def test_negative_cost_names_pair(self, fig1):
-        import dataclasses
         var = fig1.variable_cost.copy()
         var[2, 0] = -3.0
-        bad = dataclasses.replace(fig1, variable_cost=var)
-        problems = validate(bad)
-        assert any("edge 2 capacity 0" in p for p in problems)
+        with pytest.raises(ValidationError, match="edge 2 capacity 0"):
+            dataclasses.replace(fig1, variable_cost=var)
 
     def test_self_loop_rejected(self):
-        inst = Instance(
-            n_vertices=3, source=0, sink=2, edges=((0, 1), (1, 1), (1, 2)),
-            capacities=np.array([2.0]),
-            fixed_cost=np.ones((3, 1)), variable_cost=np.ones((3, 1)), target=1.0,
-        )
-        assert any("self-loop" in p for p in validate(inst))
+        with pytest.raises(ValidationError, match="self-loop"):
+            Instance(n_vertices=3, source=0, sink=2, edges=((0, 1), (1, 1), (1, 2)),
+                     capacities=np.array([2.0]), fixed_cost=np.ones((3, 1)),
+                     variable_cost=np.ones((3, 1)), target=1.0)
 
-    def test_capacities_must_increase(self):
-        inst = Instance(
-            n_vertices=2, source=0, sink=1, edges=((0, 1),),
-            capacities=np.array([5.0, 2.0]),
-            fixed_cost=np.ones((1, 2)), variable_cost=np.ones((1, 2)), target=1.0,
-        )
-        assert any("strictly increasing" in p for p in validate(inst))
+    def test_capacities_must_increase(self, minimal):
+        with pytest.raises(ValidationError, match="strictly increasing"):
+            dataclasses.replace(minimal, capacities=np.array([5.0, 2.0]),
+                                fixed_cost=np.ones((1, 2)), variable_cost=np.ones((1, 2)))
 
     def test_ids_beyond_int64_rejected(self):
         # below the vertex count, but the compiled network numbers vertices in int64
         big = 2**63
-        inst = Instance(n_vertices=10**23, source=0, sink=big, edges=((0, big), (big - 1, 1)),
-                        capacities=np.array([5.0]), fixed_cost=np.ones((2, 1)),
-                        variable_cost=np.ones((2, 1)), target=1.0)
         bound = f"out of range [0, {big})"
-        assert invariant_violations(inst) == [f"sink id {big} {bound}",
-                                              f"edge 0: endpoint (0, {big}) {bound}"]
+        with pytest.raises(ValidationError) as raised:
+            Instance(n_vertices=10**23, source=0, sink=big, edges=((0, big), (big - 1, 1)),
+                     capacities=np.array([5.0]), fixed_cost=np.ones((2, 1)),
+                     variable_cost=np.ones((2, 1)), target=1.0)
+        assert str(raised.value) == f"sink id {big} {bound}; edge 0: endpoint (0, {big}) {bound}"
 
-    def test_source_equals_sink(self):
-        inst = Instance(
-            n_vertices=2, source=0, sink=0, edges=((0, 1),),
-            capacities=np.array([2.0]),
-            fixed_cost=np.ones((1, 1)), variable_cost=np.ones((1, 1)), target=1.0,
-        )
-        assert any("differ" in p for p in validate(inst))
+    def test_source_equals_sink(self, minimal):
+        with pytest.raises(ValidationError, match="differ"):
+            dataclasses.replace(minimal, sink=0)
 
     @pytest.mark.parametrize("solver", [
         lambda inst: evolve(inst, GAConfig(iteration_limit=1)),
@@ -240,18 +256,37 @@ class TestValidate:
         ("capacity", r"capacity 0 must be positive \(got -1.0\)"),
     ], ids=["sink", "target", "capacity"])
     def test_solvers_reject_what_validate_rejects(self, solver, change, message):
-        # every solver compiles the instance first, and the first compile
-        # checks the invariants: no cost or bound for an instance validate
-        # rejects (solve_exact and the bound used to return numbers here)
+        # no solver can be handed an instance that breaks an invariant: it
+        # cannot be built, so validate and every solver agree by construction
         inst = generate_random("grid", 9, 2, seed=3)
-        bad = dataclasses.replace(inst, **{
-            "sink": {"sink": inst.source},
-            "target": {"target": math.inf},
-            "capacity": {"capacities": np.array([-1.0, inst.capacities[1]])}}[change])
-        assert any(re.search(message, p) for p in validate(bad))
-        for _ in range(2):  # a rejected instance keeps no compiled topology
-            with pytest.raises(Infeasible, match=message):
-                solver(bad)
+        with pytest.raises(ValidationError, match=message):
+            solver(dataclasses.replace(inst, **{
+                "sink": {"sink": inst.source},
+                "target": {"target": math.inf},
+                "capacity": {"capacities": np.array([-1.0, inst.capacities[1]])}}[change]))
+
+    @pytest.mark.parametrize("clause", sorted(_BROKEN))
+    def test_every_invariant_is_checked_when_built(self, tmp_path, clause):
+        # a broken instance cannot be built: not directly, not by replace,
+        # not from a file
+        changes, message = _BROKEN[clause]
+        fields = {**_PATH, **changes}
+        with pytest.raises(ValidationError) as built:
+            Instance(**fields)
+        with pytest.raises(ValidationError) as replaced:
+            dataclasses.replace(Instance(**_PATH), **changes)
+        path = tmp_path / "broken.mcfcnf"  # format_instance reads only the fields
+        path.write_text(format_instance(SimpleNamespace(**fields, n_edges=len(fields["edges"]))))
+        with pytest.raises(ValidationError) as loaded:
+            load_instance(path)
+        assert str(built.value) == str(replaced.value) == str(loaded.value) == message
+
+    @pytest.mark.parametrize("table", ["fixed_cost", "variable_cost"])
+    def test_cost_shapes_must_match(self, minimal, table):
+        # one error type for every instance that cannot be built
+        with pytest.raises(ValidationError,
+                           match=rf"^{table} shape \(1, 2\) != \(edges, capacities\) \(1, 1\)$"):
+            dataclasses.replace(minimal, **{table: np.ones((1, 2))})
 
     def test_arrays_are_immutable(self, fig1):
         with pytest.raises(ValueError):
