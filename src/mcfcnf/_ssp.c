@@ -9,6 +9,11 @@
  * allows for the difference (evaluate.TRUE_COST_MARGIN) before taking the
  * exact cost.
  *
+ * The same library holds sample_positions, the GA mutation's positions:
+ * random.sample's picks, made from raw Mersenne Twister words that the
+ * caller draws in bulk (mcfcnf.ga.mutate), so the generator's stream is
+ * consumed word for word as random.sample would consume it.
+ *
  * Residual id 2i is arc i forward, 2i+1 its reversal; head[r] is where r
  * ends, adj[adj_start[u] .. adj_start[u + 1]) the ids leaving u, ascending.
  * ssp_augment is successive shortest paths with potentials: each round a
@@ -284,4 +289,54 @@ unmark:
     for (i = 0; i < n_opened; i++)
         is_open[node_arcs[i]] = 0;
     return k;
+}
+
+/* The little-endian 32-bit word at p. */
+static uint32_t word_at(const unsigned char *p) {
+    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 | (uint32_t)p[3] << 24;
+}
+
+/* Bits of x, as Python's int.bit_length. */
+static int bit_length(int64_t x) {
+    int bits = 0;
+    while (x >> bits)
+        bits++;
+    return bits;
+}
+
+/* The positions random.sample(range(length), count) picks from the
+ * generator's next n_words outputs, 4 little-endian bytes each in draw
+ * order: CPython's two branches, for 1 <= length < 2**32 (one word per
+ * draw; the caller checks every size). Each draw below n is the next word's
+ * top bit_length(n) bits, drawn again while they reach n (_randbelow). With
+ * pool set (CPython's small-population rule, decided by the caller), pick i
+ * is scratch[randbelow(length - i)] of a pool swap-removed; otherwise it is
+ * randbelow(length), drawn again while already picked, which scratch marks.
+ * Writes the picks to positions and returns the words used, or, when the
+ * words run out, minus the picks left: at least that many more are needed.
+ * scratch holds length entries, written before they are read. */
+int64_t sample_positions(const unsigned char *words, int64_t n_words, int64_t length,
+                         int64_t count, int32_t pool, int64_t *scratch, int64_t *positions) {
+    int64_t i, j, n = length, used = 0;
+    int bits = bit_length(length);
+
+    for (i = 0; i < length; i++)
+        scratch[i] = pool ? i : 0;
+    for (i = 0; i < count; i++) {
+        if (pool)
+            bits = bit_length(n = length - i);
+        do {
+            if (used == n_words)
+                return -(count - i);
+            j = word_at(words + 4 * used++) >> (32 - bits);
+        } while (j >= n || (!pool && scratch[j]));
+        if (pool) {
+            positions[i] = scratch[j];
+            scratch[j] = scratch[n - 1];
+        } else {
+            positions[i] = j;
+            scratch[j] = 1;
+        }
+    }
+    return used;
 }

@@ -340,9 +340,10 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     (sent is then infinite). More than push_cap paths raise
     FlowIterationError: no bound is proven for a costed solve
     (test_push_cap_never_reached checks solve_min_cost_flow's cap); at zero
-    cost Edmonds-Karp's holds (max_flow). Before C runs, it checks `changed`
-    and the dtype, contiguity and length of each array a caller supplies (a
-    topology's once, when built); C checks, before it writes, that each cost
+    cost Edmonds-Karp's holds (max_flow). Before C runs, it checks `changed`,
+    the cost's dtype, contiguity and length (a topology's arrays' once, when
+    built) and the shapes of the start's arrays, which it converts to the
+    kernel's dtypes; C checks, before it writes, that each cost
     and opened arc's variable cost is >= 0 and each arc index in 0..m-1.
 
     The same call is a whole branch-and-bound node: the opened arcs cost
@@ -353,12 +354,25 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     topology that thread has solved, so threads solve at once and no call
     allocates them. The returned res is a view of them, valid only until
     the thread's next solve; the other arrays are the call's own.
+
+    solve.sample(words, length, count, pool) -> (used, positions) is the same
+    library's sample_positions: the picks random.sample(range(length),
+    count) makes from the generator words `words` (bytes, 4 little-endian
+    per word, in draw order), pool giving CPython's branch. used is the
+    number of words they took, or minus at least how many more they need
+    (positions then means nothing). ValueError unless 0 <= count <= length
+    < 2**32, where each draw takes one word; its scratch array is the
+    call's own.
     """
-    function = ctypes.CDLL(str(build_kernel(directory, command))).ssp_solve
-    int64, pointer, double = ctypes.c_int64, ctypes.c_void_p, ctypes.c_double
+    library = ctypes.CDLL(str(build_kernel(directory, command)))
+    int64, int32, double = ctypes.c_int64, ctypes.c_int32, ctypes.c_double
+    pointer = ctypes.c_void_p
+    function, sampler = library.ssp_solve, library.sample_positions
     function.argtypes = [pointer, pointer, pointer, int64, int64, pointer, pointer, int64,
-                         int64, ctypes.c_int32, double, double, int64, pointer, pointer]
+                         int64, int32, double, double, int64, pointer, pointer]
     function.restype = int64
+    sampler.argtypes = [pointer, int64, int64, int64, int32, pointer, pointer]
+    sampler.restype = int64
     local = threading.local()
 
     def workspace(n: int, m: int) -> tuple:
@@ -383,13 +397,13 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
         costs = _address(cost, np.float64, m, "cost")
         pot, k, arcs, residual = np.zeros(n), 0, None, None
         if start is not None:  # arcs and residuals may come as lists
-            start_arcs, start_res = (np.asarray(start.arcs, dtype=np.int64),
-                                     np.asarray(start.residual, dtype=np.float64))
-            pot, k = np.array(start.potential, dtype=np.float64), len(start_arcs)
-            arcs = _address(start_arcs, np.int64, k, "start.arcs")
-            residual = _address(start_res, np.float64, 2 * k, "start.residual")
-            if pot.ndim != 1 or len(pot) < n:
+            start_arcs, start_res = (np.ascontiguousarray(start.arcs, dtype=np.int64),
+                                     np.ascontiguousarray(start.residual, dtype=np.float64))
+            pot, k = np.array(start.potential, dtype=np.float64), start_arcs.size
+            if (start_arcs.ndim != 1 or start_res.shape != (2 * k,) or pot.ndim != 1
+                    or len(pot) < n):
                 raise ValueError(f"start does not fit {n} vertices and {m} arcs")
+            arcs, residual = _pointer(start_arcs), _pointer(start_res)
         try:  # the opened arcs, then the closed ones; an index past int64 is outside 0..m-1
             node = np.fromiter((*opened, *closed), np.int64, len(opened) + len(closed))
         except OverflowError:
@@ -412,6 +426,15 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
         return (left, lp_cost, res[:2 * m], pot, carrying[:count].copy(), sent,
                 pairs[:2 * count].copy(), constant, estimate, int(branch))
 
+    def sample(words: bytes, length: int, count: int, pool: bool) -> tuple[int, np.ndarray]:
+        if not 0 <= count <= length < 2**32:
+            raise ValueError(f"cannot pick {count} of {length} positions, one word a draw")
+        scratch, positions = np.empty(length, dtype=np.int64), np.empty(count, dtype=np.int64)
+        used = sampler(words, len(words) // 4, length, count, pool, _pointer(scratch),
+                       _pointer(positions))
+        return used, positions
+
+    solve.sample = sample
     return solve
 
 

@@ -6,6 +6,12 @@ Fitness is the decoded flow's true cost (lower is fitter). Selection is
 binary tournament with the incumbent best always retained; crossover splices
 a random interval from one parent into the other; mutation nudges a few
 entries by at most one, clamped to the D_MIN floor.
+
+The initial entries and mutation's positions and steps are drawn in bulk:
+the generator's next 32-bit Mersenne Twister words (Matsumoto & Nishimura,
+ACM TOMACS 8 (1998) 3-30), read in draw order from one getrandbits call and
+turned into exactly the values, and the generator state, that
+random.uniform, random.random and random.sample would give.
 """
 from __future__ import annotations
 
@@ -18,7 +24,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import exact
+from . import exact, flowcore
 from .evaluate import ScoredSolution, score
 from .flowcore import (D_MIN, UNBOUNDED, FlowSolution, Organism, build_expanded_network,
                        check_pair_shape, compile_topology, flow_tol, seed_organism,
@@ -89,13 +95,28 @@ def fitness(instance: Instance, organism: Organism) -> ScoredSolution:
     return score(instance, solve_min_cost_flow(build_expanded_network(instance, organism)))
 
 
+def _words(rng: random.Random, n: int) -> bytes:
+    """The generator's next n 32-bit words, 4 little-endian bytes each, in
+    draw order: getrandbits(32 n) puts the first word drawn lowest."""
+    return rng.getrandbits(32 * n).to_bytes(4 * n, "little")
+
+
+def _doubles(words: bytes, first: int = 0) -> np.ndarray:
+    """random.random()'s doubles, each from a pair (a, b) of the words from
+    word `first` on: (a >> 5) * 2**26 + (b >> 6), over 2**53."""
+    a, b = np.frombuffer(words, dtype="<u4", offset=4 * first).reshape(-1, 2).T
+    return ((a >> 5) * 67108864.0 + (b >> 6)) / 9007199254740992.0
+
+
 def init_population(instance: Instance, config: GAConfig, rng: random.Random) -> list[Organism]:
     """Seed organism (divisors equal to the class capacities) plus uniformly
-    random organisms with entries in [D_MIN, mean fixed cost]."""
+    random organisms with entries in [D_MIN, mean fixed cost], each entry
+    rng.uniform(D_MIN, upper) bit for bit."""
     population = [seed_organism(instance)]
     length, upper = population[0].scale.size, _mean_fixed_cost(instance)
     for _ in range(config.population_size - 1):
-        population.append(Organism(scale=[rng.uniform(D_MIN, upper) for _ in range(length)]))
+        entries = D_MIN + (upper - D_MIN) * _doubles(_words(rng, 2 * length))
+        population.append(Organism(scale=entries))
     return population
 
 
@@ -135,13 +156,28 @@ def crossover(parent_a: Organism, parent_b: Organism, rng: random.Random) -> Org
 def mutate(instance: Instance, organism: Organism, rng: random.Random) -> Organism:
     """Nudge a few entries (between 1 and a tenth of the array) up or down
     by a uniform amount below one, clamped to the D_MIN floor. Unbounded
-    entries are reset to the mean fixed cost before the nudge."""
+    entries are reset to the mean fixed cost before the nudge.
+
+    The draws are those of rng.sample(range(length), count), then per
+    position rng.uniform(0.0, 1.0) for the size and rng.random() < 0.5 for
+    a minus sign, bit for bit, read from words drawn in bulk. The picks take
+    at least one word each and the steps four, so 5 count words are drawn at
+    once and later only as many as are certainly needed: one word too many
+    would shift every later draw."""
     scale = organism.scale.copy()
     length = scale.size
     count = rng.randint(1, max(1, length // 10))
-    positions = np.array(rng.sample(range(length), count))
-    steps = [-step if rng.random() < 0.5 else step  # per position: size, then sign
-             for step in (rng.uniform(0.0, 1.0) for _ in range(len(positions)))]
+    # random.sample's rule: its pool branch when a list of the population is
+    # smaller than a set of the picks
+    pool = length <= 21 + (4 ** math.ceil(math.log(3 * count, 4)) if count > 5 else 0)
+    sample, words = flowcore._kernel().sample, _words(rng, 5 * count)
+    used, positions = sample(words, length, count, pool)
+    while used < 0:  # the picks ran out of words
+        words += _words(rng, -used)
+        used, positions = sample(words, length, count, pool)
+    words += _words(rng, max(0, used + 4 * count - len(words) // 4))
+    size, sign = _doubles(words, used).reshape(-1, 2).T
+    steps = np.where(sign < 0.5, -size, size)
     values = scale[positions]
     unbounded = np.isinf(values)
     if unbounded.any():
@@ -192,6 +228,9 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
     mutation coin and its draws, then the selection tournaments), so with an
     iteration_limit the evolution (best, history) replays bit-identically per
     seed; polish gets a wall-clock share, so its result may vary with speed.
+    The initial entries and mutation's draws are read as raw generator
+    words in bulk, in the same order, so they are the per-value calls'
+    values and leave the generator in the same state.
     """
     rng = random.Random(config.seed)
     start = time.perf_counter()

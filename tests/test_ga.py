@@ -33,27 +33,45 @@ def _member(cost: float):
 
 
 class ScriptedRng:
-    """Deterministic stand-in feeding predefined draws to the operators."""
+    """Deterministic stand-in feeding predefined draws to the operators:
+    randint results, and 32-bit generator words for getrandbits."""
 
-    def __init__(self, randints=(), uniforms=(), randoms=(), samples=()):
+    def __init__(self, randints=(), words=()):
         self._randints = list(randints)
-        self._uniforms = list(uniforms)
-        self._randoms = list(randoms)
-        self._samples = list(samples)
+        self._words = list(words)
 
     def randint(self, a, b):
         value = self._randints.pop(0)
         assert a <= value <= b
         return value
 
-    def uniform(self, a, b):
-        return self._uniforms.pop(0)
+    def getrandbits(self, k):
+        assert k % 32 == 0  # whole words, the first drawn lowest
+        words, self._words = self._words[:k // 32], self._words[k // 32:]
+        assert len(words) == k // 32
+        return sum(word << 32 * i for i, word in enumerate(words))
 
-    def random(self):
-        return self._randoms.pop(0)
 
-    def sample(self, population, k):
-        return self._samples.pop(0)
+def random_words(u: float) -> list[int]:
+    """The two generator words that random.random() turns into u, a
+    multiple of 2**-53 in [0, 1)."""
+    x = int(u * 2**53)
+    return [(x >> 26) << 5, (x & (2**26 - 1)) << 6]
+
+
+def sample_pool(length: int, count: int) -> bool:
+    """Whether random.sample(range(length), count) takes its pool branch."""
+    return length <= 21 + (4 ** math.ceil(math.log(3 * count, 4)) if count > 5 else 0)
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its bulk draws: getrandbits of a word or more."""
+
+    bulk = 0
+
+    def getrandbits(self, k):
+        self.bulk += k >= 32
+        return super().getrandbits(k)
 
 
 class TestInitPopulation:
@@ -167,7 +185,8 @@ class TestCrossover:
 class TestMutate:
     def test_clamped_to_floor(self, minimal):
         org = Organism(scale=np.array([0.5]))
-        rng = ScriptedRng(randints=[1], samples=[[0]], uniforms=[0.7], randoms=[0.3])
+        # pick 0 (the word's top bit), then a step of size 0.7 and sign draw 0.3
+        rng = ScriptedRng(randints=[1], words=[0, *random_words(0.7), *random_words(0.3)])
         out = mutate(minimal, org, rng)
         assert out.scale[0] == D_MIN
 
@@ -196,7 +215,9 @@ class TestMutate:
 
     def test_unbounded_resets_to_mean_fixed_cost(self, fig1):
         org = Organism(scale=np.full(4, UNBOUNDED))
-        rng = ScriptedRng(randints=[1], samples=[[2]], uniforms=[0.25], randoms=[0.9])
+        # pick 2 (the word's top 3 bits), then a step of size 0.25 and sign draw 0.9
+        rng = ScriptedRng(randints=[1],
+                          words=[2 << 29, *random_words(0.25), *random_words(0.9)])
         out = mutate(fig1, org, rng)
         # mean fixed cost 4.0, nudged up by 0.25
         assert out.scale[2] == pytest.approx(4.25)
@@ -231,19 +252,71 @@ def reference_mutate(instance, organism, rng):
     return Organism(scale=scale)
 
 
+def _random_organism(length: int, draw: random.Random) -> Organism:
+    """Unbounded entries, entries within 1 of the floor (where the clamp
+    bites) and larger ones."""
+    return Organism(scale=np.array([
+        draw.choice([UNBOUNDED, D_MIN + draw.random(), draw.uniform(D_MIN, 50.0)])
+        for _ in range(length)]))
+
+
 class TestMutateAgainstReference:
     @pytest.mark.parametrize("seed", range(50))
     def test_bit_identical(self, seed):
-        # unbounded entries, entries within 1 of the floor (where the clamp
-        # bites) and larger ones; same draws in the same order on both sides
+        # same draws in the same order on both sides
         inst = generate_random("grid", 16, 3, seed=seed % 5, target_fraction=0.6)
-        draw = random.Random(1000 + seed)
-        entries = [draw.choice([UNBOUNDED, D_MIN + draw.random(), draw.uniform(D_MIN, 50.0)])
-                   for _ in range(inst.n_edges * inst.n_capacities)]
-        org = Organism(scale=np.array(entries))
+        org = _random_organism(inst.n_edges * inst.n_capacities, random.Random(1000 + seed))
         rng, reference_rng = random.Random(seed), random.Random(seed)
         got, expected = mutate(inst, org, rng), reference_mutate(inst, org, reference_rng)
         assert got.scale.tobytes() == expected.scale.tobytes()
+        assert rng.getstate() == reference_rng.getstate()
+
+
+class TestBulkDraws:
+    """mutate and init_population read the generator's words in bulk; they
+    must give the per-value calls' results and leave the same state."""
+
+    def test_mutate_at_every_length(self, fig1):
+        # 2619 and 3114 are the offered pairs of the bench's desk and large_a
+        for length in [*range(1, 1201), 2619, 3114]:
+            org = _random_organism(length, random.Random(length))
+            for seed in range(3):
+                rng, reference_rng = random.Random(seed), random.Random(seed)
+                got = mutate(fig1, org, rng)
+                expected = reference_mutate(fig1, org, reference_rng)
+                assert got.scale.tobytes() == expected.scale.tobytes(), (length, seed)
+                assert rng.getstate() == reference_rng.getstate(), (length, seed)
+
+    @pytest.mark.parametrize("length, seed, pool, bulk", [
+        (1, 2, True, 1), (1, 0, True, 2), (1, 14, True, 4),
+        (22, 1, False, 1), (22, 0, False, 2), (32, 14, False, 4), (32, 92, False, 7),
+    ])
+    def test_mutate_on_each_path(self, fig1, length, seed, pool, bulk):
+        # one bulk draw: the picks took one word each; two: they took more,
+        # so the steps' words were topped up; more: the picks ran out of
+        # words, and each shortfall was drawn on its own
+        count = random.Random(seed).randint(1, max(1, length // 10))
+        assert sample_pool(length, count) == pool
+        org = _random_organism(length, random.Random(length))
+        rng, reference_rng = CountingRandom(seed), random.Random(seed)
+        got, expected = mutate(fig1, org, rng), reference_mutate(fig1, org, reference_rng)
+        assert rng.bulk == bulk
+        assert got.scale.tobytes() == expected.scale.tobytes()
+        assert rng.getstate() == reference_rng.getstate()
+
+    @pytest.mark.parametrize("spec", [("grid", 16, 3, 0), ("geometric", 40, 3, 1)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_init_population(self, spec, seed):
+        inst = generate_random(*spec[:3], seed=spec[3], target_fraction=0.6)
+        config = GAConfig(population_size=6, iteration_limit=1)
+        rng, reference_rng = random.Random(seed), random.Random(seed)
+        population = init_population(inst, config, rng)
+        length = population[0].scale.size
+        finite = inst.fixed_cost[inst.available]
+        upper = max(float(finite.mean()), D_MIN)
+        for organism in population[1:]:
+            expected = [reference_rng.uniform(D_MIN, upper) for _ in range(length)]
+            assert organism.scale.tobytes() == np.array(expected).tobytes()
         assert rng.getstate() == reference_rng.getstate()
 
 

@@ -393,13 +393,15 @@ class TestLoader:
 #: grid 16, polishes, decodes an organism and takes a max flow; then each
 #: input the kernel rejects (a NaN cost, an opened arc's negative unit cost,
 #: closed, opened and start arcs outside 0..m-1) ends in ValueError before
-#: the kernel touches an array at it.
+#: the kernel touches an array at it. Last, the GA's sampler picks
+#: random.sample's positions on both of its branches, from words that
+#: suffice and from words that run short, and through mutate.
 _SANITIZED_RUN = """
-import dataclasses, math, sys
+import dataclasses, math, random, sys
 from pathlib import Path
 import numpy as np
-from mcfcnf import (ExpandedNetwork, Organism, fitness, flowcore, generate_random, polish,
-                    solve_exact)
+from mcfcnf import (ExpandedNetwork, Organism, fitness, flowcore, generate_random, mutate,
+                    polish, solve_exact)
 from mcfcnf.flowcore import compile_topology, max_flow, seed_organism, solve_min_cost_flow
 kernel = flowcore.load_kernel(Path(sys.argv[1]), sys.argv[2:])
 flowcore._kernel = lambda: kernel
@@ -427,6 +429,13 @@ for bad in ({"cost": np.append(np.ones(m - 1), math.nan)},
     except ValueError:
         continue
     raise AssertionError(f"not rejected: {bad}")
+for length, count, pool in ((1, 1, True), (20, 2, True), (80, 8, True), (32, 2, False),
+                            (3114, 311, False)):
+    words = random.Random(length).getrandbits(32 * 8 * count).to_bytes(32 * count, "little")
+    used, positions = kernel.sample(words, length, count, pool)
+    assert positions.tolist() == random.Random(length).sample(range(length), count)
+    assert kernel.sample(words[:4 * (used - 1)], length, count, pool)[0] < 0
+mutate(inst, Organism(scale=np.full(1, 3.0)), random.Random(14))  # runs short twice
 print("clean")
 """
 
@@ -472,7 +481,7 @@ class TestWrapper:
 
         class Library:  # stands in for the C library: records each call
             def __init__(self, path):
-                self.ssp_solve = self
+                self.ssp_solve = self.sample_positions = self
 
             def __call__(self, *args):
                 calls.append(args)
@@ -628,6 +637,44 @@ class TestWrapper:
             got = solve_min_cost_flow(net._replace(topology=copied))
             assert got.flow.tobytes() == expected.flow.tobytes()
             assert got.lp_cost == expected.lp_cost
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts the words its getrandbits draws."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+class TestSample:
+    """The kernel's sample_positions against random.sample itself."""
+
+    @pytest.mark.parametrize("length, count, pool", [
+        (1, 1, True), (7, 5, True), (21, 2, True), (80, 8, True), (90, 9, False),
+        (22, 1, False), (33, 3, False), (3114, 311, False),
+    ])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_picks_and_words_of_random_sample(self, length, count, pool, seed):
+        # pool is CPython's branch for (length, count); every prefix of the
+        # words that random.sample used runs short by at least what is returned
+        reference = CountingRandom(seed)
+        expected = reference.sample(range(length), count)
+        words = random.Random(seed).getrandbits(32 * reference.words).to_bytes(
+            4 * reference.words, "little")
+        sample = flowcore._kernel().sample
+        used, positions = sample(words + bytes(8), length, count, pool)
+        assert (used, positions.tolist()) == (reference.words, expected)
+        for have in range(reference.words):
+            short = sample(words[:4 * have], length, count, pool)[0]
+            assert 1 <= -short <= reference.words - have
+
+    @pytest.mark.parametrize("length, count", [(0, 1), (3, 4), (5, -1), (2**32, 1)])
+    def test_rejected_before_c(self, length, count):
+        with pytest.raises(ValueError, match="cannot pick"):
+            flowcore._kernel().sample(b"", length, count, True)
 
 
 def _decode_bits(instance, organism) -> tuple:
