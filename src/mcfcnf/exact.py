@@ -51,10 +51,11 @@ def gap_abs(incumbent: float) -> float:
 
 
 def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
-                      warm: ScoredSolution | None,
-                      node_log: list | None = None) -> ExactResult:
+                      warm: ScoredSolution | None, node_log: list | None = None,
+                      node_limit: float = math.inf) -> ExactResult:
     """Best-first search over the arcs of `topology`, the instance's compiled
-    topology or one of a subset of its pairs (the others stay unused)."""
+    topology or one of a subset of its pairs (the others stay unused), until
+    budget seconds pass or node_limit nodes are solved (a pop solves two)."""
     start = time.perf_counter()
     # lp_relaxation_bound's arc costs, one per offered pair: slot picks this topology's
     free_cost = build_expanded_network(instance, seed_organism(instance)).cost[topology.slot]
@@ -109,7 +110,7 @@ def _branch_and_bound(instance: Instance, budget: float, topology: Topology,
 
     visit(frozenset(), frozenset(), 0)  # the root; Infeasible propagates
     while heap:
-        if time.perf_counter() - start > budget:
+        if time.perf_counter() - start > budget or nodes >= node_limit:
             break  # the nodes left on the heap bound the rest
         bound, neg_depth, _, opened, closed, arc, state = heappop(heap)
         if pruned(bound):
@@ -143,14 +144,15 @@ def solve_exact(instance: Instance, budget: float,
     return _branch_and_bound(instance, budget, compile_topology(instance), None, node_log)
 
 
-def polish(instance: Instance, warm: ScoredSolution, budget: float) -> ScoredSolution:
+def polish(instance: Instance, warm: ScoredSolution, budget: float, *,
+           node_limit: float = math.inf) -> ScoredSolution:
     """Exact improvement restricted to the warm solution's neighborhood.
 
     Pairs on edges sharing an endpoint with any edge the warm solution uses
     stay free; the search runs on a topology of only those pairs. The warm
     solution seeds the incumbent, so the result is never worse than the
-    input. On budget exhaustion the best found so far (at worst the warm
-    input) is returned.
+    input. The search stops after budget seconds or node_limit nodes (one
+    more at most) and returns the best found (at worst the warm input).
     """
     problems = verify_flow(instance, warm.flow)
     if problems:
@@ -162,6 +164,6 @@ def polish(instance: Instance, warm: ScoredSolution, budget: float) -> ScoredSol
     near = np.array([u in touched or w in touched for u, w in instance.edges])
     topology = compile_pairs(instance, np.flatnonzero(instance.available & near[:, None]))
     try:
-        return _branch_and_bound(instance, budget, topology, warm).best
+        return _branch_and_bound(instance, budget, topology, warm, None, node_limit).best
     except Infeasible:  # cannot happen: warm itself routes the target
         return warm

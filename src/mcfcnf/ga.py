@@ -39,9 +39,9 @@ _Member = tuple[Organism, ScoredSolution]
 @dataclass(frozen=True)
 class GAConfig:
     """Run parameters. A stop rule is required: a wall-clock time_limit
-    (evolution gets 4/5, polishing 1/5) and/or an iteration_limit for
-    bit-reproducible runs. With only an iteration_limit, polishing gets a
-    quarter of the evolution wall time, i.e. one fifth of the whole run.
+    (evolution gets 4/5, polishing the rest) and/or an iteration_limit.
+    Polishing solves at most one branch-and-bound node per decode made, so
+    with only an iteration_limit the whole run replays bit for bit.
     Whether the target routes is no parameter: the run's first decode decides."""
 
     population_size: int = 10
@@ -220,21 +220,21 @@ def _evaluate_all(instance: Instance, organisms: list[Organism],
 def evolve(instance: Instance, config: GAConfig) -> RunResult:
     """Run the full search: seeded initialization, tournament-driven
     crossover and mutation under elitist selection, then exact polishing of
-    the best flow on the remaining time share. Raises Infeasible on the
-    seed's decode when the target does not route.
+    the best flow, one node per decode made at most, within the time_limit.
+    Raises Infeasible on the seed's decode when the target does not route.
 
     Randomness is consumed in a fixed documented order (initial entries,
     then per child: two parent tournaments, the crossover interval, the
     mutation coin and its draws, then the selection tournaments), so with an
-    iteration_limit the evolution (best, history) replays bit-identically per
-    seed; polish gets a wall-clock share, so its result may vary with speed.
+    iteration_limit the whole run (best, history, polished) replays
+    bit-identically per seed; only elapsed_s varies.
     The initial entries and mutation's draws are read as raw generator
     words in bulk, in the same order, so they are the per-value calls'
     values and leave the generator in the same state.
     """
     rng = random.Random(config.seed)
     start = time.perf_counter()
-    evolution_budget = 0.8 * config.time_limit if config.time_limit is not None else math.inf
+    time_limit = config.time_limit if config.time_limit is not None else math.inf
     iteration_limit = config.iteration_limit if config.iteration_limit is not None else math.inf
 
     organisms = init_population(instance, config, rng)
@@ -256,7 +256,7 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
     n_children = math.ceil(config.crossover_probability * config.population_size)
     iteration = 0
     while iteration < iteration_limit:
-        if time.perf_counter() - start >= evolution_budget:
+        if time.perf_counter() - start >= 0.8 * time_limit:
             break
         iteration += 1
         children = []
@@ -273,11 +273,8 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
         history.append(record(iteration))
 
     best_scored = min(population, key=lambda member: member[1].true_cost)[1]
-    if config.time_limit is not None:
-        polish_budget = 0.2 * config.time_limit
-    else:
-        polish_budget = (time.perf_counter() - start) / 4.0
-    polished = exact.polish(instance, best_scored, polish_budget)
+    time_left = time_limit - (time.perf_counter() - start)
+    polished = exact.polish(instance, best_scored, time_left, node_limit=lp_solves)
     return RunResult(best=best_scored, history=tuple(history), polished=polished,
                      bound=scored[0].flow.lp_cost)
 

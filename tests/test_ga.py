@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import math
 import random
+import time
 
 import numpy as np
 import pytest
@@ -498,6 +499,44 @@ class TestEvolve:
         assert built == [result.best.flow]
         write_solution_csv(tmp_path / "sol.csv", result.polished)
         assert len(built) <= 2 and result.history[-1].lp_solves == 510
+
+
+class TestPolishBudget:
+    """Polish solves at most one branch-and-bound node per decode of the
+    evolution and stops at the time_limit, so no clock moves an
+    --iterations run."""
+
+    @pytest.fixture
+    def run(self, monkeypatch):
+        """evolve on desk (bench's instance), as (result, polish's node solves)."""
+        import mcfcnf.exact
+        inst = generate_random("geometric", 130, 3, seed=7, target_fraction=0.6)
+        solves, real = [], mcfcnf.exact.solve_min_cost_flow
+        monkeypatch.setattr(mcfcnf.exact, "solve_min_cost_flow",
+                            lambda *args: solves.append(None) or real(*args))
+
+        def run(config):
+            solves.clear()
+            return evolve(inst, config), len(solves)
+        return run
+
+    def test_frozen_clock_changes_nothing(self, run, monkeypatch):
+        result, solves = run(GAConfig(iteration_limit=100, seed=0))
+        monkeypatch.setattr(time, "perf_counter", lambda: 0.0)
+        frozen, frozen_solves = run(GAConfig(iteration_limit=100, seed=0))
+        assert frozen.polished.true_cost == result.polished.true_cost
+        assert frozen_solves == solves > 0
+
+    @pytest.mark.parametrize("seed", [0, 6, 1009])
+    def test_desk_polish_pinned(self, run, seed):
+        result, solves = run(GAConfig(iteration_limit=100, seed=seed))
+        assert result.polished.true_cost == 714.0807316027732
+        assert 0 < solves <= result.history[-1].lp_solves + 1
+
+    def test_no_search_past_the_time_limit(self, run):
+        # the ten initial decodes alone outlast the limit
+        result, solves = run(GAConfig(time_limit=1e-9, seed=0))
+        assert result.polished is result.best and solves == 0
 
 
 def test_convergence_csv(tmp_path, fig1):

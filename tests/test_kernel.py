@@ -487,9 +487,10 @@ class TestWrapper:
                 calls.append(args)
                 return 0
 
-        monkeypatch.setattr(flowcore.ctypes, "CDLL", Library)
+        # generate_random's max flow loads the real kernel, so the stub comes after
         inst = generate_random("grid", 9, 2, seed=3, target_fraction=0.6)
         topology = compile_topology(inst)
+        monkeypatch.setattr(flowcore.ctypes, "CDLL", Library)
         m = len(topology.pairs)
         state = FlowState(np.array([0, m - 1]), np.zeros(4), np.zeros(topology.n_vertices), 0.0)
         args = dict(topology=topology, cost=np.ones(m), closed=frozenset({1}),
