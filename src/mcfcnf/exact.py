@@ -165,5 +165,5 @@ def polish(instance: Instance, warm: ScoredSolution, budget: float, *,
     topology = compile_pairs(instance, np.flatnonzero(instance.available & near[:, None]))
     try:
         return _branch_and_bound(instance, budget, topology, warm, None, node_limit).best
-    except Infeasible:  # cannot happen: warm itself routes the target
+    except Infeasible:  # verify_flow let warm fall VERIFY_TOL short, the search allows flow_tol
         return warm

@@ -89,21 +89,27 @@ class Organism:
     """Fixed-cost divisors, one per arc of compile_topology(instance): the
     offered (edge, capacity class) pairs, in ascending flat order.
 
-    Finite entries must respect the global D_MIN floor; UNBOUNDED entries
-    zero out the fixed cost entirely.
+    Finite entries are at least D_MIN, exactly: every producer floors at
+    it. UNBOUNDED entries zero out the fixed cost entirely. Its key, the
+    divisor bytes, identifies the genome: equal keys decode alike.
     """
 
     scale: np.ndarray
 
     def __post_init__(self):
         scale = np.array(self.scale, dtype=np.float64)
-        if not (scale.size and scale.min() >= D_MIN * (1 - 1e-12)):  # one pass when all pass
+        if not (scale.size and scale.min() >= D_MIN):  # one pass when all pass
             if np.isnan(scale).any():
                 raise ValueError("scale entries must not be NaN")
-            if (scale < D_MIN * (1 - 1e-12)).any():
+            if (scale < D_MIN).any():
                 raise ValueError(f"scale entries must be >= D_MIN ({D_MIN}) or UNBOUNDED (inf)")
         scale.setflags(write=False)
         object.__setattr__(self, "scale", scale)
+
+    @functools.cached_property
+    def key(self) -> bytes:
+        """The divisor bytes, made on first read and kept (scale is read-only)."""
+        return self.scale.tobytes()
 
 
 @dataclass(frozen=True, eq=False)

@@ -195,22 +195,15 @@ def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
     return Organism(scale=np.where(flow > flow_tol(instance.target), UNBOUNDED, D_MIN))
 
 
-def _key(organism: Organism) -> bytes:
-    """Its divisor bytes, made and hashed once: kept on the (immutable) organism."""
-    if "_key" not in vars(organism):
-        object.__setattr__(organism, "_key", organism.scale.tobytes())
-    return organism._key
-
-
 def _evaluate_all(instance: Instance, organisms: list[Organism],
                   population: list[_Member]) -> list[ScoredSolution]:
     """Fitness of each organism. An organism whose divisors equal those of a
     population member or an earlier organism reuses that decode, which is
     the same by purity of fitness."""
-    known = {_key(member): scored for member, scored in population}
+    known = {member.key: scored for member, scored in population}
     scored = []
     for organism in organisms:
-        key = _key(organism)
+        key = organism.key
         if key not in known:
             known[key] = fitness(instance, organism)
         scored.append(known[key])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import mcfcnf.flowcore
 import mcfcnf.instance
 from mcfcnf import (FlowSolution, GAConfig, Infeasible, evolve, load_instance,
                     lp_relaxation_bound, save_instance, validate, verify_flow)
@@ -143,10 +144,21 @@ class TestGen:
         assert a.read_bytes() == b.read_bytes()
 
     def test_geometric_validates_ok(self, tmp_path, capsys):
+        out = tmp_path / "x.mcfcnf"
         code = main(["gen", "--kind", "geometric", "--vertices", "100",
-                     "--capacities", "5", "--seed", "7", "-o", str(tmp_path / "x.mcfcnf")])
+                     "--capacities", "5", "--seed", "7", "-o", str(out)])
         assert code == 0
-        assert "validate: OK" in capsys.readouterr().out
+        assert validate(load_instance(out)) == []
+
+    def test_one_max_flow(self, tmp_path, monkeypatch, capsys):
+        # the generator's own max flow sizes a target that routes, so gen
+        # runs no second one to check it
+        kernel, calls = mcfcnf.flowcore._kernel(), []
+        monkeypatch.setattr(mcfcnf.flowcore, "_kernel",
+                            lambda: lambda *args: calls.append(1) or kernel(*args))
+        code = main(["gen", "--kind", "geometric", "--vertices", "130", "--capacities", "3",
+                     "--seed", "7", "--target-fraction", "0.6", "-o", str(tmp_path / "x")])
+        assert code == 0 and len(calls) == 1
 
     def test_too_few_vertices(self, tmp_path, capsys):
         code = main(["gen", "--kind", "grid", "--vertices", "1",

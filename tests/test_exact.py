@@ -14,7 +14,7 @@ from mcfcnf import exact
 from mcfcnf import (GAP_DEFAULT, FlowSolution, Infeasible, Instance, Organism,
                     ValidationError, build_expanded_network, compile_topology,
                     generate_random, lp_relaxation_bound, polish, score, solve_exact,
-                    solve_min_cost_flow, verify_flow)
+                    solve_min_cost_flow, validate, verify_flow)
 from mcfcnf.evaluate import TRUE_COST_MARGIN, true_cost
 from conftest import brute_force, integral_score_optimum, make_small_instance
 
@@ -215,6 +215,16 @@ class TestPolish:
         # a search with a NaN deadline never stops for time; none is run
         warm = _scored_relaxation(fig1, [[2.0], [1.0], [2.0], [1.0]])
         assert polish(fig1, warm, budget=float("nan")) is warm
+
+    def test_warm_short_of_what_the_search_routes_returned(self, minimal):
+        # verify_flow accepts 5.0 against a target 5 + 5e-8 (VERIFY_TOL is
+        # 1e-7), but the search allows only flow_tol short: its root is
+        # infeasible, as validate says, and polish keeps the warm flow
+        inst = dataclasses.replace(minimal, target=5.0 + 5e-8)
+        flow = FlowSolution(flow=np.array([[5.0]]), lp_cost=0.0)
+        assert validate(inst) and not verify_flow(inst, flow)
+        warm = score(inst, flow)
+        assert polish(inst, warm, 1.0) is warm
 
     def test_invalid_warm_rejected(self, fig1):
         from mcfcnf import FlowSolution

@@ -86,8 +86,9 @@ class TestBuildNetwork:
         assert compile_topology(dataclasses.replace(fig1)) is not topo
 
     def test_scale_floor_enforced(self):
-        with pytest.raises(ValueError, match=">="):
-            Organism(scale=np.array([1e-9]))
+        for below in (1e-9, np.nextafter(D_MIN, 0)):  # the floor is exact
+            with pytest.raises(ValueError, match=">="):
+                Organism(scale=np.array([below]))
         with pytest.raises(ValueError, match="NaN"):
             Organism(scale=np.array([math.nan]))
         with pytest.raises(ValueError, match=">= D_MIN .* or UNBOUNDED"):

@@ -455,15 +455,14 @@ class TestEvolve:
 
     @pytest.mark.parametrize("which", [0, 1], ids=["facility", "na"])
     def test_one_divisor_per_offered_pair(self, which, monkeypatch):
-        # every organism of a run passes through _key: the seed, the random
+        # every organism of a run has its key read: the seed, the random
         # ones and every child, decoded or not
-        import mcfcnf.ga
         inst = _unoffered_instances()[which]
         offered = int(inst.available.sum())
         assert offered < inst.available.size
-        shapes, real = set(), mcfcnf.ga._key
-        monkeypatch.setattr(mcfcnf.ga, "_key",
-                            lambda org: shapes.add(org.scale.shape) or real(org))
+        shapes, real = set(), Organism.key.func
+        monkeypatch.setattr(Organism, "key", property(
+            lambda org: shapes.add(org.scale.shape) or real(org)))
         result = evolve(inst, GAConfig(iteration_limit=20, seed=0))
         assert shapes == {(offered,)} and result.history[-1].lp_solves == 10 + 20 * 5
         pop = init_population(inst, GAConfig(iteration_limit=1), random.Random(0))
