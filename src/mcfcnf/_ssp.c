@@ -201,10 +201,10 @@ typedef struct {
  * less tol that is not open, the first on ties). Returns their number, or
  * -1 (more than push_cap rounds) or -2 (an arc of infinite capacity to
  * saturate). Before any write it returns -3 for an opened or closed arc
- * and -4 for a start arc outside 0..m-1, -5 for a cost not >= 0 (NaN too;
- * the first such arc in out[5]) and -6 for an opened arc whose unit_cost is
- * not >= 0 (the lowest in out[5]). The caller checks `changed` and sizes
- * every array. */
+ * and -4 for a start arc outside 0..m-1 and -5 for a cost not >= 0 (NaN
+ * too; the first such arc in out[5]). The caller checks `changed` and sizes
+ * every array; unit_cost, like the whole network, comes from a checked
+ * instance (flowcore.Topology). */
 int64_t ssp_solve(const network *g, const double *cost, const int64_t *node_arcs,
                   int64_t n_opened, int64_t n_closed, const int64_t *start_arcs,
                   const double *start_res, int64_t n_start, int64_t changed,
@@ -215,7 +215,7 @@ int64_t ssp_solve(const network *g, const double *cost, const int64_t *node_arcs
     double *res = w->res, *out = w->out, constant = 0.0, most = tol, fixed_sum = 0.0,
            variable_sum = 0.0;
     char *is_open = w->is_open;
-    int64_t i, k = -2, m = g->m, bad = m;
+    int64_t i, k = -2, m = g->m;
     int32_t frm = g->source, to = g->sink;
 
     for (i = 0; i < m; i++)
@@ -229,13 +229,6 @@ int64_t ssp_solve(const network *g, const double *cost, const int64_t *node_arcs
     for (i = 0; i < n_start; i++)
         if (start_arcs[i] < 0 || start_arcs[i] >= m)
             return -4;
-    for (i = 0; i < n_opened; i++)
-        if (!(g->unit_cost[node_arcs[i]] >= 0.0) && node_arcs[i] < bad)
-            bad = node_arcs[i];
-    if (bad < m) {
-        out[5] = (double)bad;
-        return -6;
-    }
     if (n_opened > 0) {
         for (i = 0; i < n_opened; i++)
             is_open[node_arcs[i]] = 1;

@@ -27,8 +27,8 @@ import numpy as np
 
 from .evaluate import TRUE_COST_MARGIN, ScoredSolution, score, true_cost, verify_flow
 from .flowcore import (ExpandedNetwork, FlowState, Infeasible, Topology,
-                       build_expanded_network, compile_pairs, compile_topology,
-                       seed_organism, solve_min_cost_flow)
+                       build_expanded_network, compile_topology, seed_organism,
+                       solve_min_cost_flow)
 
 if TYPE_CHECKING:
     from .instance import Instance
@@ -162,7 +162,7 @@ def polish(instance: Instance, warm: ScoredSolution, budget: float, *,
 
     touched = {v for e in np.flatnonzero(warm.used.any(axis=1)) for v in instance.edges[e]}
     near = np.array([u in touched or w in touched for u, w in instance.edges])
-    topology = compile_pairs(instance, np.flatnonzero(instance.available & near[:, None]))
+    topology = Topology(instance, np.flatnonzero(instance.available & near[:, None]))
     try:
         return _branch_and_bound(instance, budget, topology, warm, None, node_limit).best
     except Infeasible:  # verify_flow let warm fall VERIFY_TOL short, the search allows flow_tol

@@ -10,11 +10,12 @@ a branch-and-bound node also the cost patch of its opened arcs, their fixed
 costs, a true-cost estimate and the branch arc), built by the system's C
 compiler on first use and loaded through ctypes (load_kernel).
 
-The network is compiled once per instance (compile_topology: arcs, their
-pair costs, residual heads and capacities, CSR adjacency, kept on the
-instance) and solved many times from a per-arc cost vector and a set of
-closed arcs: a GA decode changes the costs, a branch-and-bound node also
-closes arcs. An organism holds one divisor per arc; build_expanded_network
+The network is compiled only from an instance (Topology: arcs, their pair
+costs, residual heads and capacities, CSR adjacency, all read-only), once
+per instance for every offered pair (compile_topology, kept on it), and
+solved many times from a per-arc cost vector and a set of closed arcs: a
+GA decode changes the costs, a branch-and-bound node also closes arcs. An
+organism holds one divisor per arc; build_expanded_network
 holds the one relaxed-cost formula; under seed_organism, divisors equal to
 the class capacities, it is the slope-scaling relaxation: the GA's seed
 decode, the branch-and-bound root and lp_relaxation_bound. A closed arc
@@ -41,7 +42,7 @@ import tempfile
 import threading
 import zlib
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
 from typing import TYPE_CHECKING, NamedTuple
 
@@ -112,45 +113,70 @@ class Organism:
         return self.scale.tobytes()
 
 
-@dataclass(frozen=True, eq=False)
 class Topology:
-    """Capacity-expanded network of one instance, with its pairs' own costs:
-    one arc per offered (edge, class) pair, or per pair of a subset, in (edge,
-    class) order, between the vertices those arcs touch (plus source and
-    sink), renumbered in order. Residual id 2i is arc i forward, 2i+1 back."""
+    """Capacity-expanded network of an instance: one arc per pair of
+    `pairs`, offered flat (edge, class) indices, strictly ascending
+    (ValueError otherwise), between the vertices those arcs touch (plus
+    source and sink), renumbered in order. Leaving a pair out solves like
+    closing its arc, but no solve pays for the arc or a vertex left bare.
+    Residual id 2i is arc i forward, 2i+1 back: head (int32) is where each
+    id ends, capacity its initial residual; the ids leaving u are
+    adj[adj_start[u]:adj_start[u + 1]] (int32, ascending). Per arc, pairs
+    holds its flat pair, fixed its fixed cost, slot its index among the
+    offered pairs; variable holds each offered pair's variable cost and
+    available the instance's mask of them. Every array is derived here from
+    a checked Instance, read-only, and bound to the kernel once (anew in a
+    copy); the topology is immutable."""
 
-    n_vertices: int
-    source: int
-    sink: int
-    target: float
-    available: np.ndarray           # the instance's own (edge, class) mask of offered pairs
-    pairs: np.ndarray               # flat (edge, class) index of each arc
-    fixed: np.ndarray               # fixed cost of each arc
-    slot: np.ndarray                # index of each arc's pair among the offered pairs
-    variable: np.ndarray            # variable cost of each offered pair, in pair order
-    head: np.ndarray                # int32 head vertex of each residual id
-    capacity: np.ndarray            # float64 initial residual capacity of each residual id
-    adj_start: np.ndarray           # int32: ids leaving u are adj[adj_start[u]:adj_start[u + 1]]
-    adj: np.ndarray                 # int32 residual ids, by tail vertex, ascending
+    def __init__(self, instance: Instance, pairs: Sequence[int] | np.ndarray):
+        from .instance import Instance  # here: that module imports this one
+        if not isinstance(instance, Instance):
+            raise TypeError(f"a topology is compiled from an Instance, not {type(instance)}")
+        n_caps, offered = instance.n_capacities, np.flatnonzero(instance.available.reshape(-1))
+        pairs = np.asarray(pairs)
+        slot = np.searchsorted(offered, pairs)
+        if not (pairs.ndim == 1 and (slot < len(offered)).all() and (np.diff(slot) > 0).all()
+                and (offered[slot] == pairs).all()):
+            raise ValueError("pairs must be strictly ascending offered (edge, class) indices")
+        pairs = offered[slot]
+        ends = np.asarray(instance.edges, dtype=np.intp).reshape(-1, 2)[pairs // n_caps]
+        # the arcs' ends, then source and sink, by their number among the kept vertices
+        kept, index = np.unique(np.append(ends, [instance.source, instance.sink]),
+                                return_inverse=True)
+        n, index = len(kept), index.astype(np.int32)
+        capacity = np.zeros(2 * len(pairs))
+        capacity[0::2] = instance.capacities[pairs % n_caps]
+        leaving = index[:-2]  # tail of each residual id
+        adj_start = np.zeros(n + 1, dtype=np.int32)
+        adj_start[1:] = np.cumsum(np.bincount(leaving, minlength=n))
+        self.__setstate__(dict(
+            n_vertices=n, source=int(index[-2]), sink=int(index[-1]), target=instance.target,
+            available=instance.available, pairs=pairs, fixed=instance.fixed_cost.reshape(-1)[pairs],
+            slot=slot, variable=instance.variable_cost.reshape(-1)[offered],
+            head=leaving.reshape(-1, 2)[:, ::-1].flatten(), capacity=capacity, adj_start=adj_start,
+            adj=np.argsort(leaving, kind="stable").astype(np.int32)))
 
-    def __post_init__(self):  # checks the kernel's arrays and binds them once
-        n, m = self.n_vertices, len(self.pairs)
-        # each arc's variable cost: a decode's cost per unit beside the scaled fixed
-        # cost, and an opened arc's in a branch-and-bound node
-        unit_cost = np.ascontiguousarray(self.variable[self.slot], dtype=np.float64)
-        network = _Network(
-            _address(self.head, np.int32, 2 * m, "head"),
-            _address(self.adj_start, np.int32, n + 1, "adj_start"),
-            _address(self.adj, np.int32, 2 * m, "adj"),
-            _address(self.capacity, np.float64, 2 * m, "capacity"), _pointer(unit_cost),
-            _address(self.fixed, np.float64, m, "fixed"), flow_tol(self.target), m, n,
-            self.source, self.sink)
-        object.__setattr__(self, "_unit_cost", unit_cost)
-        object.__setattr__(self, "_network", network)
-        object.__setattr__(self, "_kernel_args", (n, m, ctypes.addressof(network)))
+    def __setstate__(self, state: dict) -> None:
+        """Take the arrays read-only and bind them to the kernel: the one
+        binding of a new topology, a copy and an unpickled one."""
+        unit_cost = state["variable"][state["slot"]]  # each arc's variable cost per unit
+        for array in (unit_cost, *state.values()):
+            if isinstance(array, np.ndarray):
+                array.setflags(write=False)
+        n, m = state["n_vertices"], len(state["pairs"])
+        network = _Network(*map(_pointer, (state["head"], state["adj_start"], state["adj"],
+                                           state["capacity"], unit_cost, state["fixed"])),
+                           flow_tol(state["target"]), m, n, state["source"], state["sink"])
+        self.__dict__.update(state, _unit_cost=unit_cost, _network=network,
+                             _kernel_args=(n, m, ctypes.addressof(network)))
 
-    def __reduce__(self):  # a copy's arrays live elsewhere: bind them anew
-        return Topology, tuple(getattr(self, f.name) for f in fields(self))
+    def __getstate__(self) -> dict:  # all but the binding, which __setstate__ makes anew
+        return {name: value for name, value in self.__dict__.items() if name[0] != "_"}
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"a topology is immutable: cannot set or delete {name}")
+
+    __delattr__ = __setattr__
 
 
 class _Network(ctypes.Structure):
@@ -211,39 +237,13 @@ class FlowSolution:
 
 
 def compile_topology(instance: Instance) -> Topology:
-    """The instance's topology, compiled on first use and kept on the
-    (immutable) instance for every later solve. It checks nothing: every
-    Instance holds its structural invariants from construction."""
+    """The instance's topology of every offered pair, compiled on first use
+    and kept on the (immutable) instance for every later solve."""
     topology = getattr(instance, "_topology", None)
     if topology is None:
-        topology = compile_pairs(instance, np.flatnonzero(instance.available.reshape(-1)))
+        topology = Topology(instance, np.flatnonzero(instance.available.reshape(-1)))
         object.__setattr__(instance, "_topology", topology)
     return topology
-
-
-def compile_pairs(instance: Instance, pairs: np.ndarray) -> Topology:
-    """Topology of only the given offered pairs (ascending flat (edge, class)
-    indices), not cached. Leaving a pair's arc out solves exactly like
-    closing it, but no solve pays for the arc or for a vertex left bare."""
-    n_caps, offered = instance.n_capacities, np.flatnonzero(instance.available.reshape(-1))
-    ends = np.asarray(instance.edges, dtype=np.intp).reshape(-1, 2)[pairs // n_caps]
-    # the arcs' ends, then source and sink, by their number among the kept vertices
-    kept, index = np.unique(np.append(ends, [instance.source, instance.sink]),
-                            return_inverse=True)
-    n, index = len(kept), index.astype(np.int32)
-    head = index[:-2].reshape(-1, 2)[:, ::-1].flatten()
-    capacity = np.zeros(2 * len(pairs))
-    capacity[0::2] = instance.capacities[pairs % n_caps]
-    leaving = index[:-2]  # tail of each residual id
-    adj_start = np.zeros(n + 1, dtype=np.int32)
-    adj_start[1:] = np.cumsum(np.bincount(leaving, minlength=n))
-    return Topology(
-        n_vertices=n, source=int(index[-2]), sink=int(index[-1]), target=instance.target,
-        available=instance.available, pairs=pairs, fixed=instance.fixed_cost.reshape(-1)[pairs],
-        slot=np.searchsorted(offered, pairs), variable=instance.variable_cost.reshape(-1)[offered],
-        head=head, capacity=capacity, adj_start=adj_start,
-        adj=np.argsort(leaving, kind="stable").astype(np.int32),
-    )
 
 
 def check_pair_shape(instance: Instance, array: np.ndarray, what: str) -> None:
@@ -346,11 +346,11 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     (sent is then infinite). More than push_cap paths raise
     FlowIterationError: no bound is proven for a costed solve
     (test_push_cap_never_reached checks solve_min_cost_flow's cap); at zero
-    cost Edmonds-Karp's holds (max_flow). Before C runs, it checks `changed`,
-    the cost's dtype, contiguity and length (a topology's arrays' once, when
-    built) and the shapes of the start's arrays, which it converts to the
-    kernel's dtypes; C checks, before it writes, that each cost
-    and opened arc's variable cost is >= 0 and each arc index in 0..m-1.
+    cost Edmonds-Karp's holds (max_flow). Before C runs, it checks the
+    per-call arrays (`changed`, the cost's dtype, contiguity and length, the
+    shapes of the start's arrays, which it converts to the kernel's dtypes);
+    C checks, before it writes, that each cost is >= 0 and each arc index in
+    0..m-1. A topology's arrays are bound once, read-only (Topology).
 
     The same call is a whole branch-and-bound node: the opened arcs cost
     their variable cost per unit, and constant, estimate and branch are
@@ -420,9 +420,8 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
             arcs, residual, k, -1 if changed is None else int(changed), changed in closed,
             amount, stop, push_cap, _pointer(pot), work)
         left, lp_cost, sent, constant, estimate, branch = out.tolist()
-        if count <= -5:  # branch is the arc whose cost (-5) or unit cost (-6) is not >= 0
-            unit, bad = (cost, topology._unit_cost)[-5 - count], int(branch)
-            raise ValueError(f"arc {bad} has unit cost {unit[bad]}, not >= 0")
+        if count == -5:  # branch is the first arc whose cost is not >= 0
+            raise ValueError(f"arc {int(branch)} has unit cost {cost[int(branch)]}, not >= 0")
         if count < 0:
             raise (FlowIterationError(f"augmentation count exceeded {push_cap}"),
                    ValueError(f"arc {changed}: infinite capacity, cannot saturate"),

@@ -13,7 +13,7 @@ from mcfcnf import (D_MIN, GAP_DEFAULT, UNBOUNDED, ExpandedNetwork, FlowState,
                     compile_topology, flow_tol, generate_random, lp_relaxation_bound,
                     max_throughput, parse_instance, solve_exact, solve_min_cost_flow,
                     verify_flow)
-from mcfcnf.flowcore import compile_pairs, max_flow, seed_organism
+from mcfcnf.flowcore import Topology, max_flow, seed_organism
 from conftest import FACILITY_TEXT, integral_flow_min_cost, make_small_instance
 
 
@@ -378,6 +378,15 @@ class TestMaxFlow:
 
 
 class TestCompilePairs:
+    def test_bad_pairs_rejected(self, fig1):
+        # edge 1's only class is not offered: flat pairs 0, 2 and 3 are
+        inst = dataclasses.replace(fig1, fixed_cost=np.array([[6.0], [math.nan], [6.0], [2.0]]))
+        assert Topology(inst, [0, 2, 3]).pairs.tolist() == [0, 2, 3]
+        assert Topology(inst, []).n_vertices == 2  # source and sink
+        for pairs in ([-1, 0], [0, 2, 2], [2, 0], [0, 4], [0, 1], [[0, 2]]):
+            with pytest.raises(ValueError, match="strictly ascending offered"):
+                Topology(inst, pairs)
+
     @settings(max_examples=80, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_left_out_pairs_solve_like_closed_arcs(self, seed):
@@ -387,7 +396,7 @@ class TestCompilePairs:
         inst = make_small_instance(rng, n_capacities=rng.randint(1, 3))
         full = compile_topology(inst)
         keep = np.array([rng.random() < 0.7 for _ in full.pairs], dtype=bool)
-        sub = compile_pairs(inst, full.pairs[keep])
+        sub = Topology(inst, full.pairs[keep])
         cost = [rng.choice([0.0, rng.uniform(0.0, 10.0)]) for _ in full.pairs]
         left_out = frozenset(np.flatnonzero(~keep).tolist())
         nets = (ExpandedNetwork(full, cost, left_out),

@@ -391,9 +391,11 @@ class TestLoader:
 #: Run in a process with the sanitizer runtime preloaded: the kernel built
 #: with AddressSanitizer and UBSan in argv[1] by the command argv[2:] proves
 #: grid 16, polishes, decodes an organism and takes a max flow; then each
-#: input the kernel rejects (a NaN cost, an opened arc's negative unit cost,
-#: closed, opened and start arcs outside 0..m-1) ends in ValueError before
-#: the kernel touches an array at it. Last, the GA's sampler picks
+#: input the kernel rejects (a NaN cost, closed, opened and start arcs
+#: outside 0..m-1) ends in ValueError before the kernel touches an array at
+#: it, and each way of changing a compiled topology's arrays (replacing or
+#: assigning head, adj, adj_start or source, writing into head) raises
+#: before a solve could run on it. Last, the GA's sampler picks
 #: random.sample's positions on both of its branches, from words that
 #: suffice and from words that run short, and through mutate.
 _SANITIZED_RUN = """
@@ -415,9 +417,7 @@ assert max_flow(topology) > inst.target
 m = len(topology.pairs)
 net = ExpandedNetwork(topology, np.ones(m))
 root = solve_min_cost_flow(net)
-negative = dataclasses.replace(topology, variable=topology.variable - 100.0)
 for bad in ({"cost": np.append(np.ones(m - 1), math.nan)},
-            {"topology": negative, "opened": frozenset({0})},
             {"closed": frozenset({m})}, {"closed": frozenset({-1})},
             {"opened": frozenset({m})}, {"opened": frozenset({-1})},
             {"start": root.state._replace(arcs=np.append(root.state.arcs[:-1], m))},
@@ -429,6 +429,24 @@ for bad in ({"cost": np.append(np.ones(m - 1), math.nan)},
     except ValueError:
         continue
     raise AssertionError(f"not rejected: {bad}")
+for name, far in (("head", topology.head + 10**6), ("adj", topology.adj + 10**6),
+                  ("adj_start", topology.adj_start + 10**6), ("source", 10**6)):
+    for change in (lambda: dataclasses.replace(topology, **{name: far}),
+                   lambda: setattr(topology, name, far) or topology):
+        try:
+            changed = change()
+        except (TypeError, AttributeError):
+            continue
+        solve_min_cost_flow(ExpandedNetwork(changed, net.cost))  # for the sanitizer to report
+        raise AssertionError(f"{name} changed")
+try:
+    topology.head[0] = 10**6
+except ValueError:
+    pass
+else:
+    solve_min_cost_flow(net)
+    raise AssertionError("head written in place")
+assert solve_min_cost_flow(net).lp_cost == root.lp_cost
 for length, count, pool in ((1, 1, True), (20, 2, True), (80, 8, True), (32, 2, False),
                             (3114, 311, False)):
     words = random.Random(length).getrandbits(32 * 8 * count).to_bytes(32 * count, "little")
@@ -472,8 +490,10 @@ def _misfit(a) -> str:
 
 
 class TestWrapper:
-    """load_kernel's wrapper checks the types and lengths of what it hands to
-    C before any C runs; the kernel checks the values before it writes."""
+    """load_kernel's wrapper checks the types and lengths of the per-call
+    arrays it hands to C before any C runs, the kernel checks the costs and
+    arc indices before it writes, and a topology's arrays, derived from its
+    instance, cannot be changed."""
 
     @pytest.fixture
     def wrapper(self, monkeypatch):
@@ -545,16 +565,12 @@ class TestWrapper:
         (lambda a: {"closed": frozenset({-1})}, _outside),
         (lambda a: {"opened": a["opened"] | {len(a["cost"])}}, _outside),
         (lambda a: {"opened": a["opened"] | {-1}}, _outside),
-        (lambda a: {"topology": dataclasses.replace(
-            a["topology"], variable=a["topology"].variable - 100.0)},
-         lambda a: (f"arc {min(a['opened'])} has unit cost "
-                    f"{a['topology']._unit_cost[min(a['opened'])]}, not >= 0")),
         (lambda a: {"start": a["start"]._replace(
             arcs=np.append(a["start"].arcs[:-1], len(a["cost"])))}, _misfit),
         (lambda a: {"start": a["start"]._replace(
             arcs=np.append(-1, a["start"].arcs[1:]))}, _misfit),
     ], ids=["closed-m", "closed-negative", "opened-m", "opened-negative",
-            "opened-negative-unit-cost", "start-arc-m", "start-arc-negative"])
+            "start-arc-m", "start-arc-negative"])
     def test_rejected_by_c(self, root, bad, message):
         # the kernel checks these values itself, before it writes anything:
         # each raises its ValueError, and the root's branch arc, opened in the
@@ -617,14 +633,22 @@ class TestWrapper:
                                4.0, 0.0, 0)
         assert bits() == fresh
 
-    def test_topology_checked_when_built(self, wrapper):
-        topology = wrapper[1]["topology"]
-        with pytest.raises(TypeError, match="head must be"):
-            dataclasses.replace(topology, head=topology.head.astype(np.int64))
-        with pytest.raises(ValueError, match="adj has"):
-            dataclasses.replace(topology, adj=topology.adj[:-1].copy())
-        with pytest.raises(TypeError, match="capacity must be"):
-            dataclasses.replace(topology, capacity=topology.capacity.astype(np.float32))
+    def test_topology_cannot_be_changed(self, wrapper):
+        # each of these once handed the kernel a head, adjacency or source
+        # outside the network (a crash); each now raises before any C call,
+        # and the topology keeps the arrays it was compiled with
+        solve, args, calls = wrapper
+        topology = args["topology"]
+        head = topology.head.copy()
+        for name, far in (("head", head + 10**6), ("adj", topology.adj + 10**6),
+                          ("adj_start", topology.adj_start + 10**6), ("source", 10**6)):
+            with pytest.raises(TypeError, match="dataclass"):
+                solve(**{**args, "topology": dataclasses.replace(topology, **{name: far})})
+            with pytest.raises(AttributeError, match="immutable"):
+                setattr(topology, name, far)
+        with pytest.raises(ValueError, match="read-only"):
+            topology.head[0] = 10**6
+        assert calls == [] and topology.head.tobytes() == head.tobytes()
 
     def test_copies_bind_their_own_arrays(self):
         # a deep copy or an unpickled topology has its arrays elsewhere; it
@@ -638,6 +662,29 @@ class TestWrapper:
             got = solve_min_cost_flow(net._replace(topology=copied))
             assert got.flow.tobytes() == expected.flow.tobytes()
             assert got.lp_cost == expected.lp_cost
+
+    def test_instance_copies_solve_on_their_own_arrays(self):
+        # an instance carries its compiled topology into a deep copy and a
+        # pickle round trip; the copy's topology holds read-only arrays of its
+        # own, bound anew, and solves bit for bit like the original
+        inst = generate_random("grid", 9, 2, seed=3, target_fraction=0.6)
+        topology = compile_topology(inst)
+
+        def solve(instance):
+            sol = solve_min_cost_flow(build_expanded_network(instance, seed_organism(instance)))
+            return (_bits(sol.state.residual), _bits(sol.state.potential),
+                    sol.state.arcs.tolist(), _bits([sol.lp_cost, *sol.node[:2]]), sol.node[2])
+
+        expected = solve(inst)
+        for copied in (copy.deepcopy(inst), pickle.loads(pickle.dumps(inst))):
+            twin = vars(copied)["_topology"]  # carried, not compiled anew
+            assert compile_topology(copied) is twin and twin.available is copied.available
+            assert twin._kernel_args[2:] != topology._kernel_args[2:]
+            for name in ("head", "adj_start", "adj", "capacity", "pairs", "fixed", "variable"):
+                array = getattr(twin, name)
+                assert not array.flags.writeable
+                assert not np.shares_memory(array, getattr(topology, name))
+            assert solve(copied) == expected
 
 
 class CountingRandom(random.Random):
