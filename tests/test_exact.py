@@ -158,6 +158,15 @@ class TestSolveExact:
             for parent_bound, child_bound in log:
                 assert child_bound >= parent_bound - 1e-9
 
+    def test_search_path_pinned_on_small_grid(self):
+        # pinned values: any change to node bounds, branching or the
+        # solver's tie-breaks moves the node count
+        inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+        result = solve_exact(inst, budget=60)
+        assert result.proven_optimal
+        assert result.nodes_explored == 891
+        assert result.best.true_cost == 573.4276663730062
+
     @pytest.mark.parametrize("n, seed, nodes, cost, digest", [
         (16, 3, 891, 573.4276663730062,
          "a12bc409f134369f54682c7d12bf3fb9a4cc8ab90384166119d802cc5f38d68f"),
