@@ -243,12 +243,15 @@ int64_t ssp_solve(const network *g, const double *cost, const int64_t *node_arcs
     memcpy(res, capacity, sizeof(double) * (size_t)(2 * m));
     for (i = 0; i < 2 * n_start; i++)
         res[2 * start_arcs[i / 2] + i % 2] = start_res[i];
-    if (changed >= 0) { /* closed: its flow goes around it (and it is zeroed
-                           below); cheaper: saturated if that pays, surplus back */
+    if (changed >= 0) { /* closed: its flow goes around it (and it is zeroed below);
+                           cheaper: saturated if that pays, surplus back; opened at the
+                           caller's own cost: no cheaper (reduced cost 0 but rounding) */
         int64_t r = changed_closed ? 2 * changed + 1 : 2 * changed;
         frm = head[r];
         to = head[r ^ 1];
-        amount = changed_closed || c[changed] + pot[to] - pot[frm] < 0.0 ? res[r] : 0.0;
+        amount = changed_closed || (c[changed] + pot[to] - pot[frm] < 0.0
+                                    && !(is_open[changed] && c[changed] == cost[changed]))
+                     ? res[r] : 0.0;
         if (amount == INFINITY)
             goto unmark;
         res[r] = res[r] - amount;

@@ -317,16 +317,6 @@ def build_kernel(directory: Path, command: Sequence[str]) -> Path:
     return library
 
 
-def _address(array: np.ndarray, dtype: type, length: int, what: str) -> int:
-    """Address of array's data, once it is a C-contiguous 1-D dtype array."""
-    if not (type(array) is np.ndarray and array.dtype == dtype and array.ndim == 1
-            and array.flags.c_contiguous):
-        raise TypeError(f"{what} must be a C-contiguous 1-D {np.dtype(dtype)} ndarray")
-    if len(array) != length:
-        raise ValueError(f"{what} has {len(array)} entries, not {length}")
-    return _pointer(array)
-
-
 def _pointer(array: np.ndarray) -> int:
     """Address of a C-contiguous 1-D array's data, unchecked."""
     try:  # faster than array.ctypes, which read-only and empty arrays need
@@ -338,7 +328,7 @@ def _pointer(array: np.ndarray) -> int:
 def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]:
     """Load the kernel built by build_kernel(directory, command) as solve(
     topology, cost, closed, opened, start, changed, amount, stop, push_cap)
-    -> (left, lp_cost, res, pot, arcs, sent, residual, constant, estimate,
+    -> (left, lp_cost, pot, arcs, sent, residual, constant, estimate,
     branch): one C call for the whole solve of solve_min_cost_flow, or of
     max_flow at zero cost, sending amount one shortest path at a time
     (Dijkstra stopped at the sink, ties to the first vertex pushed) until at
@@ -346,11 +336,12 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     (sent is then infinite). More than push_cap paths raise
     FlowIterationError: no bound is proven for a costed solve
     (test_push_cap_never_reached checks solve_min_cost_flow's cap); at zero
-    cost Edmonds-Karp's holds (max_flow). Before C runs, it checks the
-    per-call arrays (`changed`, the cost's dtype, contiguity and length, the
-    shapes of the start's arrays, which it converts to the kernel's dtypes);
-    C checks, before it writes, that each cost is >= 0 and each arc index in
-    0..m-1. A topology's arrays are bound once, read-only (Topology).
+    cost Edmonds-Karp's holds (max_flow). Before C runs, it converts each
+    per-call array once to the kernel's dtype, C-contiguous (the cost and
+    the start's arcs, residuals and potentials), and checks `changed` and
+    their shapes; C checks, before it writes, that each cost is >= 0 and
+    each arc index in 0..m-1. A topology's arrays are bound once, read-only
+    (Topology).
 
     The same call is a whole branch-and-bound node: the opened arcs cost
     their variable cost per unit, and constant, estimate and branch are
@@ -358,8 +349,7 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
 
     The kernel works in arrays kept per thread, grown to the largest
     topology that thread has solved, so threads solve at once and no call
-    allocates them. The returned res is a view of them, valid only until
-    the thread's next solve; the other arrays are the call's own.
+    allocates them; every array returned is the call's own.
 
     solve.sample(words, length, count, pool) -> (used, positions) is the same
     library's sample_positions: the picks random.sample(range(length),
@@ -382,7 +372,7 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     local = threading.local()
 
     def workspace(n: int, m: int) -> tuple:
-        """This thread's (res, pairs, out, arcs) arrays and the address of its
+        """This thread's (pairs, out, arcs) arrays and the address of its
         workspace, for at least n vertices and m arcs."""
         work = getattr(local, "work", None)
         if work is None or work[0] < n or work[1] < m:
@@ -391,8 +381,8 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
             arrays = (np.empty(2 * m), np.empty(2 * m), np.empty(6), np.empty(4 * n),
                       np.empty(m), np.empty(m, dtype=np.int64), np.zeros(m, dtype=np.int8))
             struct = _Workspace(*map(_pointer, arrays))  # kept, with arrays, as long as work
-            res, pairs, out, _, _, arcs, _ = arrays
-            work = local.work = (n, m, (res, pairs, out, arcs, ctypes.addressof(struct)),
+            _, pairs, out, _, _, arcs, _ = arrays
+            work = local.work = (n, m, (pairs, out, arcs, ctypes.addressof(struct)),
                                  arrays, struct)
         return work[2]
 
@@ -400,7 +390,9 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
               opened: frozenset[int], start: FlowState | None, changed: int | None,
               amount: float, stop: float, push_cap: int) -> tuple:
         n, m, network = topology._kernel_args
-        costs = _address(cost, np.float64, m, "cost")
+        cost = np.ascontiguousarray(cost, dtype=np.float64)  # C checks its values
+        if cost.shape != (m,):
+            raise ValueError(f"cost has shape {cost.shape}, not ({m},)")
         pot, k, arcs, residual = np.zeros(n), 0, None, None
         if start is not None:  # arcs and residuals may come as lists
             start_arcs, start_res = (np.ascontiguousarray(start.arcs, dtype=np.int64),
@@ -414,11 +406,11 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
             node = np.fromiter((*opened, *closed), np.int64, len(opened) + len(closed))
         except OverflowError:
             node = None
-        res, pairs, out, carrying, work = workspace(n, m)
+        pairs, out, carrying, work = workspace(n, m)
         count = -3 if node is None or changed is not None and not 0 <= changed < m else function(
-            network, costs, _pointer(node) if len(node) else None, len(opened), len(closed),
-            arcs, residual, k, -1 if changed is None else int(changed), changed in closed,
-            amount, stop, push_cap, _pointer(pot), work)
+            network, _pointer(cost), _pointer(node) if len(node) else None, len(opened),
+            len(closed), arcs, residual, k, -1 if changed is None else int(changed),
+            changed in closed, amount, stop, push_cap, _pointer(pot), work)
         left, lp_cost, sent, constant, estimate, branch = out.tolist()
         if count == -5:  # branch is the first arc whose cost is not >= 0
             raise ValueError(f"arc {int(branch)} has unit cost {cost[int(branch)]}, not >= 0")
@@ -428,8 +420,8 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
                    ValueError(f"closed {sorted(closed)}, opened {sorted(opened)} or changed "
                               f"{changed} not in 0..{m - 1}"),
                    ValueError(f"start does not fit {n} vertices and {m} arcs"))[-1 - count]
-        return (left, lp_cost, res[:2 * m], pot, carrying[:count].copy(), sent,
-                pairs[:2 * count].copy(), constant, estimate, int(branch))
+        return (left, lp_cost, pot, carrying[:count].copy(), sent, pairs[:2 * count].copy(),
+                constant, estimate, int(branch))
 
     def sample(words: bytes, length: int, count: int, pool: bool) -> tuple[int, np.ndarray]:
         if not 0 <= count <= length < 2**32:
@@ -468,14 +460,13 @@ def solve_min_cost_flow(net: ExpandedNetwork, start: FlowState | None = None,
     flow's true cost within evaluate.TRUE_COST_MARGIN, and the arc to
     branch on, -1 if none (see _ssp.c).
     """
-    topology, arc_cost, closed, opened = net
+    topology, cost, closed, opened = net
     target = topology.target
-    cost = np.ascontiguousarray(arc_cost, dtype=np.float64)  # the kernel checks its values
-    m = len(cost)
     shortfall = 0.0 if start is None else start.shortfall
     stop = flow_tol(target) - shortfall
-    left, lp_cost, _, pot, arcs, _, residual, *node = _kernel()(
-        topology, cost, closed, opened, start, changed, target, stop, 4 * (m - len(closed)) + 16)
+    left, lp_cost, pot, arcs, _, residual, *node = _kernel()(
+        topology, cost, closed, opened, start, changed, target, stop,
+        4 * (len(topology.pairs) - len(closed)) + 16)
     if left > stop:
         achieved = target - shortfall - left
         raise Infeasible(unroutable(target, achieved), max_flow=achieved)
@@ -505,7 +496,7 @@ def max_flow(topology: Topology, closed: frozenset[int] = frozenset()) -> float:
     cap of m * n + 1 searches is never reached."""
     n, m = topology.n_vertices, len(topology.pairs)
     return _kernel()(topology, np.zeros(m), closed, frozenset(), None, None, math.inf, 0.0,
-                     m * n + 1)[5]
+                     m * n + 1)[4]
 
 
 def max_throughput(instance: Instance) -> float:

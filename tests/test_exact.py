@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from mcfcnf import exact
-from mcfcnf import (GAP_DEFAULT, FlowSolution, Infeasible, Instance, Organism,
-                    ValidationError, build_expanded_network, compile_topology,
-                    generate_random, lp_relaxation_bound, polish, score, solve_exact,
-                    solve_min_cost_flow, validate, verify_flow)
+from mcfcnf import (GAP_DEFAULT, FlowSolution, GAConfig, Infeasible, Instance, Organism,
+                    ValidationError, build_expanded_network, compile_topology, evolve,
+                    generate_random, lp_relaxation_bound, polish, save_instance, score,
+                    solve_exact, solve_min_cost_flow, validate, verify_flow)
+from mcfcnf.cli import main
 from mcfcnf.evaluate import TRUE_COST_MARGIN, true_cost
 from conftest import brute_force, integral_score_optimum, make_small_instance
 
@@ -192,6 +193,40 @@ class TestSolveExact:
             if result.proven_optimal:
                 gap = result.best.true_cost - result.bound
                 assert gap <= GAP_DEFAULT * max(1.0, abs(result.best.true_cost)) + 1e-15
+
+
+def _infinite_widest(seed: int) -> tuple[Instance, Instance]:
+    """Grid 16 K=2 with its widest class infinite, and its twin with that
+    class capped at max(target, next class + 1): the two share every optimum."""
+    inst = generate_random("grid", 16, 2, seed=seed, target_fraction=0.6)
+    caps = inst.capacities
+    return tuple(dataclasses.replace(inst, capacities=np.append(caps[:-1], widest))
+                 for widest in (math.inf, max(inst.target, caps[-2] + 1)))
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+class TestInfiniteClass:
+    """Opening an infinite arc leaves its relaxed cost as it was (fixed/inf +
+    variable); its warm-start repair once saturated it anyway, from a reduced
+    cost of 0 but for rounding, and the infinite amount ended branch-and-bound
+    and polish in a ValueError."""
+
+    def test_proves_the_capped_optimum(self, seed):
+        infinite, capped = _infinite_widest(seed)
+        got, expected = solve_exact(infinite, budget=60), solve_exact(capped, budget=60)
+        assert got.proven_optimal and expected.proven_optimal
+        assert abs(got.best.true_cost - expected.best.true_cost) <= \
+            exact.gap_abs(expected.best.true_cost)
+
+    def test_polished_run_verifies(self, seed):
+        infinite = _infinite_widest(seed)[0]
+        result = evolve(infinite, GAConfig(iteration_limit=20))
+        assert verify_flow(infinite, result.polished.flow) == []
+
+    def test_exact_command_exits_0(self, seed, tmp_path, capsys):
+        path = tmp_path / "infinite.mcfcnf"
+        save_instance(_infinite_widest(seed)[0], path)
+        assert main(["exact", "--instance", str(path), "--budget", "60"]) == 0
 
 
 class TestPolish:

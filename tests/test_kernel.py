@@ -6,8 +6,8 @@ a branch-and-bound node's cost patch and constant, residual setup,
 warm-start repair, the augmenting loop reference_augment, and the node's
 true-cost estimate and branch arc, kept here unchanged in what they
 compute. Every kernel call a solve or max_flow makes is run through both,
-and the residuals, potentials, amount left, cost, carrying arcs, amount
-sent, node facts and errors must agree bit for bit.
+and the potentials, amount left, cost, carrying arcs and their residuals,
+amount sent, node facts and errors must agree bit for bit.
 """
 import contextlib
 import copy
@@ -116,14 +116,15 @@ def reference_augment(n: int, head: list[int], adjacency: list[list[int]],
 
 def reference_solve(topology, cost, closed, opened, start, changed, amount, stop, push_cap):
     """The kernel's solve (see flowcore.load_kernel) on numpy arrays around
-    reference_augment: returns (left, lp_cost, res, pot, arcs, sent,
-    residual, constant, estimate, branch)."""
+    reference_augment: returns (left, lp_cost, pot, arcs, sent, residual,
+    constant, estimate, branch)."""
     head = topology.head
-    m = len(cost)
+    given = np.array(cost, dtype=np.float64)
+    m = len(given)
     # a node: opened arcs at their variable cost, their fixed costs summed in arc order
     ordered = sorted(opened)
     unit_cost, fixed = topology.variable[topology.slot], topology.fixed.tolist()
-    cost = cost.copy()
+    cost = given.copy()
     cost[ordered] = unit_cost[ordered]
     constant = 0.0
     for a in ordered:
@@ -143,8 +144,9 @@ def reference_solve(topology, cost, closed, opened, start, changed, amount, stop
         if changed in closed:  # its flow goes around it
             frm, to, amount = int(head[rev]), int(head[fwd]), float(res[rev])
             res[rev] = 0.0
-        else:  # saturated if that pays; the surplus goes back
-            pays = rcost[fwd] + pot[head[rev]] - pot[head[fwd]] < 0.0
+        else:  # saturated if that pays, unless opened at its given cost; the surplus goes back
+            pays = (rcost[fwd] + pot[head[rev]] - pot[head[fwd]] < 0.0
+                    and not (changed in opened and cost[changed] == given[changed]))
             frm, to, amount = int(head[fwd]), int(head[rev]), float(res[fwd]) if pays else 0.0
             if amount == math.inf:
                 raise ValueError(f"arc {changed}: infinite capacity, cannot saturate")
@@ -173,8 +175,7 @@ def reference_solve(topology, cost, closed, opened, start, changed, amount, stop
         if most < amount < capacity[a] - tol and a not in opened:
             branch, most = a, amount
     residual = res.reshape(-1, 2)[arcs].reshape(-1)
-    return (left, lp_cost, res, pot, arcs, sent, residual, constant, fixed_sum + variable_sum,
-            branch)
+    return left, lp_cost, pot, arcs, sent, residual, constant, fixed_sum + variable_sum, branch
 
 
 def _bits(values) -> bytes:
@@ -206,13 +207,12 @@ def checked_kernel(cap: int | None = None):
         assert not isinstance(got, Exception), got
         n = topology.n_vertices
         assert _bits(got[:2]) == _bits(expected[:2])  # amount left, lp_cost
-        assert _bits(got[2]) == _bits(expected[2])  # res
-        assert _bits(got[3][:n]) == _bits(expected[3][:n])  # pot
-        assert got[4].tolist() == expected[4].tolist()  # carrying arcs
-        assert _bits(got[5]) == _bits(expected[5])  # amount sent
-        assert _bits(got[6]) == _bits(expected[6])  # the carrying arcs' residual pairs
-        assert _bits(got[7:9]) == _bits(expected[7:9])  # constant, estimate
-        assert got[9] == expected[9]  # branch arc
+        assert _bits(got[2][:n]) == _bits(expected[2][:n])  # pot
+        assert got[3].tolist() == expected[3].tolist()  # carrying arcs
+        assert _bits(got[4]) == _bits(expected[4])  # amount sent
+        assert _bits(got[5]) == _bits(expected[5])  # the carrying arcs' residual pairs
+        assert _bits(got[6:8]) == _bits(expected[6:8])  # constant, estimate
+        assert got[8] == expected[8]  # branch arc
         return got
 
     saved = flowcore._kernel
@@ -390,12 +390,13 @@ class TestLoader:
 
 #: Run in a process with the sanitizer runtime preloaded: the kernel built
 #: with AddressSanitizer and UBSan in argv[1] by the command argv[2:] proves
-#: grid 16, polishes, decodes an organism and takes a max flow; then each
-#: input the kernel rejects (a NaN cost, closed, opened and start arcs
-#: outside 0..m-1) ends in ValueError before the kernel touches an array at
-#: it, and each way of changing a compiled topology's arrays (replacing or
-#: assigning head, adj, adj_start or source, writing into head) raises
-#: before a solve could run on it. Last, the GA's sampler picks
+#: grid 16, and again with its widest class infinite (opened infinite arcs,
+#: which no repair saturates), polishes, decodes an organism and takes a max
+#: flow; then each input the kernel rejects (a NaN cost, closed, opened and
+#: start arcs outside 0..m-1) ends in ValueError before the kernel touches an
+#: array at it, and each way of changing a compiled topology's arrays
+#: (replacing or assigning head, adj, adj_start or source, writing into
+#: head) raises before a solve could run on it. Last, the GA's sampler picks
 #: random.sample's positions on both of its branches, from words that
 #: suffice and from words that run short, and through mutate.
 _SANITIZED_RUN = """
@@ -409,6 +410,9 @@ kernel = flowcore.load_kernel(Path(sys.argv[1]), sys.argv[2:])
 flowcore._kernel = lambda: kernel
 inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
 assert solve_exact(inst, budget=600).nodes_explored == 891
+wide = generate_random("grid", 16, 2, seed=0, target_fraction=0.6)
+wide = dataclasses.replace(wide, capacities=np.append(wide.capacities[:-1], math.inf))
+assert solve_exact(wide, budget=600).proven_optimal
 assert polish(inst, fitness(inst, seed_organism(inst)), 600).true_cost == 573.4276663730062
 scale = np.random.default_rng(0).uniform(1.0, 20.0, inst.fixed_cost.size)
 assert fitness(inst, Organism(scale=scale)).true_cost > 0.0
@@ -489,11 +493,17 @@ def _misfit(a) -> str:
     return f"start does not fit {a['topology'].n_vertices} vertices and {len(a['cost'])} arcs"
 
 
+def _free_variables(function) -> dict:
+    """The variables a closure captured, by name."""
+    return dict(zip(function.__code__.co_freevars,
+                    (cell.cell_contents for cell in function.__closure__)))
+
+
 class TestWrapper:
-    """load_kernel's wrapper checks the types and lengths of the per-call
-    arrays it hands to C before any C runs, the kernel checks the costs and
-    arc indices before it writes, and a topology's arrays, derived from its
-    instance, cannot be changed."""
+    """load_kernel's wrapper converts each per-call array it hands to C once
+    and checks its shape before any C runs, the kernel checks the costs and
+    arc indices before it writes, every array returned is the call's own,
+    and a topology's arrays, derived from its instance, cannot be changed."""
 
     @pytest.fixture
     def wrapper(self, monkeypatch):
@@ -523,22 +533,48 @@ class TestWrapper:
         solve(**args)
         assert len(calls) == 1
 
-    @pytest.mark.parametrize("bad, error", [
-        (lambda a: {"cost": a["cost"].astype(np.float32)}, TypeError),
-        (lambda a: {"cost": np.repeat(a["cost"], 2)[::2]}, TypeError),
-        (lambda a: {"cost": a["cost"][:-1]}, ValueError),
-        (lambda a: {"cost": a["cost"].tolist()}, TypeError),
-        (lambda a: {"changed": len(a["cost"])}, ValueError),
-        (lambda a: {"closed": frozenset({2**64})}, ValueError),
-        (lambda a: {"start": a["start"]._replace(residual=np.zeros(3))}, ValueError),
-        (lambda a: {"start": a["start"]._replace(potential=np.zeros(1))}, ValueError),
-    ], ids=["float32-cost", "strided-cost", "short-cost", "list-cost", "changed-m",
-            "closed-past-int64", "short-start-residual", "short-potential"])
-    def test_rejected_before_c(self, wrapper, bad, error):
+    @pytest.mark.parametrize("bad", [
+        lambda a: {"cost": a["cost"][:-1]},
+        lambda a: {"cost": a["cost"][None]},
+        lambda a: {"changed": len(a["cost"])},
+        lambda a: {"closed": frozenset({2**64})},
+        lambda a: {"start": a["start"]._replace(residual=np.zeros(3))},
+        lambda a: {"start": a["start"]._replace(potential=np.zeros(1))},
+    ], ids=["short-cost", "2d-cost", "changed-m", "closed-past-int64",
+            "short-start-residual", "short-potential"])
+    def test_rejected_before_c(self, wrapper, bad):
         solve, args, calls = wrapper
-        with pytest.raises(error):
+        with pytest.raises(ValueError):
             solve(**{**args, **bad(args)})
         assert calls == []
+
+    @pytest.mark.parametrize("convert", [
+        lambda cost: cost.astype(np.float32),
+        lambda cost: np.repeat(cost, 2)[::2],
+        lambda cost: cost.tolist(),
+    ], ids=["float32-cost", "strided-cost", "list-cost"])
+    def test_cost_converted_once(self, root, convert):
+        # a cost numpy converts to float64 reaches C and solves as those bits
+        args = root[0]
+        given = convert(args["cost"])
+        got = flowcore._kernel()(**{**args, "cost": given})
+        expected = flowcore._kernel()(**{**args, "cost": np.array(given, dtype=np.float64)})
+        assert list(map(_bits, got)) == list(map(_bits, expected))
+
+    def test_results_are_the_calls_own(self, root):
+        # no array returned is a view of the thread's work arrays, so each
+        # keeps its bytes across the thread's next solve, which writes them
+        args = root[0]
+        kernel = flowcore._kernel()
+        arrays = [a for a in kernel(**args) if isinstance(a, np.ndarray)]
+        kept = [a.tobytes() for a in arrays]
+        workspace = _free_variables(kernel)["workspace"]
+        work = _free_variables(workspace)["local"].work[3]
+        for array in arrays:
+            assert not any(np.shares_memory(array, scratch) for scratch in work)
+        kernel(**{**args, "opened": frozenset(), "start": None, "changed": None})
+        assert [a.tobytes() for a in arrays] == kept
+        assert len(arrays) == 3 and len(work) == 7  # pot, arcs, residual; every work array
 
     @pytest.fixture
     def root(self):
@@ -589,9 +625,7 @@ class TestWrapper:
         # a read-only cost vector and start state take _pointer's other path
         args = root[0]
         start = FlowState(*map(np.array, args["start"][:3]), args["start"].shortfall)
-        writable = list(flowcore._kernel()(**{**args, "cost": args["cost"].copy(),
-                                              "start": start}))
-        writable[2] = writable[2].copy()  # res: a view of the thread's work arrays
+        writable = flowcore._kernel()(**{**args, "cost": args["cost"].copy(), "start": start})
         frozen = []
         for array in (args["cost"].copy(), *map(np.array, args["start"][:3])):
             array.setflags(write=False)
