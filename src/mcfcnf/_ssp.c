@@ -1,13 +1,23 @@
-/* Min-cost-flow solve of mcfcnf.flowcore (see load_kernel), one ctypes call
- * that allocates nothing: the caller passes every array it writes, and the
- * kernel checks the costs and arc indices it is given before it writes
- * anything. The same call is a whole branch-and-bound node of mcfcnf.exact:
- * it patches the opened arcs' costs, sums their fixed costs, solves, and in
- * one pass over the carrying arcs writes their residual pairs, a true-cost
- * estimate and the arc to branch on. The estimate adds the terms of
- * evaluate.true_cost in arc order, not numpy's pairwise order, so the caller
- * allows for the difference (evaluate.TRUE_COST_MARGIN) before taking the
- * exact cost.
+/* Min-cost-flow solve of mcfcnf.flowcore (see load_kernel) and the
+ * best-first branch-and-bound loop of mcfcnf.exact around it, ctypes calls
+ * that allocate nothing: the caller passes every array they write, and
+ * ssp_solve checks the costs and arc indices it is given before it writes
+ * anything. A solve is also a whole branch-and-bound node: it patches the
+ * opened arcs' costs, sums their fixed costs, solves, and in one pass over
+ * the carrying arcs writes their residual pairs, a true-cost estimate and
+ * the arc to branch on. The estimate adds the terms of evaluate.true_cost
+ * in arc order, not numpy's pairwise order, so the caller allows for the
+ * difference (evaluate.TRUE_COST_MARGIN) before taking the exact cost.
+ * bnb_run pops, solves both children warm from their parent and prunes or
+ * queues them, and returns to the caller only to price a candidate
+ * incumbent, to have a buffer grown, to log a solve (when asked) and at the
+ * end, so its nodes and bounds are the Python loop's the tests keep.
+ *
+ * Status codes. ssp_solve returns the number of carrying arcs, or -1 (more
+ * than push_cap rounds), -2 (an arc of infinite capacity to saturate), -3
+ * (an opened or closed arc outside 0..m-1), -4 (a start arc outside
+ * 0..m-1), -5 (a cost not >= 0). bnb_run returns 0 DONE, 1 CANDIDATE,
+ * 2 SOLVED, 3 GROW, or -1 or -2 from a child's solve.
  *
  * The same library holds sample_positions, the GA mutation's positions:
  * random.sample's picks, made from raw Mersenne Twister words that the
@@ -32,6 +42,7 @@
 #include <math.h>
 #include <stdint.h>
 #include <string.h>
+#include <time.h>
 
 /* The Dijkstra arrays, carved from the caller's 32 bytes per vertex. */
 typedef struct {
@@ -200,16 +211,13 @@ typedef struct {
  * the carrying arc with the most flow strictly between tol and its capacity
  * less tol that is not open, the first on ties). Returns their number, or
  * -1 (more than push_cap rounds) or -2 (an arc of infinite capacity to
- * saturate). Before any write it returns -3 for an opened or closed arc
- * and -4 for a start arc outside 0..m-1 and -5 for a cost not >= 0 (NaN
- * too; the first such arc in out[5]). The caller checks `changed` and sizes
- * every array; unit_cost, like the whole network, comes from a checked
- * instance (flowcore.Topology). */
-int64_t ssp_solve(const network *g, const double *cost, const int64_t *node_arcs,
-                  int64_t n_opened, int64_t n_closed, const int64_t *start_arcs,
-                  const double *start_res, int64_t n_start, int64_t changed,
-                  int32_t changed_closed, double amount, double stop, int64_t push_cap,
-                  double *pot, const workspace *w) {
+ * saturate). Its arguments are checked: ssp_solve's by ssp_solve, the
+ * search's by construction. */
+static int64_t solve(const network *g, const double *cost, const int64_t *node_arcs,
+                     int64_t n_opened, int64_t n_closed, const int64_t *start_arcs,
+                     const double *start_res, int64_t n_start, int64_t changed,
+                     int32_t changed_closed, double amount, double stop, int64_t push_cap,
+                     double *pot, const workspace *w) {
     const int32_t *head = g->head;
     const double *capacity = g->capacity, *c = cost, tol = g->tol;
     double *res = w->res, *out = w->out, constant = 0.0, most = tol, fixed_sum = 0.0,
@@ -218,17 +226,6 @@ int64_t ssp_solve(const network *g, const double *cost, const int64_t *node_arcs
     int64_t i, k = -2, m = g->m;
     int32_t frm = g->source, to = g->sink;
 
-    for (i = 0; i < m; i++)
-        if (!(cost[i] >= 0.0)) {
-            out[5] = (double)i;
-            return -5;
-        }
-    for (i = 0; i < n_opened + n_closed; i++)
-        if (node_arcs[i] < 0 || node_arcs[i] >= m)
-            return -3;
-    for (i = 0; i < n_start; i++)
-        if (start_arcs[i] < 0 || start_arcs[i] >= m)
-            return -4;
     if (n_opened > 0) {
         for (i = 0; i < n_opened; i++)
             is_open[node_arcs[i]] = 1;
@@ -285,6 +282,328 @@ unmark:
     for (i = 0; i < n_opened; i++)
         is_open[node_arcs[i]] = 0;
     return k;
+}
+
+/* solve, for one caller's arguments (flowcore.load_kernel): before it
+ * writes anything it returns -3 for an opened or closed arc and -4 for a
+ * start arc outside 0..m-1 and -5 for a cost not >= 0 (NaN too; the first
+ * such arc in out[5]). The caller checks `changed` and sizes every array;
+ * unit_cost, like the whole network, comes from a checked instance
+ * (flowcore.Topology). */
+int64_t ssp_solve(const network *g, const double *cost, const int64_t *node_arcs,
+                  int64_t n_opened, int64_t n_closed, const int64_t *start_arcs,
+                  const double *start_res, int64_t n_start, int64_t changed,
+                  int32_t changed_closed, double amount, double stop, int64_t push_cap,
+                  double *pot, const workspace *w) {
+    int64_t i, m = g->m;
+
+    for (i = 0; i < m; i++)
+        if (!(cost[i] >= 0.0)) {
+            w->out[5] = (double)i;
+            return -5;
+        }
+    for (i = 0; i < n_opened + n_closed; i++)
+        if (node_arcs[i] < 0 || node_arcs[i] >= m)
+            return -3;
+    for (i = 0; i < n_start; i++)
+        if (start_arcs[i] < 0 || start_arcs[i] >= m)
+            return -4;
+    return solve(g, cost, node_arcs, n_opened, n_closed, start_arcs, start_res, n_start,
+                 changed, changed_closed, amount, stop, push_cap, pot, w);
+}
+
+/* Best-first branch-and-bound (mcfcnf.exact), the loop around solve. An
+ * open node is an entry of the queue `open`, a binary heap ordered by
+ * (bound, -depth, visit count), and a record in `arena`: the header, then
+ * its decisions (its opened arcs, then its closed ones: depth of them), its
+ * carrying arcs, their residual pairs and its potentials. Records are
+ * appended; a popped one is marked free, and the free ones' words are
+ * reclaimed when the arena is full by sliding the live records down. The
+ * caller owns every buffer and grows it when the search returns GROW, so
+ * the search allocates nothing. */
+typedef struct {
+    double bound;
+    int64_t depth, count; /* count: the node's visit count, unique */
+    int64_t offset;       /* of its record in the arena, in words */
+} entry;
+
+typedef struct {
+    int64_t slot; /* -1 once popped; while compacting, its queue slot */
+    int64_t size; /* words, this header's included */
+    double shortfall;
+    int64_t branch, n_arcs, n_opened;
+} record;
+
+/* A node solved: its decisions (opened, then closed), end state and facts. */
+typedef struct {
+    const int64_t *decisions, *arcs;
+    const double *res, *pot;
+    double bound, shortfall;
+    int64_t n_arcs, branch, n_opened, n_closed;
+} solved;
+
+/* Where bnb_run resumes, and what it returns (or solve's negative status). */
+enum { ROOT, POP, SOLVE, OFFER, SETTLE };
+enum { DONE, CANDIDATE, SOLVED, GROW };
+
+/* The search. The caller sets the buffers (open, arena and node_log's
+ * pairs, none with a capacity of 0; capacities in 8-byte words), the
+ * scratch (m + 2 decisions, m start arcs, 2m start residuals, n start
+ * potentials, n potentials), log (1: return SOLVED for every solve), the
+ * target amount, the incumbent's cost, the rules (gap, factor = 1 + the
+ * true-cost margin) and the stops (seconds from the first call, the node
+ * limit).
+ * It puts the root where a child's solve leaves it: its carrying arcs and
+ * residual pairs in the workspace, its facts in out, its potentials in pot,
+ * n_arcs and shortfall here. The rest is the search's. */
+typedef struct {
+    entry *open;
+    int64_t *arena;
+    double *bounds; /* (parent bound, child bound) per feasible child */
+    int64_t *decisions, *start_arcs;
+    double *start_res, *start_pot, *pot;
+    int64_t open_cap, arena_cap, bounds_cap, log, n_arcs;
+    double amount, best, gap, factor, budget, node_limit, shortfall;
+    int64_t open_size, arena_used, bounds_size, need_open, need_arena, need_bounds;
+    int64_t nodes, open_peak, stage, child, push_cap;
+    /* the node popped (its visit count is parent; 0 for the root) */
+    int64_t parent, depth, n_opened, n_start, arc, feasible;
+    double pruned_floor, floor, start, parent_bound, parent_shortfall;
+} bnb;
+
+static double now(void) {
+    struct timespec t;
+    clock_gettime(CLOCK_MONOTONIC, &t);
+    return (double)t.tv_sec + 1e-9 * (double)t.tv_nsec;
+}
+
+/* exact's rule: the incumbent is within the gap of bound, written so, not
+ * negated, as a NaN while best is inf prunes nothing. Bounds cut inside the
+ * window lower pruned_floor, which keeps the reported bound honest. */
+static int pruned(bnb *b, double bound) {
+    if (bound >= b->best - b->gap * fmax(1.0, fabs(b->best))) {
+        if (bound < b->best && bound < b->pruned_floor)
+            b->pruned_floor = bound;
+        return 1;
+    }
+    return 0;
+}
+
+static int ahead(const entry *x, const entry *y) {
+    return x->bound < y->bound || (x->bound == y->bound && (x->depth > y->depth
+           || (x->depth == y->depth && x->count < y->count)));
+}
+
+/* Slide the live records to the arena's start, in order. */
+static void compact(bnb *b) {
+    int64_t i, from, size, to = 0;
+
+    for (i = 0; i < b->open_size; i++)
+        ((record *)(b->arena + b->open[i].offset))->slot = i;
+    for (from = 0; from < b->arena_used; from += size) {
+        record *r = (record *)(b->arena + from);
+        size = r->size;
+        if (r->slot < 0)
+            continue;
+        b->open[r->slot].offset = to;
+        memmove(b->arena + to, r, sizeof(int64_t) * (size_t)size);
+        to += size;
+    }
+    b->arena_used = to;
+}
+
+/* Queue the node: its record appended, its entry sifted up. */
+static void push_node(bnb *b, const solved *s, int64_t n, int64_t size) {
+    record *r = (record *)(b->arena + b->arena_used);
+    int64_t depth = s->n_opened + s->n_closed, i = b->open_size++;
+    int64_t *words = (int64_t *)(r + 1);
+    entry e = {s->bound, depth, b->nodes, b->arena_used};
+
+    r->slot = 0;
+    r->size = size;
+    r->shortfall = s->shortfall;
+    r->branch = s->branch;
+    r->n_arcs = s->n_arcs;
+    r->n_opened = s->n_opened;
+    memcpy(words, s->decisions, sizeof(int64_t) * (size_t)depth);
+    memcpy(words + depth, s->arcs, sizeof(int64_t) * (size_t)s->n_arcs);
+    memcpy(words + depth + s->n_arcs, s->res, sizeof(double) * (size_t)(2 * s->n_arcs));
+    memcpy(words + depth + 3 * s->n_arcs, s->pot, sizeof(double) * (size_t)n);
+    b->arena_used += size;
+    while (i > 0 && ahead(&e, &b->open[(i - 1) / 2])) {
+        b->open[i] = b->open[(i - 1) / 2];
+        i = (i - 1) / 2;
+    }
+    b->open[i] = e;
+    if (b->open_size > b->open_peak)
+        b->open_peak = b->open_size;
+}
+
+/* Pop the first entry: its record copied to the scratch (its decisions
+ * from decisions[1], see SOLVE) and marked free. */
+static void pop_node(bnb *b, int64_t n) {
+    entry top = b->open[0], last = b->open[--b->open_size];
+    record *r = (record *)(b->arena + top.offset);
+    const int64_t *words = (const int64_t *)(r + 1);
+    int64_t i = 0, k = r->n_arcs;
+
+    for (;;) {
+        int64_t child = 2 * i + 1;
+        if (child >= b->open_size)
+            break;
+        if (child + 1 < b->open_size && ahead(&b->open[child + 1], &b->open[child]))
+            child++;
+        if (!ahead(&b->open[child], &last))
+            break;
+        b->open[i] = b->open[child];
+        i = child;
+    }
+    if (b->open_size > 0)
+        b->open[i] = last;
+    b->parent_bound = top.bound;
+    b->parent = top.count;
+    b->depth = top.depth;
+    b->parent_shortfall = r->shortfall;
+    b->arc = r->branch;
+    b->n_opened = r->n_opened;
+    b->n_start = k;
+    memcpy(b->decisions + 1, words, sizeof(int64_t) * (size_t)top.depth);
+    memcpy(b->start_arcs, words + top.depth, sizeof(int64_t) * (size_t)k);
+    memcpy(b->start_res, words + top.depth + k, sizeof(double) * (size_t)(2 * k));
+    memcpy(b->start_pot, words + top.depth + 3 * k, sizeof(double) * (size_t)n);
+    r->slot = -1;
+}
+
+/* The node being solved or just solved: the closed child's decisions from
+ * decisions[1], the opened one's from decisions[0], the root's none. */
+static solved node_of(const bnb *b, const workspace *w) {
+    int64_t closed = b->child == 0, root = b->parent == 0;
+    solved s = {b->decisions + closed, w->arcs, w->pairs, b->pot, w->out[3] + w->out[1],
+                b->shortfall, b->n_arcs, (int64_t)w->out[5],
+                root ? 0 : b->n_opened + !closed, root ? 0 : b->depth - b->n_opened + closed};
+    return s;
+}
+
+/* Prune the node solved or queue it, if it has an arc to branch on, and
+ * log a child's (parent bound, bound) pair. Returns 1, having changed
+ * nothing but pruned_floor, when a buffer lacks the room need_* names. */
+static int settle(bnb *b, const workspace *w, int64_t n) {
+    solved node = node_of(b, w), *s = &node;
+    int queue = !pruned(b, s->bound) && s->branch >= 0, child = b->parent > 0, grow = 0;
+    int64_t size = (int64_t)(sizeof(record) / 8) + s->n_opened + s->n_closed + 3 * s->n_arcs + n;
+
+    if (child && b->bounds_cap > 0 && b->bounds_size + 2 > b->bounds_cap) {
+        b->need_bounds = b->bounds_size + 2;
+        grow = 1;
+    }
+    if (queue && 4 * (b->open_size + 1) > b->open_cap) {
+        b->need_open = 4 * (b->open_size + 1);
+        grow = 1;
+    }
+    if (queue && b->arena_used + size > b->arena_cap) {
+        compact(b);
+        if (b->arena_used + size > b->arena_cap) {
+            b->need_arena = b->arena_used + size;
+            grow = 1;
+        }
+    }
+    if (grow)
+        return 1;
+    if (queue)
+        push_node(b, s, n, size);
+    if (child && b->bounds_cap > 0) {
+        b->bounds[b->bounds_size++] = b->parent_bound;
+        b->bounds[b->bounds_size++] = s->bound;
+    }
+    return 0;
+}
+
+/* Run the search from where it stopped: first the root, which the caller
+ * solved, then pops, each solving its node's two children, closed then
+ * opened, warm from its end state, until no node is left, the budget has
+ * passed or the node limit is reached (checked before each pop). Returns
+ * DONE (floor then holds the least open bound), CANDIDATE (a feasible node
+ * whose estimate is at most best x factor: the caller prices it, sets best
+ * and calls again), SOLVED (with log set, for the root and after each
+ * child's solve, feasible or not), GROW (see settle) or solve's -1 or -2.
+ * The node's state and facts stay where its solve left them until the
+ * next call. */
+int64_t bnb_run(bnb *b, const network *g, const double *cost, const workspace *w) {
+    int64_t i, n = g->n, m = g->m;
+
+    for (;;) {
+        switch (b->stage) {
+        case ROOT: /* the first node, logged, offered and settled as a last child */
+            b->start = now();
+            b->nodes = 1;
+            b->pruned_floor = INFINITY;
+            b->arc = -1;
+            b->child = 1;
+            b->feasible = 1;
+            b->stage = OFFER;
+            if (b->log)
+                return SOLVED;
+            break;
+        case POP:
+            if (b->open_size == 0 || now() - b->start > b->budget
+                || (double)b->nodes >= b->node_limit) {
+                b->floor = INFINITY;
+                for (i = 0; i < b->open_size; i++)
+                    if (b->open[i].bound < b->floor)
+                        b->floor = b->open[i].bound;
+                return DONE;
+            }
+            pop_node(b, n);
+            if (!pruned(b, b->parent_bound)) {
+                b->child = 0;
+                b->stage = SOLVE;
+            }
+            break;
+        case SOLVE: { /* the parent's decisions, from decisions[1]: closing the arc
+                         appends it, opening it puts it in front */
+            int32_t closed = b->child == 0;
+            double stop = g->tol - b->parent_shortfall;
+            solved s;
+
+            if (b->child == 2) {
+                b->stage = POP;
+                break;
+            }
+            b->decisions[closed ? 1 + b->depth : 0] = b->arc;
+            s = node_of(b, w); /* its decisions; the rest once solved */
+            b->push_cap = 4 * (m - s.n_closed) + 16; /* solve_min_cost_flow's */
+            memcpy(b->pot, b->start_pot, sizeof(double) * (size_t)n);
+            b->nodes++;
+            b->n_arcs = solve(g, cost, s.decisions, s.n_opened, s.n_closed, b->start_arcs,
+                              b->start_res, b->n_start, b->arc, closed, b->amount, stop,
+                              b->push_cap, b->pot, w);
+            if (b->n_arcs < 0)
+                return b->n_arcs;
+            b->shortfall = b->parent_shortfall + w->out[0];
+            b->feasible = !(w->out[0] > stop);
+            b->stage = OFFER;
+            if (b->log)
+                return SOLVED;
+            break;
+        }
+        case OFFER:
+            if (!b->feasible) {
+                b->child++;
+                b->stage = SOLVE;
+                break;
+            }
+            b->stage = SETTLE;
+            if (w->out[4] <= b->best * b->factor) /* the estimate */
+                return CANDIDATE;
+            break;
+        case SETTLE:
+            if (settle(b, w, n))
+                return GROW;
+            b->child++;
+            b->stage = SOLVE;
+            break;
+        }
+    }
 }
 
 /* The little-endian 32-bit word at p. */

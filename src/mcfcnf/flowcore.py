@@ -1,33 +1,24 @@
-"""Exact solver for the scaled-fixed-cost flow relaxation.
+"""Exact solver for the scaled-fixed-cost flow relaxation, and the C kernel
+that also runs branch-and-bound's loop.
 
 Every offered (edge, capacity class) pair becomes one arc with capacity c_k
 and unit cost fixed/scale + variable, so the relaxation reduces to a plain
 min-cost flow of the target amount from source to sink, solved by successive
-shortest augmenting paths with vertex potentials: exact and deterministic
-(ties resolved by lowest arc index). A solve is one call of a C kernel
-(_ssp.c: residual setup, warm-start repair, augmentation and cost, and for
-a branch-and-bound node also the cost patch of its opened arcs, their fixed
-costs, a true-cost estimate and the branch arc), built by the system's C
-compiler on first use and loaded through ctypes (load_kernel).
+shortest augmenting paths with vertex potentials: exact and deterministic.
+A solve is one call of a C kernel (_ssp.c), built by the system's C compiler
+on first use and loaded through ctypes (load_kernel).
 
-The network is compiled only from an instance (Topology: arcs, their pair
-costs, residual heads and capacities, CSR adjacency, all read-only), once
-per instance for every offered pair (compile_topology, kept on it), and
-solved many times from a per-arc cost vector and a set of closed arcs: a
-GA decode changes the costs, a branch-and-bound node also closes arcs. An
-organism holds one divisor per arc; build_expanded_network
-holds the one relaxed-cost formula; under seed_organism, divisors equal to
-the class capacities, it is the slope-scaling relaxation: the GA's seed
-decode, the branch-and-bound root and lp_relaxation_bound. A closed arc
-keeps its place in the arc order with no capacity, so every tie-break is
-the one of the instance without its pair. A solve returns its end state
+The network is compiled only from an instance (Topology), once per instance
+for every offered pair (compile_topology, kept on it), and solved many times
+from a per-arc cost vector and sets of closed and opened arcs: a GA decode
+changes the costs, a branch-and-bound node closes and opens arcs.
+build_expanded_network holds the one relaxed-cost formula; under
+seed_organism it is the slope-scaling relaxation: the GA's seed decode, the
+branch-and-bound root and lp_relaxation_bound. A solve returns its end state
 (FlowState), which is scored in arc space; the dense (edge, class) flow is
-built from it only when read, by verify_flow, theorem_d or output. A
-branch-and-bound child, one arc closed or cheaper, is solved by repairing
-its parent's end state (Ahuja, Magnanti & Orlin, Network Flows, 1993,
-ch. 9). Max flow is one call of the same kernel at zero cost, which makes
-it Edmonds-Karp, sending an unbounded amount: it stops at a path of
-infinite capacity. One rule, flow_tol, says what flow amount counts as
+built from it only when read. A branch-and-bound child, one arc closed or made cheaper, is
+solved by repairing its parent's end state (Ahuja, Magnanti & Orlin, Network
+Flows, 1993, ch. 9). One rule, flow_tol, says what flow amount counts as
 zero, for every solver, validate, score and verify_flow.
 """
 from __future__ import annotations
@@ -179,18 +170,34 @@ class Topology:
     __delattr__ = __setattr__
 
 
+def _layout(*groups: tuple) -> list:
+    """ctypes fields from (type, "name name ...") groups, in order."""
+    return [(name, kind) for kind, names in groups for name in names.split()]
+
+
+_P, _I, _D = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+
+
 class _Network(ctypes.Structure):
     """_ssp.c's network: a topology's arrays, bound once."""
-    _fields_ = [*((name, ctypes.c_void_p) for name in
-                  ("head", "adj_start", "adj", "capacity", "unit_cost", "fixed")),
-                ("tol", ctypes.c_double), ("m", ctypes.c_int64), ("n", ctypes.c_int32),
-                ("source", ctypes.c_int32), ("sink", ctypes.c_int32)]
+    _fields_ = _layout((_P, "head adj_start adj capacity unit_cost fixed"), (_D, "tol"),
+                       (_I, "m"), (ctypes.c_int32, "n source sink"))
 
 
 class _Workspace(ctypes.Structure):
     """_ssp.c's workspace: the arrays a thread's solves write."""
-    _fields_ = [(name, ctypes.c_void_p) for name in
-                ("res", "pairs", "out", "work", "node_cost", "arcs", "is_open")]
+    _fields_ = _layout((_P, "res pairs out work node_cost arcs is_open"))
+
+
+class _Search(ctypes.Structure):
+    """_ssp.c's bnb: a branch-and-bound search's buffers, rules and state."""
+    _fields_ = _layout(
+        (_P, "open arena bounds decisions start_arcs start_res start_pot pot"),
+        (_I, "open_cap arena_cap bounds_cap log n_arcs"),
+        (_D, "amount best gap factor budget node_limit shortfall"),
+        (_I, "open_size arena_used bounds_size need_open need_arena need_bounds nodes open_peak"),
+        (_I, "stage child push_cap parent depth n_opened n_start arc feasible"),
+        (_D, "pruned_floor floor start parent_bound parent_shortfall"))
 
 
 class ExpandedNetwork(NamedTuple):
@@ -326,54 +333,49 @@ def _pointer(array: np.ndarray) -> int:
 
 
 def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]:
-    """Load the kernel built by build_kernel(directory, command) as solve(
-    topology, cost, closed, opened, start, changed, amount, stop, push_cap)
-    -> (left, lp_cost, pot, arcs, sent, residual, constant, estimate,
-    branch): one C call for the whole solve of solve_min_cost_flow, or of
-    max_flow at zero cost, sending amount one shortest path at a time
-    (Dijkstra stopped at the sink, ties to the first vertex pushed) until at
+    """Load the kernel built by build_kernel(directory, command) (_ssp.c).
+
+    solve(topology, cost, closed, opened, start, changed, amount, stop,
+    push_cap) -> (left, lp_cost, pot, arcs, sent, residual, constant,
+    estimate, branch) is one ssp_solve call: the whole solve of
+    solve_min_cost_flow, or of max_flow at zero cost, sending amount until at
     most stop is left, no path is left, or a path's bottleneck is infinite
     (sent is then infinite). More than push_cap paths raise
-    FlowIterationError: no bound is proven for a costed solve
-    (test_push_cap_never_reached checks solve_min_cost_flow's cap); at zero
-    cost Edmonds-Karp's holds (max_flow). Before C runs, it converts each
-    per-call array once to the kernel's dtype, C-contiguous (the cost and
-    the start's arcs, residuals and potentials), and checks `changed` and
-    their shapes; C checks, before it writes, that each cost is >= 0 and
-    each arc index in 0..m-1. A topology's arrays are bound once, read-only
-    (Topology).
-
-    The same call is a whole branch-and-bound node: the opened arcs cost
-    their variable cost per unit, and constant, estimate and branch are
-    _ssp.c's out[3:6]; residual holds the carrying arcs' residual pairs.
-
-    The kernel works in arrays kept per thread, grown to the largest
-    topology that thread has solved, so threads solve at once and no call
+    FlowIterationError, as no bound is proven for a costed solve (max_flow's
+    cap is Edmonds-Karp's). Before C runs, it converts each per-call array
+    once to the kernel's dtype, C-contiguous (the cost and the start's arcs,
+    residuals and potentials), and checks `changed` and their shapes; C
+    checks the costs and arc indices. residual holds the carrying arcs'
+    residual pairs; constant, estimate and branch are a branch-and-bound
+    node's facts. Each thread works in arrays of its own, grown to the
+    largest topology it has solved, so threads solve at once and no call
     allocates them; every array returned is the call's own.
 
-    solve.sample(words, length, count, pool) -> (used, positions) is the same
-    library's sample_positions: the picks random.sample(range(length),
-    count) makes from the generator words `words` (bytes, 4 little-endian
-    per word, in draw order), pool giving CPython's branch. used is the
-    number of words they took, or minus at least how many more they need
-    (positions then means nothing). ValueError unless 0 <= count <= length
-    < 2**32, where each draw takes one word; its scratch array is the
-    call's own.
+    solve.search(topology, cost, root, best, budget, node_limit, rules,
+    offer, solve_log, node_log) -> (nodes, open_peak, pruned_floor, floor)
+    runs bnb_run: exact's branch-and-bound from its root, a solve the caller
+    made at cost. offer(solution) prices each candidate incumbent, the root
+    first if it is one, and returns the best cost; the search's buffers
+    start small and grow here, doubling. rules are (gap, 1 + the true-cost
+    margin), budget seconds from the call; the logs are solve_exact's.
+
+    solve.sample(words, length, count, pool) -> (used, positions) is
+    sample_positions: random.sample(range(length), count)'s picks from the
+    generator words `words` (4 little-endian bytes each, in draw order),
+    pool giving CPython's branch. ValueError unless 0 <= count <= length <
+    2**32; its scratch array is the call's own.
     """
     library = ctypes.CDLL(str(build_kernel(directory, command)))
-    int64, int32, double = ctypes.c_int64, ctypes.c_int32, ctypes.c_double
-    pointer = ctypes.c_void_p
-    function, sampler = library.ssp_solve, library.sample_positions
-    function.argtypes = [pointer, pointer, pointer, int64, int64, pointer, pointer, int64,
-                         int64, int32, double, double, int64, pointer, pointer]
-    function.restype = int64
-    sampler.argtypes = [pointer, int64, int64, int64, int32, pointer, pointer]
-    sampler.restype = int64
+    function, sampler, runner = library.ssp_solve, library.sample_positions, library.bnb_run
+    function.argtypes = [_P, _P, _P, _I, _I, _P, _P, _I, _I, ctypes.c_int32, _D, _D, _I, _P, _P]
+    sampler.argtypes = [_P, _I, _I, _I, ctypes.c_int32, _P, _P]
+    runner.argtypes = [_P] * 4
+    function.restype = sampler.restype = runner.restype = _I
     local = threading.local()
 
     def workspace(n: int, m: int) -> tuple:
-        """This thread's (pairs, out, arcs) arrays and the address of its
-        workspace, for at least n vertices and m arcs."""
+        """This thread's (n, m, (pairs, out, arcs, the workspace's address),
+        arrays, workspace), for at least n vertices and m arcs."""
         work = getattr(local, "work", None)
         if work is None or work[0] < n or work[1] < m:
             if work is not None:
@@ -384,7 +386,7 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
             _, pairs, out, _, _, arcs, _ = arrays
             work = local.work = (n, m, (pairs, out, arcs, ctypes.addressof(struct)),
                                  arrays, struct)
-        return work[2]
+        return work
 
     def solve(topology: Topology, cost: np.ndarray, closed: frozenset[int],
               opened: frozenset[int], start: FlowState | None, changed: int | None,
@@ -406,7 +408,7 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
             node = np.fromiter((*opened, *closed), np.int64, len(opened) + len(closed))
         except OverflowError:
             node = None
-        pairs, out, carrying, work = workspace(n, m)
+        pairs, out, carrying, work = workspace(n, m)[2]
         count = -3 if node is None or changed is not None and not 0 <= changed < m else function(
             network, _pointer(cost), _pointer(node) if len(node) else None, len(opened),
             len(closed), arcs, residual, k, -1 if changed is None else int(changed),
@@ -431,7 +433,48 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
                        _pointer(positions))
         return used, positions
 
-    solve.sample = sample
+    def search(topology: Topology, cost: np.ndarray, root: FlowSolution, best: float,
+               budget: float, node_limit: float, rules: tuple[float, float],
+               offer: Callable[[FlowSolution], float], solve_log: list | None = None,
+               node_log: list | None = None) -> tuple[int, int, float, float]:
+        n, m, network = topology._kernel_args
+        held = workspace(n, m)  # this thread's arrays, kept while C writes them
+        pairs, out, carrying, work = held[2]
+        cost = np.ascontiguousarray(cost, dtype=np.float64)
+        # open entries (4 words each), the arena and node_log's pairs, grown on GROW
+        buffers = [np.empty(64, np.int64), np.empty(1024, np.int64),
+                   np.empty(0 if node_log is None else 64)]
+        scratch = [np.empty(m + 2, np.int64), np.empty(m, np.int64), *map(np.empty, (2 * m, n, n))]
+        k, state = len(root.state.arcs), root.state  # the root, where a child's solve leaves it
+        carrying[:k], pairs[:2 * k], scratch[4][:] = state[:3]
+        out[:] = state.shortfall, root.lp_cost, 0.0, *root.node
+        s = _Search(*map(_pointer, buffers + scratch), *map(len, buffers), solve_log is not None,
+                    k, topology.target, best, *rules, budget, node_limit, state.shortfall)
+        while (status := runner(ctypes.byref(s), network, _pointer(cost), work)) != 0:
+            if status == 3:  # GROW: a short buffer to twice its size, or what it needs
+                for i, name in enumerate(("open", "arena", "bounds")):
+                    old, need = buffers[i], getattr(s, "need_" + name)
+                    if need > len(old):
+                        buffers[i] = np.resize(old, max(2 * len(old), need))  # old's first
+                        setattr(s, name, _pointer(buffers[i]))
+                        setattr(s, name + "_cap", len(buffers[i]))
+            elif status < 0:
+                raise (FlowIterationError(f"augmentation count exceeded {s.push_cap}"),
+                       ValueError(f"arc {s.arc}: infinite capacity, cannot saturate"))[-1 - status]
+            else:  # 1 CANDIDATE or 2 SOLVED: the root or the child just solved
+                k, (_, lp_cost, _, constant, estimate, branch) = s.n_arcs, out.tolist()
+                sol = root if s.parent == 0 else FlowSolution(None, lp_cost, FlowState(
+                    carrying[:k].copy(), pairs[:2 * k].copy(), scratch[4].copy(), s.shortfall),
+                    topology, (constant, estimate, int(branch)))
+                if status == 1:
+                    s.best = offer(sol)
+                else:
+                    solve_log.append((s.parent - 1, s.arc, s.child == 0, bool(s.feasible), sol))
+        if node_log is not None:
+            node_log.extend(map(tuple, buffers[2][:s.bounds_size].reshape(-1, 2).tolist()))
+        return s.nodes, s.open_peak, s.pruned_floor, s.floor
+
+    solve.sample, solve.search = sample, search
     return solve
 
 

@@ -244,5 +244,5 @@ def brute_force(instance: Instance) -> ExactResult:
         mf = max_flow(topology)
         raise Infeasible(f"target {instance.target} exceeds max flow {mf}", max_flow=mf)
     best = score(instance, best_flow)
-    return ExactResult(best=best, proven_optimal=True,
-                       bound=best.true_cost, nodes_explored=solves)
+    return ExactResult(best=best, proven_optimal=True, bound=best.true_cost,
+                       nodes_explored=solves, open_peak=0)  # no queue

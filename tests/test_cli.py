@@ -1,6 +1,9 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
+import mcfcnf.exact
 import mcfcnf.flowcore
 import mcfcnf.instance
 from mcfcnf import (FlowSolution, GAConfig, Infeasible, evolve, load_instance,
@@ -26,7 +29,6 @@ def minimal_file(tmp_path):
 
 @pytest.fixture
 def infeasible_file(tmp_path):
-    import dataclasses
     path = tmp_path / "infeasible.mcfcnf"
     save_instance(dataclasses.replace(minimal_instance(), target=10.0), path)
     return path
@@ -126,7 +128,7 @@ class TestExact:
         assert main(["exact", "--instance", str(path), "--budget", "10",
                      "--solution", str(tmp_path / "exact.csv")]) == 0
         assert capsys.readouterr().out.strip().splitlines()[-1] == \
-            "cost=2.0 proven=true bound=2.0 nodes=3"
+            "cost=2.0 proven=true bound=2.0 nodes=3 open_peak=1"
         assert main(["solve", "--instance", str(path), "--iterations", "2",
                      "--solution", str(tmp_path / "ga.csv"),
                      "--convergence", str(tmp_path / "conv.csv")]) == 0
@@ -271,6 +273,24 @@ class TestCompare:
         fields = dict(zip(header.split(","), row.split(",")))
         assert fields["exact_cost"] == fields["ga_cost_mean"] == "0.000000"
         assert fields["cost_ratio"] == "1.000000"
+
+    def test_ga_cost_below_exact_bound_fails(self, fig1_file, tmp_path, capsys, monkeypatch):
+        # a search whose reported bound sits above a GA run's verified cost
+        # contradicts itself: the report is written, and compare exits 1
+        real = mcfcnf.exact.solve_exact
+
+        def raised_bound(*args, **kwargs):
+            result = real(*args, **kwargs)
+            return dataclasses.replace(result, bound=result.best.true_cost + 1.0)
+
+        monkeypatch.setattr(mcfcnf.exact, "solve_exact", raised_bound)
+        report = tmp_path / "report.csv"
+        code = main(["compare", "--instances", str(fig1_file), "--budget", "5", "--repeats",
+                     "2", "--iterations", "5", "-o", str(report)])
+        err = capsys.readouterr().err.splitlines()
+        assert code == 1 and report.exists()
+        assert err == [f"internal consistency failure: {fig1_file}: GA cost 20.0 below exact "
+                       f"bound 21.0"] * 2
 
     def test_empty_glob(self, tmp_path, capsys):
         code = main(["compare", "--instances", str(tmp_path / "none-*.mcfcnf"),

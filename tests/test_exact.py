@@ -6,6 +6,7 @@ import math
 import random
 import time
 import weakref
+from heapq import heappop, heappush
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from mcfcnf import (GAP_DEFAULT, FlowSolution, GAConfig, Infeasible, Instance, O
                     solve_exact, solve_min_cost_flow, validate, verify_flow)
 from mcfcnf.cli import main
 from mcfcnf.evaluate import TRUE_COST_MARGIN, true_cost
+from mcfcnf.flowcore import ExpandedNetwork, seed_organism
 from conftest import brute_force, integral_score_optimum, make_small_instance
 
 
@@ -185,6 +187,13 @@ class TestSolveExact:
         assert (result.nodes_explored, result.best.true_cost) == (nodes, cost)
         assert hashlib.sha256(repr(log).encode()).hexdigest() == digest
 
+    @pytest.mark.parametrize("n, seed, peak", [(16, 3, 98), (81, 6, 129)])
+    def test_open_peak_pinned_on_grids(self, n, seed, peak):
+        # the most nodes open at once, as the Python heap's length after each
+        # push read: an equal value also shows the queue order unchanged
+        inst = generate_random("grid", n, 2, seed=seed, target_fraction=0.6)
+        assert solve_exact(inst, budget=600).open_peak == peak
+
     def test_proven_flag_matches_gap(self):
         rng = random.Random(333)
         for _ in range(10):
@@ -204,7 +213,7 @@ def _infinite_widest(seed: int) -> tuple[Instance, Instance]:
                  for widest in (math.inf, max(inst.target, caps[-2] + 1)))
 
 
-@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("seed", range(20))
 class TestInfiniteClass:
     """Opening an infinite arc leaves its relaxed cost as it was (fixed/inf +
     variable); its warm-start repair once saturated it anyway, from a reduced
@@ -289,27 +298,27 @@ class TestPolish:
         ("geometric", 30, 3, 1, 461.33082758710015, 439.9109798257978, 2283,
          "77f4714d1cf089e5d4c1430557a4ef1ca08050dc13f058eee0ed1bdf8ee97748"),
     ])
-    def test_search_pinned(self, monkeypatch, kind, n, k, seed, warm_cost, cost, calls,
-                           digest):
+    def test_search_pinned(self, kind, n, k, seed, warm_cost, cost, calls, digest):
         # polish from the GA's seed organism (divisors = class capacities) to
         # the end of its search; the solve count and the digest of the
         # feasible nodes' lp_cost pin its neighborhood, nodes and branching
         inst = generate_random(kind, n, k, seed=seed, target_fraction=0.6)
         warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
         assert warm.true_cost == warm_cost
-        solve, made, lp_costs = exact.solve_min_cost_flow, 0, []
-
-        def spy(*args):
-            nonlocal made
-            made += 1
-            sol = solve(*args)  # infeasible children raise and add no lp_cost
-            lp_costs.append(sol.lp_cost)
-            return sol
-
-        monkeypatch.setattr(exact, "solve_min_cost_flow", spy)
-        assert polish(inst, warm, budget=600).true_cost == cost
-        assert made == calls
+        log = []
+        assert polish(inst, warm, budget=600, solve_log=log).true_cost == cost
+        assert len(log) == calls
+        lp_costs = [sol.lp_cost for *_, feasible, sol in log if feasible]
         assert hashlib.sha256(repr(lp_costs).encode()).hexdigest() == digest
+
+    @pytest.mark.parametrize("limit", [0, 1, 2, 7, 40])
+    def test_node_limit_bounds_the_solves(self, limit):
+        # the limit is checked before each pop, which solves two children
+        inst = generate_random("geometric", 30, 3, seed=1, target_fraction=0.6)
+        warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
+        log = []
+        polish(inst, warm, budget=600, node_limit=limit, solve_log=log)
+        assert max(1, limit) <= len(log) <= limit + 1
 
     def test_neighbourhood_topology_collected(self, monkeypatch):
         # the kernel keeps what it binds on the topology itself, so nothing
@@ -329,16 +338,16 @@ class TestPolish:
         assert len(topologies) == 1 and topologies[0]() is None
 
 
-def _record_solves(monkeypatch) -> list:
-    """The solutions of every feasible node of the searches that follow."""
-    solve, solutions = exact.solve_min_cost_flow, []
-
-    def spy(*args):
-        solutions.append(solve(*args))
-        return solutions[-1]
-
-    monkeypatch.setattr(exact, "solve_min_cost_flow", spy)
-    return solutions
+def _feasible_solves(inst: Instance, search: str) -> tuple:
+    """A proof ("prove") or a polish from the seed organism ("polish"), with
+    the solutions of its feasible nodes, from its solve log."""
+    log = []
+    if search == "prove":
+        result = solve_exact(inst, budget=600, solve_log=log)
+    else:  # the warm start's solve is not a node of the search
+        warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
+        result = polish(inst, warm, budget=600, solve_log=log)
+    return result, [sol for *_, feasible, sol in log if feasible]
 
 
 class TestArcSpaceCost:
@@ -350,17 +359,12 @@ class TestArcSpaceCost:
         ("grid", 16, 2, 3, "polish",
          "ab460dd3fb6678eba7fbe3bc60b4c968fd3eb22671f23d18370e87b6993a07fe"),
     ])
-    def test_bit_identical_to_score(self, monkeypatch, kind, n, k, seed, search, digest):
+    def test_bit_identical_to_score(self, kind, n, k, seed, search, digest):
         # a node's true cost, taken from its end state, is score's on the
         # dense flow bit for bit; the dense flows, built on first read, are
         # read-only and hash as the matrices each solve used to fill
         inst = generate_random(kind, n, k, seed=seed, target_fraction=0.6)
-        solutions = _record_solves(monkeypatch)
-        if search == "prove":
-            solve_exact(inst, budget=600)
-        else:  # the warm start's solve is not a node: it bypasses exact
-            warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
-            polish(inst, warm, budget=600)
+        solutions = _feasible_solves(inst, search)[1]
         topology = solutions[0].topology
         assert all(sol.topology is topology for sol in solutions)
         assert (search == "polish") == (len(topology.pairs) < inst.available.sum())
@@ -377,14 +381,14 @@ class TestArcSpaceCost:
         # score, and the dense flow it reads, is paid once per new incumbent,
         # never per node
         inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
-        solutions, scored, real_score = _record_solves(monkeypatch), [], exact.score
+        scored, real_score = [], exact.score
 
         def spy(*args):
             scored.append(real_score(*args))
             return scored[-1]
 
         monkeypatch.setattr(exact, "score", spy)
-        result = solve_exact(inst, budget=600)
+        result, solutions = _feasible_solves(inst, "prove")
         costs = [score(inst, sol).true_cost for sol in solutions]
         best = [math.inf, *itertools.accumulate(costs, min)]
         improvements = [cost for cost, before in zip(costs, best) if cost < before]
@@ -400,21 +404,121 @@ class TestTrueCostEstimate:
         ("grid", 16, 2, 3, "polish"),
         ("geometric", 30, 3, 1, "polish"),
     ])
-    def test_estimate_within_margin(self, monkeypatch, kind, n, k, seed, search):
+    def test_estimate_within_margin(self, kind, n, k, seed, search):
         # a node's exact true cost is taken only where the kernel's estimate
         # allows a new incumbent; that is exact only while the estimate is
         # within TRUE_COST_MARGIN of the true cost at every node
         inst = generate_random(kind, n, k, seed=seed, target_fraction=0.6)
-        solutions = _record_solves(monkeypatch)
-        if search == "prove":
-            solve_exact(inst, budget=600)
-        else:
-            warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
-            polish(inst, warm, budget=600)
+        solutions = _feasible_solves(inst, search)[1]
         assert len(solutions) > 100
         for sol in solutions:
             cost = true_cost(sol.topology, sol.state.arcs, sol.state.residual[1::2])
             assert abs(sol.node[1] - cost) <= TRUE_COST_MARGIN * cost
+
+
+def reference_branch_and_bound(instance: Instance, topology, warm, node_limit=math.inf):
+    """The best-first loop the kernel's search replaces, kept unchanged in
+    what it computes, without a clock: a heap of (bound, -depth, visit
+    count, opened, closed, branch arc, end state) and one
+    solve_min_cost_flow per node. Returns the incumbent, the bound, the
+    nodes solved, the most nodes open at once and the node log."""
+    free_cost = build_expanded_network(instance, seed_organism(instance)).cost[topology.slot]
+    incumbent = warm
+    best_cost = warm.true_cost if warm is not None else math.inf
+    pruned_floor, nodes, peak, heap, node_log = math.inf, 0, 0, [], []
+
+    def pruned(bound):
+        nonlocal pruned_floor
+        if bound >= best_cost - exact.gap_abs(best_cost):
+            if bound < best_cost:
+                pruned_floor = min(pruned_floor, bound)
+            return True
+        return False
+
+    def visit(opened, closed, depth, parent_state=None, changed=None):
+        nonlocal incumbent, best_cost, nodes, peak
+        nodes += 1
+        sol = solve_min_cost_flow(ExpandedNetwork(topology, free_cost, closed, opened),
+                                  parent_state, changed)
+        constant, estimate, branch = sol.node
+        bound, state = constant + sol.lp_cost, sol.state
+        if (estimate <= best_cost * (1.0 + TRUE_COST_MARGIN) and
+                true_cost(topology, state.arcs, state.residual[1::2]) < best_cost):
+            incumbent = score(instance, sol)
+            best_cost = incumbent.true_cost
+        if pruned(bound):
+            return bound
+        if branch >= 0:
+            heappush(heap, (bound, -depth, nodes, opened, closed, branch, state))
+            peak = max(peak, len(heap))
+        return bound
+
+    visit(frozenset(), frozenset(), 0)
+    while heap and nodes < node_limit:
+        bound, neg_depth, _, opened, closed, arc, state = heappop(heap)
+        if pruned(bound):
+            continue
+        for child in ((opened, closed | {arc}), (opened | {arc}, closed)):
+            try:
+                child_bound = visit(*child, 1 - neg_depth, state, arc)
+            except Infeasible:
+                continue
+            node_log.append((bound, child_bound))
+    floor = min((entry[0] for entry in heap), default=math.inf)
+    return incumbent, min(best_cost, pruned_floor, floor), nodes, peak, node_log
+
+
+def _searches():
+    """(instance, topology, warm start, node limit): small random instances,
+    some with an infinite widest class, a root cut inside the gap window, a
+    grid of equal costs whose bounds tie, grids cut short, polish
+    neighbourhoods, and a search long enough to grow every buffer many
+    times and compact its arena."""
+    rng = random.Random(909)
+    for _ in range(30):
+        inst = make_small_instance(rng, n_capacities=rng.choice((1, 2)))
+        yield inst, compile_topology(inst), None, math.inf
+    # the root bound, 100 (1 - 1e-7) + target, is below the root's own cost
+    # by less than the gap: pruned, it is the bound reported
+    window = Instance(n_vertices=2, source=0, sink=1, edges=((0, 1),),
+                      capacities=np.array([10.0]), fixed_cost=np.array([[100.0]]),
+                      variable_cost=np.array([[1.0]]), target=10.0 * (1 - 1e-7))
+    yield window, compile_topology(window), None, math.inf
+    inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+    even = dataclasses.replace(inst, fixed_cost=np.where(inst.available, 10.0, math.nan),
+                               variable_cost=np.where(inst.available, 1.0, math.nan))
+    yield even, compile_topology(even), None, 3000
+    for seed in (0, 3):
+        inst = _infinite_widest(seed)[0]
+        yield inst, compile_topology(inst), None, math.inf
+    grid = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
+    for limit in (1, 2, 40):
+        yield grid, compile_topology(grid), None, limit
+    for kind, n, k, seed in (("grid", 16, 2, 3), ("geometric", 30, 3, 1)):
+        inst = generate_random(kind, n, k, seed=seed, target_fraction=0.6)
+        warm = _scored_relaxation(inst, np.broadcast_to(inst.capacities, inst.fixed_cost.shape))
+        touched = {v for e in np.flatnonzero(warm.used.any(axis=1)) for v in inst.edges[e]}
+        near = np.array([u in touched or w in touched for u, w in inst.edges])
+        pairs = np.flatnonzero(inst.available & near[:, None])
+        yield inst, exact.Topology(inst, pairs), warm, math.inf
+    hard = generate_random("geometric", 50, 3, seed=4, target_fraction=0.6)
+    yield hard, compile_topology(hard), None, 4000
+
+
+class TestAgainstPythonLoop:
+    def test_same_search(self):
+        # every node bound, incumbent, reported bound, node count and open
+        # peak of the kernel's loop equal the Python loop's
+        for inst, topology, warm, limit in _searches():
+            node_log = []
+            got = exact._branch_and_bound(inst, math.inf, topology, warm, node_log, limit)
+            best, bound, nodes, peak, expected_log = reference_branch_and_bound(
+                inst, topology, warm, limit)
+            assert node_log == expected_log
+            assert (got.nodes_explored, got.open_peak) == (nodes, peak)
+            assert got.bound.hex() == bound.hex()
+            assert got.best.true_cost.hex() == best.true_cost.hex()
+            assert got.best.flow.flow.tobytes() == best.flow.flow.tobytes()
 
 
 def test_exact_runtime_stays_small_on_diamond(fig1):

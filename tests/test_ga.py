@@ -510,9 +510,9 @@ class TestPolishBudget:
         """evolve on desk (bench's instance), as (result, polish's node solves)."""
         import mcfcnf.exact
         inst = generate_random("geometric", 130, 3, seed=7, target_fraction=0.6)
-        solves, real = [], mcfcnf.exact.solve_min_cost_flow
-        monkeypatch.setattr(mcfcnf.exact, "solve_min_cost_flow",
-                            lambda *args: solves.append(None) or real(*args))
+        solves, real = [], mcfcnf.exact.polish
+        monkeypatch.setattr(mcfcnf.exact, "polish",
+                            lambda *args, **kwargs: real(*args, **kwargs, solve_log=solves))
 
         def run(config):
             solves.clear()

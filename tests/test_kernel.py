@@ -6,8 +6,10 @@ a branch-and-bound node's cost patch and constant, residual setup,
 warm-start repair, the augmenting loop reference_augment, and the node's
 true-cost estimate and branch arc, kept here unchanged in what they
 compute. Every kernel call a solve or max_flow makes is run through both,
-and the potentials, amount left, cost, carrying arcs and their residuals,
-amount sent, node facts and errors must agree bit for bit.
+and every node a branch-and-bound search solves in the kernel's own loop
+is solved again from its solve log (replay): the potentials, amount left,
+cost, carrying arcs and their residuals, amount sent, node facts and
+errors must agree bit for bit.
 """
 import contextlib
 import copy
@@ -306,18 +308,54 @@ class TestAgainstReference:
     def test_branch_and_bound_proof(self):
         # every node's cost patch, bound, estimate and branch arc
         inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
-        with checked_kernel() as calls:
-            result = solve_exact(inst, budget=60)
+        log = []
+        result = solve_exact(inst, budget=60, solve_log=log)
         assert result.proven_optimal
-        assert len(calls) == result.nodes_explored
+        assert len(log) == result.nodes_explored
+        replay(inst, log)
 
     def test_polish_search(self):
         # the nodes of a polish, on its neighbourhood's own topology
         inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
         warm = fitness(inst, seed_organism(inst))
-        with checked_kernel() as calls:
-            assert polish(inst, warm, budget=600).true_cost == 573.4276663730062
-        assert len(calls) == 481
+        log = []
+        assert polish(inst, warm, budget=600, solve_log=log).true_cost == 573.4276663730062
+        assert len(log) == 481
+        replay(inst, log)
+
+
+def replay(instance, log) -> None:
+    """Solve every node of a search's solve log again with reference_solve,
+    the root cold and each child from its logged parent's end state, under
+    the node's decisions rebuilt from its chain of parents: the amount left
+    (as the shortfall and feasibility), lp_cost, potentials, carrying arcs,
+    their residuals and the node facts must match bit for bit."""
+    topology = log[0][-1].topology
+    cost = build_expanded_network(instance, seed_organism(instance)).cost[topology.slot]
+    m, tol = len(topology.pairs), flow_tol(topology.target)
+    decided = []  # (opened, closed) per entry
+    for parent, arc, closing, feasible, got in log:
+        opened, closed = decided[parent] if parent >= 0 else (frozenset(),) * 2
+        if arc >= 0:
+            assert arc not in opened | closed
+            if closing:
+                closed = closed | {arc}
+            else:
+                opened = opened | {arc}
+        decided.append((opened, closed))
+        start = log[parent][-1].state if parent >= 0 else None
+        shortfall = 0.0 if start is None else start.shortfall
+        stop = tol - shortfall
+        left, lp_cost, pot, arcs, _, residual, *node = reference_solve(
+            topology, cost, closed, opened, start, None if start is None else arc,
+            topology.target, stop, 4 * (m - len(closed)) + 16)
+        assert got.topology is topology
+        assert feasible == (not left > stop)
+        assert _bits([shortfall + left, lp_cost]) == _bits([got.state.shortfall, got.lp_cost])
+        assert _bits(pot) == _bits(got.state.potential)
+        assert arcs.tolist() == got.state.arcs.tolist()
+        assert _bits(residual) == _bits(got.state.residual)
+        assert _bits(node[:2]) == _bits(got.node[:2]) and node[2] == got.node[2]
 
 
 class TestLoader:
@@ -390,9 +428,12 @@ class TestLoader:
 
 #: Run in a process with the sanitizer runtime preloaded: the kernel built
 #: with AddressSanitizer and UBSan in argv[1] by the command argv[2:] proves
-#: grid 16, and again with its widest class infinite (opened infinite arcs,
-#: which no repair saturates), polishes, decodes an organism and takes a max
-#: flow; then each input the kernel rejects (a NaN cost, closed, opened and
+#: grid 16 (with both logs, so the search returns after every solve and
+#: grows its node_log buffer), and again with its widest class infinite
+#: (opened infinite arcs, which no repair saturates), stops a search of
+#: geometric 50 at its budget after growing and compacting its node
+#: buffers many times, polishes, decodes an organism and takes a max flow;
+#: then each input the kernel rejects (a NaN cost, closed, opened and
 #: start arcs outside 0..m-1) ends in ValueError before the kernel touches an
 #: array at it, and each way of changing a compiled topology's arrays
 #: (replacing or assigning head, adj, adj_start or source, writing into
@@ -409,7 +450,11 @@ from mcfcnf.flowcore import compile_topology, max_flow, seed_organism, solve_min
 kernel = flowcore.load_kernel(Path(sys.argv[1]), sys.argv[2:])
 flowcore._kernel = lambda: kernel
 inst = generate_random("grid", 16, 2, seed=3, target_fraction=0.6)
-assert solve_exact(inst, budget=600).nodes_explored == 891
+node_log, solve_log = [], []
+assert solve_exact(inst, 600, node_log, solve_log).nodes_explored == 891 == len(solve_log)
+assert len(node_log) > 64
+cut = solve_exact(generate_random("geometric", 50, 3, seed=4, target_fraction=0.6), 1.0)
+assert not cut.proven_optimal and cut.open_peak > 64
 wide = generate_random("grid", 16, 2, seed=0, target_fraction=0.6)
 wide = dataclasses.replace(wide, capacities=np.append(wide.capacities[:-1], math.inf))
 assert solve_exact(wide, budget=600).proven_optimal
@@ -511,7 +556,7 @@ class TestWrapper:
 
         class Library:  # stands in for the C library: records each call
             def __init__(self, path):
-                self.ssp_solve = self.sample_positions = self
+                self.ssp_solve = self.sample_positions = self.bnb_run = self
 
             def __call__(self, *args):
                 calls.append(args)

@@ -7,6 +7,7 @@ true fixed-charge optimum; with y relaxed to [0, 1] it is the LP relaxation,
 which the slope-scaled bound must equal (z = f / c at the optimum).
 """
 import random
+import time
 
 import numpy as np
 import pytest
@@ -111,6 +112,19 @@ def test_bounds_and_flows_agree_with_highs_at_scale(kind, n, classes, seed, frac
     for name, found in (("bnb", result.best), ("ga", run.best), ("polish", run.polished)):
         assert verify_flow(inst, found.flow) == [], name
         assert found.true_cost >= optimum - tol, name
+
+
+def test_budget_stop_at_scale():
+    # 723 pairs that 1 s of branch-and-bound does not prove: the search stops
+    # at its budget, in time, and reports a bound and a flow HiGHS agrees with
+    inst = generate_random("geometric", 50, 3, seed=4, target_fraction=0.6)
+    optimum = highs_optimum(inst, relaxed=False)
+    started = time.perf_counter()
+    result = solve_exact(inst, budget=1.0)
+    assert time.perf_counter() - started <= 1.0 + 0.5
+    assert not result.proven_optimal and result.open_peak > 0
+    assert result.bound <= optimum <= result.best.true_cost
+    assert verify_flow(inst, result.best.flow) == []
 
 
 def scipy_max_flow(instance, open_pairs) -> int:
