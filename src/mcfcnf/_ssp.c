@@ -1,28 +1,32 @@
-/* Min-cost-flow solve of mcfcnf.flowcore (see load_kernel) and the
- * best-first branch-and-bound loop of mcfcnf.exact around it, ctypes calls
- * that allocate nothing: the caller passes every array they write, and
- * ssp_solve checks the costs and arc indices it is given before it writes
- * anything. A solve is also a whole branch-and-bound node: it patches the
- * opened arcs' costs, sums their fixed costs, solves, and in one pass over
- * the carrying arcs writes their residual pairs, a true-cost estimate and
- * the arc to branch on. The estimate adds the terms of evaluate.true_cost
- * in arc order, not numpy's pairwise order, so the caller allows for the
- * difference (evaluate.TRUE_COST_MARGIN) before taking the exact cost.
+/* Min-cost-flow solve of mcfcnf.flowcore (see load_kernel), the best-first
+ * branch-and-bound loop of mcfcnf.exact around it and the generations of
+ * mcfcnf.ga's genetic search, ctypes calls that allocate nothing: the
+ * caller passes every array they write, and ssp_solve checks the costs and
+ * arc indices it is given before it writes anything. A solve is also a
+ * whole branch-and-bound node: it patches the opened arcs' costs, sums
+ * their fixed costs, solves, and in one pass over the carrying arcs writes
+ * their residual pairs, a true-cost estimate and the arc to branch on. The
+ * estimate adds the terms of evaluate.true_cost in arc order, not numpy's
+ * pairwise order, so the caller allows for the difference
+ * (evaluate.TRUE_COST_MARGIN) before taking the exact cost; the GA's decode
+ * takes the exact cost itself, summed in numpy's order (pairwise).
  * bnb_run pops, solves both children warm from their parent and prunes or
  * queues them, and returns to the caller only to price a candidate
  * incumbent, to have a buffer grown, to log a solve (when asked) and at the
  * end, so its nodes and bounds are the Python loop's the tests keep.
+ * ga_run breeds, decodes and selects whole generations on CPython's
+ * Mersenne Twister, stepped here, and returns to the caller when its
+ * history buffer fills, every few milliseconds (so Python's signal
+ * handlers run), to log a decode (when asked) and at the end; its draws,
+ * costs and history are those of the Python loop the tests keep.
  *
  * Status codes. ssp_solve returns the number of carrying arcs, or -1 (more
  * than push_cap rounds), -2 (an arc of infinite capacity to saturate), -3
  * (an opened or closed arc outside 0..m-1), -4 (a start arc outside
  * 0..m-1), -5 (a cost not >= 0). bnb_run returns 0 DONE, 1 CANDIDATE,
- * 2 SOLVED, 3 GROW, or -1 or -2 from a child's solve.
- *
- * The same library holds sample_positions, the GA mutation's positions:
- * random.sample's picks, made from raw Mersenne Twister words that the
- * caller draws in bulk (mcfcnf.ga.mutate), so the generator's stream is
- * consumed word for word as random.sample would consume it.
+ * 2 SOLVED, 3 GROW, or -1 or -2 from a child's solve. ga_run returns 0
+ * DONE, 1 PAUSED, 2 DECODED, or -1 (a decode needed more than 4m + 16
+ * rounds) or -2 (a child's decode does not route the target).
  *
  * Residual id 2i is arc i forward, 2i+1 its reversal; head[r] is where r
  * ends, adj[adj_start[u] .. adj_start[u + 1]) the ids leaving u, ascending.
@@ -606,52 +610,330 @@ int64_t bnb_run(bnb *b, const network *g, const double *cost, const workspace *w
     }
 }
 
-/* The little-endian 32-bit word at p. */
-static uint32_t word_at(const unsigned char *p) {
-    return (uint32_t)p[0] | (uint32_t)p[1] << 8 | (uint32_t)p[2] << 16 | (uint32_t)p[3] << 24;
+/* CPython's Mersenne Twister (Modules/_randommodule.c; Matsumoto &
+ * Nishimura, ACM TOMACS 8 (1998) 3-30): the 624 words and the index that
+ * random.Random.getstate() gives and setstate() takes. */
+typedef struct {
+    uint32_t words[624];
+    int64_t index;
+} twister;
+
+static uint32_t next_word(twister *t) {
+    uint32_t y, *mt = t->words;
+    int k;
+
+    if (t->index >= 624) { /* the next 624 words at once */
+        for (k = 0; k < 624; k++) {
+            y = (mt[k] & 0x80000000U) | (mt[(k + 1) % 624] & 0x7fffffffU);
+            mt[k] = mt[(k + 397) % 624] ^ (y >> 1) ^ (y & 1U ? 0x9908b0dfU : 0U);
+        }
+        t->index = 0;
+    }
+    y = mt[t->index++];
+    y ^= y >> 11;
+    y ^= (y << 7) & 0x9d2c5680U;
+    y ^= (y << 15) & 0xefc60000U;
+    return y ^ (y >> 18);
 }
 
-/* Bits of x, as Python's int.bit_length. */
-static int bit_length(int64_t x) {
+/* random.random(): 53 bits from two words. */
+static double uniform(twister *t) {
+    uint32_t a = next_word(t) >> 5, b = next_word(t) >> 6;
+    return (a * 67108864.0 + b) * (1.0 / 9007199254740992.0);
+}
+
+/* _randbelow(n), 1 <= n < 2**32: the next word's top bit_length(n) bits,
+ * drawn again while they reach n. randint(a, b) is a + below(b - a + 1). */
+static int64_t below(twister *t, int64_t n) {
     int bits = 0;
-    while (x >> bits)
+    int64_t j;
+
+    while (n >> bits)
         bits++;
-    return bits;
+    do
+        j = next_word(t) >> (32 - bits);
+    while (j >= n);
+    return j;
 }
 
-/* The positions random.sample(range(length), count) picks from the
- * generator's next n_words outputs, 4 little-endian bytes each in draw
- * order: CPython's two branches, for 1 <= length < 2**32 (one word per
- * draw; the caller checks every size). Each draw below n is the next word's
- * top bit_length(n) bits, drawn again while they reach n (_randbelow). With
- * pool set (CPython's small-population rule, decided by the caller), pick i
- * is scratch[randbelow(length - i)] of a pool swap-removed; otherwise it is
- * randbelow(length), drawn again while already picked, which scratch marks.
- * Writes the picks to positions and returns the words used, or, when the
- * words run out, minus the picks left: at least that many more are needed.
- * scratch holds length entries, written before they are read. */
-int64_t sample_positions(const unsigned char *words, int64_t n_words, int64_t length,
-                         int64_t count, int32_t pool, int64_t *scratch, int64_t *positions) {
-    int64_t i, j, n = length, used = 0;
-    int bits = bit_length(length);
+/* random.sample(range(length), count)'s picks, 1 <= count <= length < 2**32.
+ * CPython's rule picks the branch: a pool (pick i is pool[below(length - i)],
+ * swap-removed) when a list of length is no larger than a set of count, of
+ * 21 + 4**ceil(log4(3 count)) slots above 5 picks (3 count is no power of
+ * 4, so that is the least power of 4 at least 3 count), else below(length)
+ * drawn again while already picked, which scratch marks. scratch holds
+ * length entries, written before they are read. */
+void ga_sample(twister *t, int64_t length, int64_t count, int64_t *scratch, int64_t *picks) {
+    int64_t i, j, setsize = 21, power = 1;
+    int pool;
 
+    if (count > 5) {
+        while (power < 3 * count)
+            power *= 4;
+        setsize += power;
+    }
+    pool = length <= setsize;
     for (i = 0; i < length; i++)
         scratch[i] = pool ? i : 0;
     for (i = 0; i < count; i++) {
-        if (pool)
-            bits = bit_length(n = length - i);
-        do {
-            if (used == n_words)
-                return -(count - i);
-            j = word_at(words + 4 * used++) >> (32 - bits);
-        } while (j >= n || (!pool && scratch[j]));
         if (pool) {
-            positions[i] = scratch[j];
-            scratch[j] = scratch[n - 1];
+            j = below(t, length - i);
+            picks[i] = scratch[j];
+            scratch[j] = scratch[length - i - 1];
         } else {
-            positions[i] = j;
+            do
+                j = below(t, length);
+            while (scratch[j]);
             scratch[j] = 1;
+            picks[i] = j;
         }
     }
-    return used;
+}
+
+/* The GA's mutation of a genome of length divisors: count = randint(1,
+ * max(1, length // 10)), the positions random.sample picks, then per
+ * position a step of uniform(0, 1), negated when random() < 0.5, added to
+ * the entry (an unbounded one reset to `reset` first) and floored at floor. */
+void ga_mutate(twister *t, double *genome, int64_t length, double reset, double floor,
+               int64_t *scratch, int64_t *picks) {
+    int64_t i, count = 1 + below(t, length / 10 > 1 ? length / 10 : 1);
+
+    ga_sample(t, length, count, scratch, picks);
+    for (i = 0; i < count; i++) {
+        double value = genome[picks[i]], step = uniform(t);
+        if (value == INFINITY)
+            value = reset;
+        if (uniform(t) < 0.5)
+            step = -step;
+        value += step;
+        genome[picks[i]] = value > floor ? value : floor;
+    }
+}
+
+/* numpy's pairwise sum (np.sum of a contiguous float64 array) of a[i] x
+ * b[2i], or of a[i] when b is NULL, i < n: 8 accumulators over blocks of at
+ * most 128 terms, longer runs halved, the first half rounded down to a
+ * multiple of 8. np.sum is 0.0 plus this. */
+static double term(const double *a, const double *b, int64_t i) {
+    return b ? a[i] * b[2 * i] : a[i];
+}
+
+static double pairwise(const double *a, const double *b, int64_t n) {
+    double r[8], s = 0.0;
+    int64_t i = 0, j;
+
+    if (n > 128) {
+        i = n / 2 - n / 2 % 8;
+        return pairwise(a, b, i) + pairwise(a + i, b ? b + 2 * i : NULL, n - i);
+    }
+    if (n >= 8) {
+        for (j = 0; j < 8; j++)
+            r[j] = term(a, b, j);
+        for (i = 8; i < n - n % 8; i += 8)
+            for (j = 0; j < 8; j++)
+                r[j] += term(a, b, i + j);
+        s = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+    }
+    for (; i < n; i++)
+        s += term(a, b, i);
+    return s;
+}
+
+/* The GA's generations (mcfcnf.ga.evolve), in the order of the Python loop
+ * the tests keep. The population is `population` genomes of m divisors and
+ * their true costs, each child one more, in slots of the caller's buffers;
+ * pool lists the slots in the order of the Python population list, the
+ * survivors first and the free slots, a generation's children, after them.
+ * The caller sets the buffers (genomes, costs, hashes, pool: population +
+ * children slots; history: history_cap rows; pot n, cost m, scratch the
+ * larger of m and the slots, picks max(2, m / 10)), the generator, log (1:
+ * return DECODED after each decode), neumaier (1: sum the population's costs
+ * as Python >= 3.12's sum does), the target amount, the rules (mutation
+ * probability, the divisor an unbounded entry is reset to, the floor), the
+ * stops (start on the perf_counter clock, the elapsed seconds and the
+ * iteration count to stop at) and the slice of seconds after which a call
+ * returns. The rest is the loop's. */
+typedef struct {
+    twister mt;
+    double *genomes, *costs;
+    uint64_t *hashes;
+    int64_t *pool;
+    double *history; /* per generation: elapsed seconds, best, mean, lp_solves */
+    double *pot, *cost;
+    int64_t *scratch, *picks;
+    int64_t population, children, history_cap, log, neumaier;
+    double amount, mutation, reset, floor, start, stop, iteration_limit, slice;
+    int64_t stage, iteration, child, history_used, lp_solves, decodes, n_arcs;
+} evolution;
+
+/* Where ga_run resumes, and what it returns (or a decode's negative status). */
+enum { HASH, GENERATION, BREED };
+enum { GA_DONE, GA_PAUSED, GA_DECODED };
+
+/* A genome's digest, for finding equal divisors fast. */
+static uint64_t digest(const double *genome, int64_t m) {
+    uint64_t h[4] = {1, 2, 3, 4}, x;
+    int64_t i;
+
+    for (i = 0; i < m; i++) {
+        memcpy(&x, genome + i, sizeof x);
+        h[i & 3] = (h[i & 3] ^ x) * 0x9e3779b97f4a7c15U;
+    }
+    return h[0] ^ (h[1] >> 1) ^ (h[2] >> 2) ^ (h[3] >> 3);
+}
+
+/* A duel over the first size pool positions, as the tests' reference_duel:
+ * two distinct positions drawn, the lower (true cost, position) wins.
+ * Returns the winner, writes the loser. */
+static int64_t duel(evolution *s, int64_t size, int64_t *loser) {
+    int64_t p[2];
+    double a, b;
+
+    ga_sample(&s->mt, size, 2, s->scratch, p);
+    a = s->costs[s->pool[p[0]]];
+    b = s->costs[s->pool[p[1]]];
+    if (a < b || (a == b && p[0] < p[1])) {
+        *loser = p[1];
+        return p[0];
+    }
+    *loser = p[0];
+    return p[1];
+}
+
+/* fitness: a cold solve at cost fixed / divisor + unit_cost per unit, then
+ * the true cost as evaluate.true_cost sums it (the used arcs' fixed costs,
+ * then unit_cost x flow over every arc, each as np.sum). The carrying arcs,
+ * their residual pairs and out stay in the workspace, the potentials in
+ * pot. Returns the number of carrying arcs, or -1 (more than 4m + 16
+ * rounds) or -2 (the target does not route; out[0] is the amount left). */
+static int64_t decode(evolution *s, const network *g, const workspace *w, const double *genome,
+                      double *true_cost) {
+    int64_t i, k, used = 0, m = g->m;
+
+    for (i = 0; i < m; i++)
+        s->cost[i] = g->fixed[i] / genome[i] + g->unit_cost[i];
+    memset(s->pot, 0, sizeof(double) * (size_t)g->n);
+    k = solve(g, s->cost, NULL, 0, 0, NULL, NULL, 0, -1, 0, s->amount, g->tol, 4 * m + 16,
+              s->pot, w);
+    if (k < 0)
+        return k;
+    if (w->out[0] > g->tol)
+        return -2;
+    for (i = 0; i < m; i++) /* the costs are spent: cost now gathers the used arcs' fixed */
+        if (w->res[2 * i + 1] > g->tol)
+            s->cost[used++] = g->fixed[i];
+    *true_cost = (0.0 + pairwise(s->cost, NULL, used))
+                 + (0.0 + pairwise(g->unit_cost, w->res + 1, m));
+    return k;
+}
+
+/* The next child, into the slot at pool position population + child: two
+ * parent duels, crossover's interval [lo, hi) of the first parent into the
+ * second, the mutation coin and mutate. Its divisors equal those of a
+ * member or an earlier child: that decode's cost. Otherwise it is decoded.
+ * Returns 1 for a decode, 0 for a reuse, or decode's negative status. */
+static int64_t breed(evolution *s, const network *g, const workspace *w) {
+    int64_t m = g->m, at = s->population + s->child, slot = s->pool[at], lo, hi, i, loser;
+    const double *a = s->genomes + m * s->pool[duel(s, s->population, &loser)];
+    const double *b = s->genomes + m * s->pool[duel(s, s->population, &loser)];
+    double *child = s->genomes + m * slot;
+
+    lo = below(&s->mt, m + 1);
+    hi = below(&s->mt, m + 1);
+    if (lo > hi) {
+        i = lo;
+        lo = hi;
+        hi = i;
+    }
+    memcpy(child, b, sizeof(double) * (size_t)m);
+    memcpy(child + lo, a + lo, sizeof(double) * (size_t)(hi - lo));
+    if (uniform(&s->mt) < s->mutation)
+        ga_mutate(&s->mt, child, m, s->reset, s->floor, s->scratch, s->picks);
+    s->hashes[slot] = digest(child, m);
+    for (i = 0; i < at; i++) {
+        int64_t other = s->pool[i];
+        if (s->hashes[other] == s->hashes[slot]
+            && !memcmp(child, s->genomes + m * other, sizeof(double) * (size_t)m)) {
+            s->costs[slot] = s->costs[other];
+            return 0;
+        }
+    }
+    s->n_arcs = decode(s, g, w, child, &s->costs[slot]);
+    if (s->n_arcs < 0)
+        return s->n_arcs;
+    s->decodes++;
+    return 1;
+}
+
+/* Selection, as the tests' tournament_select: duels over the pool until
+ * population members are left, each loser's slot moved behind them, where
+ * the next generation's children go; then the generation's history row. */
+static void select_and_record(evolution *s) {
+    int64_t size = s->population + s->children, i, loser, slot;
+    double best, sum, comp = 0.0, *row = s->history + 4 * s->history_used++;
+
+    while (size > s->population) {
+        duel(s, size, &loser);
+        slot = s->pool[loser];
+        memmove(s->pool + loser, s->pool + loser + 1, sizeof(int64_t) * (size_t)(size - loser - 1));
+        s->pool[--size] = slot;
+    }
+    best = s->costs[s->pool[0]];
+    sum = 0.0 + best; /* sum(costs): 0 + the first, then the rest */
+    for (i = 1; i < s->population; i++) {
+        double x = s->costs[s->pool[i]], t = sum + x;
+        if (x < best)
+            best = x;
+        if (s->neumaier) /* Neumaier's compensation, as CPython >= 3.12 */
+            comp += fabs(sum) >= fabs(x) ? (sum - t) + x : (x - t) + sum;
+        sum = t;
+    }
+    if (comp != 0.0 && isfinite(comp))
+        sum += comp;
+    row[0] = now() - s->start;
+    row[1] = best;
+    row[2] = sum / (double)s->population;
+    row[3] = (double)s->lp_solves;
+}
+
+/* Run generations from where the last call stopped, until the iteration
+ * limit or the elapsed stop (checked before each generation). Returns DONE,
+ * PAUSED (the history buffer is full, or slice seconds have passed, checked
+ * after each child and each generation), DECODED (with log set, after each
+ * decode: the child's slot is at pool position population + child - 1) or
+ * decode's -1 or -2. */
+int64_t ga_run(evolution *s, const network *g, const workspace *w) {
+    double entered = now();
+    int64_t i, status;
+
+    if (s->stage == HASH) {
+        for (i = 0; i < s->population; i++)
+            s->hashes[s->pool[i]] = digest(s->genomes + g->m * s->pool[i], g->m);
+        s->stage = GENERATION;
+    }
+    for (;;) {
+        if (s->stage == GENERATION) {
+            if ((double)s->iteration >= s->iteration_limit || now() - s->start >= s->stop)
+                return GA_DONE;
+            s->iteration++;
+            s->child = 0;
+            s->stage = BREED;
+        }
+        if (s->child < s->children) {
+            status = breed(s, g, w);
+            s->child++;
+            if (status < 0)
+                return status;
+            if (status && s->log)
+                return GA_DECODED;
+        } else {
+            s->lp_solves += s->children;
+            select_and_record(s);
+            s->stage = GENERATION;
+            if (s->history_used == s->history_cap)
+                return GA_PAUSED;
+        }
+        if (now() - entered >= s->slice)
+            return GA_PAUSED;
+    }
 }

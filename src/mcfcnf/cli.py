@@ -81,7 +81,8 @@ def cmd_solve(args) -> int:
     iterations = result.history[-1].iteration
     print(f"best_cost={result.best.true_cost!r} "
           f"polished_cost={result.polished.true_cost!r} "
-          f"bound={result.bound!r} iterations={iterations} elapsed_s={elapsed:.3f}")
+          f"bound={result.bound!r} iterations={iterations} elapsed_s={elapsed:.3f} "
+          f"decodes={result.decodes}")
     return EXIT_OK
 
 

@@ -28,6 +28,7 @@ import functools
 import math
 import os
 import shlex
+import sys
 import sysconfig
 import tempfile
 import threading
@@ -40,6 +41,8 @@ from typing import TYPE_CHECKING, NamedTuple
 import numpy as np
 
 if TYPE_CHECKING:
+    import random
+
     from .instance import Instance
 
 #: Scale value meaning "the scaled fixed cost is exactly zero". IEEE infinity
@@ -82,8 +85,7 @@ class Organism:
     offered (edge, capacity class) pairs, in ascending flat order.
 
     Finite entries are at least D_MIN, exactly: every producer floors at
-    it. UNBOUNDED entries zero out the fixed cost entirely. Its key, the
-    divisor bytes, identifies the genome: equal keys decode alike.
+    it. UNBOUNDED entries zero out the fixed cost entirely.
     """
 
     scale: np.ndarray
@@ -97,11 +99,6 @@ class Organism:
                 raise ValueError(f"scale entries must be >= D_MIN ({D_MIN}) or UNBOUNDED (inf)")
         scale.setflags(write=False)
         object.__setattr__(self, "scale", scale)
-
-    @functools.cached_property
-    def key(self) -> bytes:
-        """The divisor bytes, made on first read and kept (scale is read-only)."""
-        return self.scale.tobytes()
 
 
 class Topology:
@@ -198,6 +195,28 @@ class _Search(ctypes.Structure):
         (_I, "open_size arena_used bounds_size need_open need_arena need_bounds nodes open_peak"),
         (_I, "stage child push_cap parent depth n_opened n_start arc feasible"),
         (_D, "pruned_floor floor start parent_bound parent_shortfall"))
+
+
+class _Twister(ctypes.Structure):
+    """_ssp.c's twister: CPython's Mersenne Twister state, as getstate() gives it."""
+    _fields_ = [("words", ctypes.c_uint32 * 624), ("index", _I)]
+
+
+class _Evolution(ctypes.Structure):
+    """_ssp.c's evolution: the GA's population, buffers, rules and state."""
+    _fields_ = [("mt", _Twister)] + _layout(
+        (_P, "genomes costs hashes pool history pot cost scratch picks"),
+        (_I, "population children history_cap log neumaier"),
+        (_D, "amount mutation reset floor start stop iteration_limit slice"),
+        (_I, "stage iteration child history_used lp_solves decodes n_arcs"))
+
+
+#: History rows the GA loop writes before it returns, and the seconds after
+#: which it returns: Python's signal handlers (Ctrl-C, a timer) run between calls.
+_HISTORY_ROWS, _GA_SLICE = 256, 0.01
+
+#: Whether sum() of floats compensates (Neumaier), as from CPython 3.12 on.
+_NEUMAIER_SUM = sys.version_info >= (3, 12)
 
 
 class ExpandedNetwork(NamedTuple):
@@ -359,18 +378,24 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
     start small and grow here, doubling. rules are (gap, 1 + the true-cost
     margin), budget seconds from the call; the logs are solve_exact's.
 
-    solve.sample(words, length, count, pool) -> (used, positions) is
-    sample_positions: random.sample(range(length), count)'s picks from the
-    generator words `words` (4 little-endian bytes each, in draw order),
-    pool giving CPython's branch. ValueError unless 0 <= count <= length <
-    2**32; its scratch array is the call's own.
+    solve.evolve(topology, population, costs, rng, rules, stops, record,
+    decode_log) -> (survivors, costs, decodes) runs ga_run: the GA's
+    generations from an evaluated population (one genome of divisors per
+    row, and its true costs), drawing from rng's state and leaving rng where
+    the draws end. rules are (children per generation, mutation
+    probability, the unbounded entries' reset, the floor), stops (start on
+    the perf_counter clock, the elapsed seconds and the generations to stop
+    at). record(rows) takes the history's (elapsed, best, mean, lp_solves)
+    rows, a float64 array of them, each time C returns. With decode_log a list, appends (divisors,
+    solution, true cost) per child decoded, and C returns after each. It
+    returns the surviving genomes and costs, in population order, and the
+    children decoded.
     """
     library = ctypes.CDLL(str(build_kernel(directory, command)))
-    function, sampler, runner = library.ssp_solve, library.sample_positions, library.bnb_run
+    function, runner, generations = library.ssp_solve, library.bnb_run, library.ga_run
     function.argtypes = [_P, _P, _P, _I, _I, _P, _P, _I, _I, ctypes.c_int32, _D, _D, _I, _P, _P]
-    sampler.argtypes = [_P, _I, _I, _I, ctypes.c_int32, _P, _P]
-    runner.argtypes = [_P] * 4
-    function.restype = sampler.restype = runner.restype = _I
+    runner.argtypes, generations.argtypes = [_P] * 4, [_P] * 3
+    function.restype = runner.restype = generations.restype = _I
     local = threading.local()
 
     def workspace(n: int, m: int) -> tuple:
@@ -425,14 +450,6 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
         return (left, lp_cost, pot, carrying[:count].copy(), sent, pairs[:2 * count].copy(),
                 constant, estimate, int(branch))
 
-    def sample(words: bytes, length: int, count: int, pool: bool) -> tuple[int, np.ndarray]:
-        if not 0 <= count <= length < 2**32:
-            raise ValueError(f"cannot pick {count} of {length} positions, one word a draw")
-        scratch, positions = np.empty(length, dtype=np.int64), np.empty(count, dtype=np.int64)
-        used = sampler(words, len(words) // 4, length, count, pool, _pointer(scratch),
-                       _pointer(positions))
-        return used, positions
-
     def search(topology: Topology, cost: np.ndarray, root: FlowSolution, best: float,
                budget: float, node_limit: float, rules: tuple[float, float],
                offer: Callable[[FlowSolution], float], solve_log: list | None = None,
@@ -474,7 +491,46 @@ def load_kernel(directory: Path, command: Sequence[str]) -> Callable[..., tuple]
             node_log.extend(map(tuple, buffers[2][:s.bounds_size].reshape(-1, 2).tolist()))
         return s.nodes, s.open_peak, s.pruned_floor, s.floor
 
-    solve.sample, solve.search = sample, search
+    def evolve(topology: Topology, population: np.ndarray, costs: Sequence[float],
+               rng: random.Random, rules: tuple, stops: tuple,
+               record: Callable[[np.ndarray], None],
+               decode_log: list | None = None) -> tuple:
+        n, m, network = topology._kernel_args
+        held = workspace(n, m)  # this thread's arrays, kept while C writes them
+        pairs, out, carrying, work = held[2]
+        size, children = len(population), rules[0]
+        if not (size >= 2 and children >= 1):  # a duel draws two members
+            raise ValueError(f"a generation needs 2 members and 1 child, not {size} and {children}")
+        slots = size + children
+        genomes, values, pool = np.empty((slots, m)), np.empty(slots), np.arange(slots)
+        genomes[:size], values[:size] = population, costs
+        history, pot = np.empty((_HISTORY_ROWS, 4)), np.empty(n)
+        buffers = (genomes, values, np.empty(slots, np.uint64), pool, history, pot, np.empty(m),
+                   np.empty(max(m, slots), np.int64), np.empty(max(2, m // 10), np.int64))
+        version, state, gauss = rng.getstate()
+        s = _Evolution(_Twister(state[:624], state[624]), *map(_pointer, buffers), size, children,
+                       _HISTORY_ROWS, decode_log is not None, _NEUMAIER_SUM, topology.target,
+                       *rules[1:], *stops, _GA_SLICE, lp_solves=size)
+        status = 1
+        while status:  # 0 DONE; 1 PAUSED; 2 DECODED, the child just made
+            status = generations(ctypes.byref(s), network, work)
+            record(history[:s.history_used].copy())
+            s.history_used = 0
+            k, (left, lp_cost, _, constant, estimate, branch) = s.n_arcs, out.tolist()
+            if status == 2:
+                slot = pool[size + s.child - 1]
+                decode_log.append((genomes[slot].copy(), FlowSolution(None, lp_cost, FlowState(
+                    carrying[:k].copy(), pairs[:2 * k].copy(), pot.copy(), left), topology,
+                    (constant, estimate, int(branch))), float(values[slot])))
+            elif status == -2:
+                raise Infeasible(unroutable(topology.target, topology.target - left),
+                                 max_flow=topology.target - left)
+            elif status < 0:
+                raise FlowIterationError(f"augmentation count exceeded {4 * m + 16}")
+        rng.setstate((version, (*s.mt.words, s.mt.index), gauss))
+        return genomes[pool[:size]], values[pool[:size]], s.decodes
+
+    solve.search, solve.evolve = search, evolve
     return solve
 
 

@@ -7,19 +7,22 @@ binary tournament with the incumbent best always retained; crossover splices
 a random interval from one parent into the other; mutation nudges a few
 entries by at most one, clamped to the D_MIN floor.
 
-The initial entries and mutation's positions and steps are drawn in bulk:
-the generator's next 32-bit Mersenne Twister words (Matsumoto & Nishimura,
-ACM TOMACS 8 (1998) 3-30), read in draw order from one getrandbits call and
-turned into exactly the values, and the generator state, that
-random.uniform, random.random and random.sample would give.
+The initial population is drawn and decoded here; its entries are read in
+bulk from one getrandbits call, with exactly the values and the generator
+state of per-entry random.uniform calls. The generations run in the C kernel
+(_ssp.c's ga_run). There CPython's Mersenne Twister (Matsumoto & Nishimura,
+ACM TOMACS 8 (1998) 3-30), loaded from getstate(), is stepped in C and gives
+every draw random.sample, randint and random would give, and each child is
+decoded and priced as fitness would. tests/test_ga.py keeps the Python loop
+and operators, which the kernel matches bit for bit.
 """
 from __future__ import annotations
 
 import math
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass
-from pathlib import Path
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -32,8 +35,6 @@ from .flowcore import (D_MIN, UNBOUNDED, FlowSolution, Organism, build_expanded_
 
 if TYPE_CHECKING:
     from .instance import Instance
-
-_Member = tuple[Organism, ScoredSolution]
 
 
 @dataclass(frozen=True)
@@ -75,12 +76,31 @@ class IterationRecord:
     lp_solves: int
 
 
+class History(Sequence):
+    """A run's IterationRecords, one per generation from 0, kept as one
+    float64 row (elapsed_s, best_cost, mean_cost, lp_solves) each and made
+    when read: a run makes thousands of generations a second."""
+
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
+
+    def __len__(self) -> int:
+        return len(self._rows)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        elapsed, best, mean, lp_solves = self._rows[index].tolist()
+        return IterationRecord(range(len(self))[index], elapsed, best, mean, int(lp_solves))
+
+
 @dataclass(frozen=True, eq=False)
 class RunResult:
     best: ScoredSolution
-    history: tuple[IterationRecord, ...]
+    history: History
     polished: ScoredSolution
     bound: float  # the seed organism's lp_cost: lp_relaxation_bound, solved once
+    decodes: int  # the kernel solves of the search: the initial population's, then new children's
 
 
 def _mean_fixed_cost(instance: Instance) -> float:
@@ -95,16 +115,12 @@ def fitness(instance: Instance, organism: Organism) -> ScoredSolution:
     return score(instance, solve_min_cost_flow(build_expanded_network(instance, organism)))
 
 
-def _words(rng: random.Random, n: int) -> bytes:
-    """The generator's next n 32-bit words, 4 little-endian bytes each, in
-    draw order: getrandbits(32 n) puts the first word drawn lowest."""
-    return rng.getrandbits(32 * n).to_bytes(4 * n, "little")
-
-
-def _doubles(words: bytes, first: int = 0) -> np.ndarray:
-    """random.random()'s doubles, each from a pair (a, b) of the words from
-    word `first` on: (a >> 5) * 2**26 + (b >> 6), over 2**53."""
-    a, b = np.frombuffer(words, dtype="<u4", offset=4 * first).reshape(-1, 2).T
+def _doubles(rng: random.Random, n: int) -> np.ndarray:
+    """The next n random.random() doubles, bit for bit, from one getrandbits
+    call: its 2n 32-bit words in draw order (the first drawn lowest), each
+    pair (a, b) giving ((a >> 5) * 2**26 + (b >> 6)) / 2**53."""
+    words = np.frombuffer(rng.getrandbits(64 * n).to_bytes(8 * n, "little"), dtype="<u4")
+    a, b = words.reshape(-1, 2).T
     return ((a >> 5) * 67108864.0 + (b >> 6)) / 9007199254740992.0
 
 
@@ -115,75 +131,9 @@ def init_population(instance: Instance, config: GAConfig, rng: random.Random) ->
     population = [seed_organism(instance)]
     length, upper = population[0].scale.size, _mean_fixed_cost(instance)
     for _ in range(config.population_size - 1):
-        entries = D_MIN + (upper - D_MIN) * _doubles(_words(rng, 2 * length))
+        entries = D_MIN + (upper - D_MIN) * _doubles(rng, length)
         population.append(Organism(scale=entries))
     return population
-
-
-def tournament_select(population: list[_Member], target_size: int,
-                      rng: random.Random) -> list[_Member]:
-    """Shrink the pool by repeated binary tournaments: two distinct members
-    are drawn, the less fit is dropped. Ties go to the lower index, so the
-    incumbent best can never lose and always survives."""
-    if not 1 <= target_size <= len(population):
-        raise ValueError(f"target_size {target_size} out of range for "
-                         f"population of {len(population)}")
-    pool = list(population)
-    while len(pool) > target_size:
-        del pool[_duel(pool, rng)[1]]
-    return pool
-
-
-def _duel(pool: list[_Member], rng: random.Random) -> tuple[int, int]:
-    """Two members drawn, as (winner, loser) indices: lower (true cost, index) wins."""
-    i, j = rng.sample(range(len(pool)), 2)
-    return (i, j) if (pool[i][1].true_cost, i) < (pool[j][1].true_cost, j) else (j, i)
-
-
-def crossover(parent_a: Organism, parent_b: Organism, rng: random.Random) -> Organism:
-    """Child takes a random interval [lo, hi) from the first parent and the
-    rest from the second."""
-    if parent_a.scale.shape != parent_b.scale.shape:
-        raise ValueError(f"parent shapes differ: {parent_a.scale.shape} "
-                         f"vs {parent_b.scale.shape}")
-    length = parent_a.scale.size
-    lo, hi = sorted((rng.randint(0, length), rng.randint(0, length)))
-    child = parent_b.scale.copy()
-    child[lo:hi] = parent_a.scale[lo:hi]
-    return Organism(scale=child)
-
-
-def mutate(instance: Instance, organism: Organism, rng: random.Random) -> Organism:
-    """Nudge a few entries (between 1 and a tenth of the array) up or down
-    by a uniform amount below one, clamped to the D_MIN floor. Unbounded
-    entries are reset to the mean fixed cost before the nudge.
-
-    The draws are those of rng.sample(range(length), count), then per
-    position rng.uniform(0.0, 1.0) for the size and rng.random() < 0.5 for
-    a minus sign, bit for bit, read from words drawn in bulk. The picks take
-    at least one word each and the steps four, so 5 count words are drawn at
-    once and later only as many as are certainly needed: one word too many
-    would shift every later draw."""
-    scale = organism.scale.copy()
-    length = scale.size
-    count = rng.randint(1, max(1, length // 10))
-    # random.sample's rule: its pool branch when a list of the population is
-    # smaller than a set of the picks
-    pool = length <= 21 + (4 ** math.ceil(math.log(3 * count, 4)) if count > 5 else 0)
-    sample, words = flowcore._kernel().sample, _words(rng, 5 * count)
-    used, positions = sample(words, length, count, pool)
-    while used < 0:  # the picks ran out of words
-        words += _words(rng, -used)
-        used, positions = sample(words, length, count, pool)
-    words += _words(rng, max(0, used + 4 * count - len(words) // 4))
-    size, sign = _doubles(words, used).reshape(-1, 2).T
-    steps = np.where(sign < 0.5, -size, size)
-    values = scale[positions]
-    unbounded = np.isinf(values)
-    if unbounded.any():
-        values[unbounded] = _mean_fixed_cost(instance)
-    scale[positions] = np.maximum(D_MIN, values + steps)
-    return Organism(scale=scale)
 
 
 def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
@@ -195,22 +145,7 @@ def theorem_d(instance: Instance, optimal_flow: FlowSolution) -> Organism:
     return Organism(scale=np.where(flow > flow_tol(instance.target), UNBOUNDED, D_MIN))
 
 
-def _evaluate_all(instance: Instance, organisms: list[Organism],
-                  population: list[_Member]) -> list[ScoredSolution]:
-    """Fitness of each organism. An organism whose divisors equal those of a
-    population member or an earlier organism reuses that decode, which is
-    the same by purity of fitness."""
-    known = {member.key: scored for member, scored in population}
-    scored = []
-    for organism in organisms:
-        key = organism.key
-        if key not in known:
-            known[key] = fitness(instance, organism)
-        scored.append(known[key])
-    return scored
-
-
-def evolve(instance: Instance, config: GAConfig) -> RunResult:
+def evolve(instance: Instance, config: GAConfig, decode_log: list | None = None) -> RunResult:
     """Run the full search: seeded initialization, tournament-driven
     crossover and mutation under elitist selection, then exact polishing of
     the best flow, one node per decode made at most, within the time_limit.
@@ -220,10 +155,11 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
     then per child: two parent tournaments, the crossover interval, the
     mutation coin and its draws, then the selection tournaments), so with an
     iteration_limit the whole run (best, history, polished) replays
-    bit-identically per seed; only elapsed_s varies.
-    The initial entries and mutation's draws are read as raw generator
-    words in bulk, in the same order, so they are the per-value calls'
-    values and leave the generator in the same state.
+    bit-identically per seed; only elapsed_s varies. The initial population
+    is decoded here, by fitness; the generations run in the C kernel
+    (flowcore.load_kernel's evolve), on CPython's generator stepped in C.
+    With decode_log a list, appends (divisors, solution, true cost) per
+    decode, the initial ones first, as solve_exact's solve_log does.
     """
     rng = random.Random(config.seed)
     start = time.perf_counter()
@@ -231,50 +167,29 @@ def evolve(instance: Instance, config: GAConfig) -> RunResult:
     iteration_limit = config.iteration_limit if config.iteration_limit is not None else math.inf
 
     organisms = init_population(instance, config, rng)
-    scored = _evaluate_all(instance, organisms, [])
-    population: list[_Member] = list(zip(organisms, scored))
-    lp_solves = len(population)
-
-    def record(iteration: int) -> IterationRecord:
-        costs = [member[1].true_cost for member in population]
-        return IterationRecord(
-            iteration=iteration,
-            elapsed_s=time.perf_counter() - start,
-            best_cost=min(costs),
-            mean_cost=sum(costs) / len(costs),
-            lp_solves=lp_solves,
-        )
-
-    history = [record(0)]
+    scored = [fitness(instance, organism) for organism in organisms]
+    if decode_log is not None:
+        decode_log.extend((o.scale, s.flow, s.true_cost) for o, s in zip(organisms, scored))
+    costs = [member.true_cost for member in scored]
+    rows = [np.array([[time.perf_counter() - start, min(costs), sum(costs) / len(costs),
+                       len(costs)]])]
     n_children = math.ceil(config.crossover_probability * config.population_size)
-    iteration = 0
-    while iteration < iteration_limit:
-        if time.perf_counter() - start >= 0.8 * time_limit:
-            break
-        iteration += 1
-        children = []
-        for _ in range(n_children):
-            parent_a, parent_b = (population[_duel(population, rng)[0]][0] for _ in range(2))
-            child = crossover(parent_a, parent_b, rng)
-            if rng.random() < config.mutation_probability:
-                child = mutate(instance, child, rng)
-            children.append(child)
-        child_scores = _evaluate_all(instance, children, population)
-        lp_solves += len(children)
-        population = population + list(zip(children, child_scores))
-        population = tournament_select(population, config.population_size, rng)
-        history.append(record(iteration))
-
-    best_scored = min(population, key=lambda member: member[1].true_cost)[1]
+    survivors, costs, decodes = flowcore._kernel().evolve(
+        compile_topology(instance), np.array([o.scale for o in organisms]), costs, rng,
+        (n_children, config.mutation_probability, _mean_fixed_cost(instance), D_MIN),
+        (start, 0.8 * time_limit, iteration_limit), rows.append, decode_log)
+    history = History(np.concatenate(rows))
+    best = fitness(instance, Organism(scale=survivors[int(np.argmin(costs))]))
     time_left = time_limit - (time.perf_counter() - start)
-    polished = exact.polish(instance, best_scored, time_left, node_limit=lp_solves)
-    return RunResult(best=best_scored, history=tuple(history), polished=polished,
-                     bound=scored[0].flow.lp_cost)
+    polished = exact.polish(instance, best, time_left, node_limit=history[-1].lp_solves)
+    return RunResult(best=best, history=history, polished=polished,
+                     bound=scored[0].flow.lp_cost, decodes=len(organisms) + decodes)
 
 
 def write_convergence_csv(path, history) -> None:
-    lines = ["iteration,elapsed_s,best_cost,mean_cost,lp_solves"]
-    for rec in history:
-        lines.append(f"{rec.iteration},{rec.elapsed_s:.6f},{rec.best_cost!r},"
-                     f"{rec.mean_cost!r},{rec.lp_solves}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    """One row per record, written as it is formatted: a long run's history
+    is not held twice."""
+    with open(path, "w", encoding="utf-8", newline="\n") as out:
+        out.write("iteration,elapsed_s,best_cost,mean_cost,lp_solves\n")
+        out.writelines(f"{rec.iteration},{rec.elapsed_s:.6f},{rec.best_cost!r},"
+                       f"{rec.mean_cost!r},{rec.lp_solves}\n" for rec in history)

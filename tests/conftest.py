@@ -2,15 +2,20 @@
 enumeration oracles used to cross-check the solvers."""
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
 import random
+import shlex
+import sysconfig
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from mcfcnf import (ExactResult, ExpandedNetwork, Infeasible, Instance, compile_topology,
-                    flow_tol, max_throughput, score, solve_min_cost_flow)
-from mcfcnf.flowcore import max_flow
+                    flow_tol, flowcore, max_throughput, score, solve_min_cost_flow)
+from mcfcnf.flowcore import build_kernel, max_flow
 
 #: Hard ceiling on (edges x classes) for the enumeration brute force.
 BRUTE_FORCE_LIMIT = 20
@@ -72,6 +77,45 @@ EDGES 2
 0 1 3.0 0.5 NA NA
 2 1 NA NA 4.0 0.25
 """
+
+
+@functools.cache
+def kernel_library() -> ctypes.CDLL:
+    """The kernel's library, for calling the GA loop's draws on their own:
+    ga_sample(twister, length, count, scratch, picks) and ga_mutate(twister,
+    genome, length, reset, floor, scratch, picks)."""
+    library = ctypes.CDLL(str(build_kernel(Path(flowcore.__file__).with_name("__pycache__"),
+                                           shlex.split(sysconfig.get_config_var("CC") or "cc"))))
+    p, i, d = ctypes.c_void_p, ctypes.c_int64, ctypes.c_double
+    library.ga_sample.argtypes = [p, i, i, p, p]
+    library.ga_mutate.argtypes = [p, p, i, d, d, p, p]
+    library.ga_sample.restype = library.ga_mutate.restype = None
+    return library
+
+
+def drawn(rng: random.Random, draw):
+    """draw(twister) on the kernel's Mersenne Twister loaded from rng's
+    state, and rng set to where C left it."""
+    version, state, gauss = rng.getstate()
+    twister = flowcore._Twister(state[:624], state[624])
+    result = draw(ctypes.byref(twister))
+    rng.setstate((version, (*twister.words, twister.index), gauss))
+    return result
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts the 32-bit words its getrandbits draws."""
+
+    words = 0
+
+    def getrandbits(self, k):
+        self.words += -(-k // 32)
+        return super().getrandbits(k)
+
+
+def sample_pool(length: int, count: int) -> bool:
+    """Whether random.sample(range(length), count) takes its pool branch."""
+    return length <= 21 + (4 ** math.ceil(math.log(3 * count, 4)) if count > 5 else 0)
 
 
 @pytest.fixture

@@ -173,8 +173,8 @@ GA_SUITE_SPECS = [
 def ga_suite():
     """Twenty seeded instances (~100-500 pairs each), each evolved twice with
     the same seed at iteration-stop 50. Candidate flows from the first run
-    are verified against the constraints as they are decoded; a reused
-    decode is an earlier decode, so every candidate is verified."""
+    are verified against the constraints, every decode from its decode_log;
+    a reused decode is an earlier decode, so every candidate is verified."""
     started = time.perf_counter()
     runs = []
     for kind, n, n_caps, seed in GA_SUITE_SPECS:
@@ -182,20 +182,12 @@ def ga_suite():
         pairs = int(instance.available.sum())
         assert 100 <= pairs <= 500, f"{kind} n={n} K={n_caps}: {pairs} pairs"
 
-        bad_flows = []
-
-        def watch(inst, organism, bad_flows=bad_flows):
-            scored = fitness(inst, organism)
-            problems = verify_flow(inst, scored.flow)
-            if problems:
-                bad_flows.append(problems[0])
-            return scored
-
-        config = GAConfig(iteration_limit=50, seed=seed)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr("mcfcnf.ga.fitness", watch)
-            first = evolve(instance, config)
+        config, decodes = GAConfig(iteration_limit=50, seed=seed), []
+        first = evolve(instance, config, decode_log=decodes)
         second = evolve(instance, config)
+        assert len(decodes) == first.decodes
+        bad_flows = [problems[0] for _, flow, _ in decodes
+                     if (problems := verify_flow(instance, flow))]
 
         seed_org = init_population(instance, config, random.Random(seed))[0]
         runs.append({

@@ -50,6 +50,8 @@ class TestSolve:
         assert float(fields["polished_cost"]) == pytest.approx(20.0)
         assert float(fields["bound"]) == pytest.approx(15.0)
         assert int(fields["iterations"]) == 5
+        assert 10 <= int(fields["decodes"]) <= 10 + 5 * 5  # the reused children are not solved
+        assert list(fields)[-1] == "decodes"
         assert (tmp_path / "sol.csv").exists()
         conv = (tmp_path / "conv.csv").read_text().splitlines()
         assert conv[0] == "iteration,elapsed_s,best_cost,mean_cost,lp_solves"

@@ -37,7 +37,7 @@ from mcfcnf import (D_MIN, ExpandedNetwork, FlowIterationError, FlowState, Infea
 from mcfcnf import flowcore
 from mcfcnf.flowcore import (KernelBuildError, build_kernel, flow_tol, load_kernel, max_flow,
                              seed_organism)
-from conftest import make_small_instance
+from conftest import CountingRandom, drawn, kernel_library, make_small_instance, sample_pool
 
 SRC = Path(flowcore.__file__).resolve().parents[1]
 CC = shlex.split(sysconfig.get_config_var("CC") or "cc")
@@ -437,15 +437,17 @@ class TestLoader:
 #: start arcs outside 0..m-1) ends in ValueError before the kernel touches an
 #: array at it, and each way of changing a compiled topology's arrays
 #: (replacing or assigning head, adj, adj_start or source, writing into
-#: head) raises before a solve could run on it. Last, the GA's sampler picks
-#: random.sample's positions on both of its branches, from words that
-#: suffice and from words that run short, and through mutate.
+#: head) raises before a solve could run on it. Last, the GA's generations
+#: run on grid 16, on its infinite-class twin (mutation resets unbounded
+#: divisors) and with a population of 20 (a selection pool of 30, sampled
+#: on random.sample's set branch), returning after every decode and every
+#: generation.
 _SANITIZED_RUN = """
-import dataclasses, math, random, sys
+import dataclasses, math, sys
 from pathlib import Path
 import numpy as np
-from mcfcnf import (ExpandedNetwork, Organism, fitness, flowcore, generate_random, mutate,
-                    polish, solve_exact)
+from mcfcnf import (ExpandedNetwork, GAConfig, Organism, evolve, fitness, flowcore,
+                    generate_random, polish, solve_exact)
 from mcfcnf.flowcore import compile_topology, max_flow, seed_organism, solve_min_cost_flow
 kernel = flowcore.load_kernel(Path(sys.argv[1]), sys.argv[2:])
 flowcore._kernel = lambda: kernel
@@ -496,13 +498,13 @@ else:
     solve_min_cost_flow(net)
     raise AssertionError("head written in place")
 assert solve_min_cost_flow(net).lp_cost == root.lp_cost
-for length, count, pool in ((1, 1, True), (20, 2, True), (80, 8, True), (32, 2, False),
-                            (3114, 311, False)):
-    words = random.Random(length).getrandbits(32 * 8 * count).to_bytes(32 * count, "little")
-    used, positions = kernel.sample(words, length, count, pool)
-    assert positions.tolist() == random.Random(length).sample(range(length), count)
-    assert kernel.sample(words[:4 * (used - 1)], length, count, pool)[0] < 0
-mutate(inst, Organism(scale=np.full(1, 3.0)), random.Random(14))  # runs short twice
+infinite = dataclasses.replace(inst, capacities=np.append(inst.capacities[:-1], math.inf))
+flowcore._HISTORY_ROWS = 1
+for twin, size in ((inst, 10), (infinite, 10), (inst, 20)):
+    log = []
+    result = evolve(twin, GAConfig(population_size=size, iteration_limit=30, seed=3),
+                    decode_log=log)
+    assert len(log) == result.decodes > size and len(result.history) == 31
 print("clean")
 """
 
@@ -556,7 +558,7 @@ class TestWrapper:
 
         class Library:  # stands in for the C library: records each call
             def __init__(self, path):
-                self.ssp_solve = self.sample_positions = self.bnb_run = self
+                self.ssp_solve = self.bnb_run = self.ga_run = self
 
             def __call__(self, *args):
                 calls.append(args)
@@ -766,18 +768,8 @@ class TestWrapper:
             assert solve(copied) == expected
 
 
-class CountingRandom(random.Random):
-    """random.Random that counts the words its getrandbits draws."""
-
-    words = 0
-
-    def getrandbits(self, k):
-        self.words += -(-k // 32)
-        return super().getrandbits(k)
-
-
 class TestSample:
-    """The kernel's sample_positions against random.sample itself."""
+    """The GA loop's random.sample (ga_sample) against random.sample itself."""
 
     @pytest.mark.parametrize("length, count, pool", [
         (1, 1, True), (7, 5, True), (21, 2, True), (80, 8, True), (90, 9, False),
@@ -785,23 +777,16 @@ class TestSample:
     ])
     @pytest.mark.parametrize("seed", range(4))
     def test_picks_and_words_of_random_sample(self, length, count, pool, seed):
-        # pool is CPython's branch for (length, count); every prefix of the
-        # words that random.sample used runs short by at least what is returned
-        reference = CountingRandom(seed)
+        # pool is CPython's branch for (length, count), which the kernel
+        # decides itself; it must pick alike and draw exactly the same words
+        assert sample_pool(length, count) == pool
+        reference, rng = CountingRandom(seed), random.Random(seed)
         expected = reference.sample(range(length), count)
-        words = random.Random(seed).getrandbits(32 * reference.words).to_bytes(
-            4 * reference.words, "little")
-        sample = flowcore._kernel().sample
-        used, positions = sample(words + bytes(8), length, count, pool)
-        assert (used, positions.tolist()) == (reference.words, expected)
-        for have in range(reference.words):
-            short = sample(words[:4 * have], length, count, pool)[0]
-            assert 1 <= -short <= reference.words - have
-
-    @pytest.mark.parametrize("length, count", [(0, 1), (3, 4), (5, -1), (2**32, 1)])
-    def test_rejected_before_c(self, length, count):
-        with pytest.raises(ValueError, match="cannot pick"):
-            flowcore._kernel().sample(b"", length, count, True)
+        scratch, picks = np.empty(length, np.int64), np.empty(count, np.int64)
+        drawn(rng, lambda twister: kernel_library().ga_sample(
+            twister, length, count, scratch.ctypes.data, picks.ctypes.data))
+        assert picks.tolist() == expected
+        assert rng.getstate() == reference.getstate() and reference.words >= count
 
 
 def _decode_bits(instance, organism) -> tuple:
